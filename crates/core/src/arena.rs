@@ -14,6 +14,7 @@
 pub use shmt_tensor::arena::{clear, put_f32, stats, take_f32, ArenaStats, ObjPool, VecPool};
 
 use hetsim::QueuePair;
+use shmt_tensor::arena::Stash;
 use shmt_tensor::Tensor;
 
 use crate::exec::ComputeTask;
@@ -60,8 +61,9 @@ pub(crate) static CLASSES: VecPool<usize> = VecPool::new();
 /// Rank-ordering scratch for the windowed Top-K assignment.
 pub(crate) static ORDER: VecPool<usize> = VecPool::new();
 
-/// Localized input scratch spines for the parallel executor.
-pub(crate) static LOCALS: VecPool<Tensor> = VecPool::new();
+/// Per-claimant page stashes of the parallel executor (the spine; the
+/// pages themselves go back to the tensor arena after every run).
+pub(crate) static STASHES: VecPool<Stash> = VecPool::new();
 
 /// Returns a consumed report's heap spines to the runtime pools: the
 /// record and device vectors, any guard repair records, and (via the

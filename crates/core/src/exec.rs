@@ -8,16 +8,22 @@
 //! per-device monitor threads (§3.3.1) — while keeping results bit-exact
 //! and deterministic:
 //!
-//! * Tile-aggregated kernels write disjoint output tiles, so workers
-//!   compute each task into a tile-sized scratch buffer (inputs localized
-//!   to the tile's halo-extended footprint) that is stitched in one pass.
-//! * Reduction kernels (Histogram, reduce_*) produce per-HLOP partial
-//!   buffers that are folded in task order, so float accumulation order
-//!   never changes regardless of which worker ran which task.
+//! * Tile-aggregated kernels write disjoint output tiles. Inline, each task
+//!   writes its tile straight into the output. On the pool, an exact task
+//!   runs on inputs localized to the tile's halo-extended footprint and an
+//!   NPU task casts that footprint itself (from the shared inputs, so the
+//!   quantization region is the one the inline path derives); either
+//!   deposits one tile-sized buffer that is stitched in one pass.
+//! * Reduction kernels (Histogram, reduce_*) produce one partial buffer per
+//!   HLOP, folded in task order at every thread count — inline included —
+//!   so float accumulation order never depends on how many workers ran or
+//!   which worker ran which task.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use shmt_kernels::{Aggregation, Kernel};
+use shmt_tensor::arena::Stash;
 use shmt_tensor::tile::Tile;
 use shmt_tensor::Tensor;
 
@@ -125,10 +131,27 @@ pub fn compute_tasks_on(
     if tasks.is_empty() {
         return;
     }
-    let aggregation = kernel.shape().aggregation;
-    if threads <= 1 || tasks.len() == 1 {
-        for task in tasks {
-            run_one(kernel, inputs, *task, output);
+    let shape = kernel.shape();
+    let inline = threads <= 1 || tasks.len() == 1;
+    let (out_rows, out_cols) = output.shape();
+    // One reduction partial per task, whoever computes it.
+    let partial = |task: &ComputeTask| {
+        let mut buf = shape.allocate_output(out_rows, out_cols);
+        run_one(kernel, inputs, *task, &mut buf);
+        buf
+    };
+    if inline {
+        match shape.aggregation {
+            Aggregation::Tile => {
+                for task in tasks {
+                    run_one(kernel, inputs, *task, output);
+                }
+            }
+            Aggregation::Reduce { op, .. } => {
+                for task in tasks {
+                    fold_partial(op, output, &partial(task));
+                }
+            }
         }
         return;
     }
@@ -139,7 +162,6 @@ pub fn compute_tasks_on(
         inputs.len()
     );
 
-    let (out_rows, out_cols) = output.shape();
     // Claimant jobs pull task indices through a shared atomic cursor —
     // the software analogue of pulling from a shared incoming queue — and
     // deposit each result into its task's pre-sized slot, so assembly
@@ -156,116 +178,142 @@ pub fn compute_tasks_on(
     };
 
     let n_claims = threads.min(tasks.len());
-    match aggregation {
+    match shape.aggregation {
         Aggregation::Tile => {
-            // Each task is computed into a tile-sized result: inputs are
-            // localized to the tile's halo-extended footprint and the
-            // kernel runs in local coordinates, so scratch memory scales
-            // with the tile (plus halo), not the dataset. Kernels that
-            // read far outside that footprint (`global_inputs`, e.g.
-            // GEMM) keep the full inputs and a per-claimant full-shape
-            // buffer. Tiles are disjoint, so stitching is order-
-            // independent and exact.
-            let shape = kernel.shape();
-            let localize = !shape.global_inputs;
+            // Each task deposits a tile-sized buffer, and scratch memory
+            // scales with the tile (plus halo), not the dataset: an exact
+            // task localizes its inputs to the tile's halo-extended
+            // footprint and runs in local coordinates; an NPU task
+            // extracts and casts that footprint from the shared inputs
+            // itself and publishes straight into its buffer. (An exact
+            // task copies its halo-extended scratch down to the tile
+            // rather than deposit it: the halo pushes a power-of-two tile
+            // into the arena's next page class, and the slots of a run
+            // would hold twice the memory.) Exact tasks of kernels that
+            // read far outside the footprint (`global_inputs`, e.g. GEMM)
+            // keep the full inputs and a per-claimant full-shape buffer.
+            // Tiles are disjoint, so stitching is order-independent and
+            // exact.
             let (in_rows, in_cols) = inputs[0].shape();
+            let footprint = |tile: Tile| {
+                shmt_kernels::npu::extended_region(
+                    tile,
+                    shape.halo,
+                    shape.block_align,
+                    shape.full_rows,
+                    in_rows,
+                    in_cols,
+                )
+            };
+            // A task's footprint buffers — one per input and one for its
+            // local output, exact and NPU alike — come from its claimant's
+            // stash. The stashes are taken here, before any claimant runs,
+            // sized for the largest footprint: what a run takes from the
+            // page arena is then the same whether its claimants overlap or
+            // take turns, which is what lets a warm run promise zero
+            // allocations rather than usually deliver them.
+            let (stash_pages, stash_len) = if shape.global_inputs {
+                (0, 0)
+            } else {
+                let largest = tasks.iter().map(|task| {
+                    let ext = footprint(task.tile);
+                    ext.rows * ext.cols
+                });
+                (inputs.len() + 1, largest.max().unwrap_or(0))
+            };
+            let mut stashes: Vec<Stash> = crate::arena::STASHES.take();
+            stashes.resize_with(n_claims, || Stash::with_pages(stash_pages, stash_len));
+            let stashes = Mutex::new(stashes);
+            let lock_stashes = || stashes.lock().unwrap_or_else(PoisonError::into_inner);
             pool.scope_fn(n_claims, &|| {
+                let mut stash = lock_stashes().pop().expect("one stash per claimant");
                 let mut full_scratch: Option<Tensor> = None;
-                let mut locals: Vec<Tensor> = crate::arena::LOCALS.take();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(task) = tasks.get(i) else { break };
                     let tile = task.tile;
-                    let result =
-                        if localize {
-                            let ext = shmt_kernels::npu::extended_region(
-                                tile,
-                                shape.halo,
-                                shape.block_align,
-                                shape.full_rows,
-                                in_rows,
-                                in_cols,
-                            );
-                            locals.clear();
-                            locals.extend(inputs.iter().map(|t| {
-                                t.view(ext.row0, ext.col0, ext.rows, ext.cols).to_tensor()
-                            }));
-                            let mut local_refs: [&Tensor; MAX_KERNEL_ARITY] =
-                                [inputs[0]; MAX_KERNEL_ARITY];
-                            for (slot, t) in local_refs.iter_mut().zip(&locals) {
-                                *slot = t;
-                            }
-                            let local_tile = Tile {
-                                index: tile.index,
-                                row0: tile.row0 - ext.row0,
-                                col0: tile.col0 - ext.col0,
-                                rows: tile.rows,
-                                cols: tile.cols,
-                            };
-                            let mut scratch = Tensor::zeros(ext.rows, ext.cols);
-                            run_one(
-                                kernel,
-                                &local_refs[..locals.len()],
-                                ComputeTask {
-                                    tile: local_tile,
-                                    npu: task.npu,
-                                },
-                                &mut scratch,
-                            );
-                            scratch
-                                .view(local_tile.row0, local_tile.col0, tile.rows, tile.cols)
-                                .to_tensor()
-                        } else {
-                            let scratch = full_scratch
-                                .get_or_insert_with(|| Tensor::zeros(out_rows, out_cols));
-                            run_one(kernel, inputs, *task, scratch);
-                            scratch
-                                .view(tile.row0, tile.col0, tile.rows, tile.cols)
-                                .to_tensor()
+                    let result = if task.npu {
+                        let mut buf = Tensor::zeros(tile.rows, tile.cols);
+                        kernel.run_npu_at(inputs, tile, &mut buf, (0, 0), &mut stash);
+                        buf
+                    } else if shape.global_inputs {
+                        let scratch =
+                            full_scratch.get_or_insert_with(|| Tensor::zeros(out_rows, out_cols));
+                        kernel.run_exact(inputs, tile, scratch);
+                        scratch
+                            .view(tile.row0, tile.col0, tile.rows, tile.cols)
+                            .to_tensor()
+                    } else {
+                        let ext = footprint(tile);
+                        let len = ext.rows * ext.cols;
+                        let mut locals: [Option<Tensor>; MAX_KERNEL_ARITY] =
+                            [None, None, None, None];
+                        let mut local_refs: [&Tensor; MAX_KERNEL_ARITY] =
+                            [inputs[0]; MAX_KERNEL_ARITY];
+                        for ((local, slot), t) in locals.iter_mut().zip(&mut local_refs).zip(inputs)
+                        {
+                            let view = t.view(ext.row0, ext.col0, ext.rows, ext.cols);
+                            *slot = local.insert(view.to_tensor_in(stash.take(len)));
+                        }
+                        let local_tile = Tile {
+                            index: tile.index,
+                            row0: tile.row0 - ext.row0,
+                            col0: tile.col0 - ext.col0,
+                            rows: tile.rows,
+                            cols: tile.cols,
                         };
+                        let mut scratch = Tensor::zeros_in(ext.rows, ext.cols, stash.take(len));
+                        kernel.run_exact(&local_refs[..inputs.len()], local_tile, &mut scratch);
+                        let result = scratch
+                            .view(local_tile.row0, local_tile.col0, tile.rows, tile.cols)
+                            .to_tensor();
+                        stash.put(scratch.into_vec());
+                        for local in locals.into_iter().flatten() {
+                            stash.put(local.into_vec());
+                        }
+                        result
+                    };
                     // SAFETY: `i` came from the shared cursor, so this
                     // claim is unique and in bounds (`tasks.get` checked).
                     unsafe { writer.write(i, result) };
                 }
-                locals.clear();
-                crate::arena::LOCALS.put(locals);
+                lock_stashes().push(stash);
             });
-            for (i, slot) in slots.iter_mut().enumerate() {
+            crate::arena::STASHES.put(stashes.into_inner().unwrap_or_else(PoisonError::into_inner));
+            for (slot, task) in slots.iter_mut().zip(tasks) {
                 let result = slot.take().expect("claimed task deposited no result");
-                let tile = tasks[i].tile;
+                let tile = task.tile;
                 for r in 0..tile.rows {
-                    let src = result.row(r);
                     output.row_mut(tile.row0 + r)[tile.col0..tile.col0 + tile.cols]
-                        .copy_from_slice(src);
+                        .copy_from_slice(result.row(r));
                 }
             }
         }
         Aggregation::Reduce { op, .. } => {
             // Reduction buffers are tiny: claimants deposit one buffer per
-            // *task*, and the fold walks the slots in ascending task order
-            // — float accumulation order is then independent of which
-            // worker ran which task.
-            let shape = kernel.shape();
+            // *task*, and the fold walks the slots in ascending task order.
             pool.scope_fn(n_claims, &|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(task) = tasks.get(i) else { break };
-                let mut buf = shape.allocate_output(out_rows, out_cols);
-                run_one(kernel, inputs, *task, &mut buf);
                 // SAFETY: unique in-bounds claim, as above.
-                unsafe { writer.write(i, buf) };
+                unsafe { writer.write(i, partial(task)) };
             });
             for slot in slots.iter_mut() {
                 let buf = slot.take().expect("claimed task deposited no result");
-                for r in 0..output.rows() {
-                    let dst = output.row_mut(r);
-                    for (d, s) in dst.iter_mut().zip(buf.row(r)) {
-                        *d = op.combine(*d, *s);
-                    }
-                }
+                fold_partial(op, output, &buf);
             }
         }
     }
     crate::arena::SLOTS.put(slots);
+}
+
+/// Folds one task's reduction partial into the output.
+fn fold_partial(op: shmt_kernels::ReduceOp, output: &mut Tensor, partial: &Tensor) {
+    for r in 0..output.rows() {
+        for (d, s) in output.row_mut(r).iter_mut().zip(partial.row(r)) {
+            *d = op.combine(*d, *s);
+        }
+    }
 }
 
 fn run_one(kernel: &dyn Kernel, inputs: &[&Tensor], task: ComputeTask, out: &mut Tensor) {
@@ -341,8 +389,54 @@ mod tests {
         compute_tasks(kernel.as_ref(), &refs, &tasks, &mut serial, 1);
         let mut parallel = kernel.shape().allocate_output(128, 128);
         compute_tasks(kernel.as_ref(), &refs, &tasks, &mut parallel, 4);
-        // Counts are integral here, so even float folds agree exactly.
         assert_eq!(serial.as_slice(), parallel.as_slice());
+    }
+
+    #[test]
+    fn output_is_invariant_under_thread_count() {
+        // All ten kernels, an NPU task in every third slot, 1 / 2 / 4
+        // compute threads: exact equality. Seed 13 at 96x96 is a
+        // Histogram input whose TPU partials are fractional, where
+        // accumulating exact tiles in place (one rounding per count) and
+        // folding per-task partials (one rounding per tile) part ways.
+        let n = 96;
+        for b in shmt_kernels::ALL_BENCHMARKS {
+            let kernel = b.kernel();
+            let shape = kernel.shape();
+            let tiles = crate::partition::partition_tiles(n, n, 8, &shape);
+            let tasks: Vec<ComputeTask> = tiles
+                .iter()
+                .map(|t| ComputeTask {
+                    tile: *t,
+                    npu: t.index % 3 == 0,
+                })
+                .collect();
+            for seed in [3, 13] {
+                let inputs = b.generate_inputs(n, n, seed);
+                let refs: Vec<&Tensor> = inputs.iter().collect();
+                let run = |threads: usize| {
+                    let mut out = shape.allocate_output(n, n);
+                    compute_tasks(kernel.as_ref(), &refs, &tasks, &mut out, threads);
+                    out
+                };
+                let one = run(1);
+                for threads in [2, 4] {
+                    assert_eq!(
+                        one.as_slice(),
+                        run(threads).as_slice(),
+                        "{b} seed {seed}: 1 vs {threads} threads"
+                    );
+                }
+                if b == Benchmark::Histogram && seed == 13 {
+                    let mut partial = shape.allocate_output(n, n);
+                    kernel.run_npu(&refs, tasks[0].tile, &mut partial);
+                    assert!(
+                        partial.as_slice().iter().any(|v| v.fract() != 0.0),
+                        "seed 13 must keep a fractional TPU partial for this test to bite"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -367,9 +461,9 @@ mod tests {
     #[test]
     fn parallel_matches_serial_for_stencils_with_halo() {
         // Multi-input (Hotspot) and halo-2 (SRAD) kernels exercise the
-        // localized input extraction; the NPU mix checks that quantization
-        // parameters derived from the localized extract match the ones the
-        // serial path derives from the full tensors.
+        // localized input extraction; the NPU mix checks that the pool
+        // path quantizes over the same halo-extended, block-aligned region
+        // as the serial path.
         for b in [Benchmark::Hotspot, Benchmark::Srad, Benchmark::MeanFilter] {
             let kernel = b.kernel();
             let (tasks, inputs) = tasks_for(b, 96, 2);

@@ -108,18 +108,11 @@ impl Kernel for Dct8x8 {
         }
     }
 
-    fn run_npu(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn npu_output_quant(&self) -> crate::npu::OutputQuant {
         // Edge TPU models quantize per channel; for a DCT model each of
         // the 64 coefficient positions is one channel, so the DC term's
         // huge range does not flatten the near-zero AC terms.
-        crate::npu::run_via_npu_quant(
-            self,
-            inputs,
-            tile,
-            out,
-            self.npu_fidelity(),
-            crate::npu::OutputQuant::BlockChannels { edge: N },
-        );
+        crate::npu::OutputQuant::BlockChannels { edge: N }
     }
 
     fn npu_native_u8(&self) -> bool {

@@ -211,18 +211,11 @@ impl Kernel for Dwt97 {
         }
     }
 
-    fn run_npu(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn npu_output_quant(&self) -> crate::npu::OutputQuant {
         // Per-subband quantization: the LL approximation band and the
         // detail bands have very different dynamic ranges (JPEG 2000
         // treats them separately for the same reason).
-        crate::npu::run_via_npu_quant(
-            self,
-            inputs,
-            tile,
-            out,
-            self.npu_fidelity(),
-            crate::npu::OutputQuant::Subbands { edge: BLOCK },
-        );
+        crate::npu::OutputQuant::Subbands { edge: BLOCK }
     }
 
     fn npu_native_u8(&self) -> bool {

@@ -6,6 +6,7 @@
 //! multiplies two equal-shaped square matrices so it fits the VOP
 //! single-shape partitioning (`C = A * B`, all `n x n`).
 
+use shmt_tensor::arena::Stash;
 use shmt_tensor::quant::QuantParams;
 use shmt_tensor::tile::Tile;
 use shmt_tensor::Tensor;
@@ -21,8 +22,9 @@ pub struct Gemm;
 /// so the panel stays cache-resident across the whole row band.
 const KB: usize = 128;
 
-/// Blocked i-k-j matrix multiply of `a[rows, :] * b` restricted to output
-/// columns `col0..col0 + ncols`, overwriting that span of `out`.
+/// Blocked i-k-j matrix multiply of `a * b` restricted to the output
+/// elements of `tile`, overwriting the tile-sized span of `out` whose
+/// top-left corner is `origin`.
 ///
 /// Per output element the products accumulate in globally ascending `k`
 /// order with the same zero-skip as a naive i-k-j loop, so results are
@@ -30,27 +32,25 @@ const KB: usize = 128;
 pub(crate) fn gemm_into(
     a: &Tensor,
     b: &Tensor,
-    row0: usize,
-    nrows: usize,
-    col0: usize,
-    ncols: usize,
+    tile: Tile,
     out: &mut Tensor,
+    origin: (usize, usize),
 ) {
     let depth = a.cols();
-    for r in row0..row0 + nrows {
-        out.row_mut(r)[col0..col0 + ncols].fill(0.0);
+    for r in 0..tile.rows {
+        out.row_mut(origin.0 + r)[origin.1..][..tile.cols].fill(0.0);
     }
     let mut kb = 0;
     while kb < depth {
         let kend = (kb + KB).min(depth);
-        for r in row0..row0 + nrows {
-            let apanel = &a.row(r)[kb..kend];
-            let dst = &mut out.row_mut(r)[col0..col0 + ncols];
+        for r in 0..tile.rows {
+            let apanel = &a.row(tile.row0 + r)[kb..kend];
+            let dst = &mut out.row_mut(origin.0 + r)[origin.1..][..tile.cols];
             for (k, &av) in apanel.iter().enumerate() {
                 if av == 0.0 {
                     continue;
                 }
-                let brow = &b.row(kb + k)[col0..col0 + ncols];
+                let brow = &b.row(kb + k)[tile.col0..tile.col0 + tile.cols];
                 for (d, &bv) in dst.iter_mut().zip(brow) {
                     *d += av * bv;
                 }
@@ -58,6 +58,17 @@ pub(crate) fn gemm_into(
         }
         kb = kend;
     }
+}
+
+fn check_operands(inputs: &[&Tensor]) {
+    let (a, b) = (inputs[0], inputs[1]);
+    assert_eq!(
+        a.shape(),
+        b.shape(),
+        "GEMM VOP multiplies equal-shaped squares"
+    );
+    let (n, m) = a.shape();
+    assert_eq!(n, m, "GEMM VOP requires square inputs");
 }
 
 impl Kernel for Gemm {
@@ -74,33 +85,34 @@ impl Kernel for Gemm {
     }
 
     fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
-        let (a, b) = (inputs[0], inputs[1]);
-        assert_eq!(
-            a.shape(),
-            b.shape(),
-            "GEMM VOP multiplies equal-shaped squares"
-        );
-        let (n, m) = a.shape();
-        assert_eq!(n, m, "GEMM VOP requires square inputs");
-        gemm_into(a, b, tile.row0, tile.rows, tile.col0, tile.cols, out);
+        check_operands(inputs);
+        gemm_into(inputs[0], inputs[1], tile, out, (tile.row0, tile.col0));
     }
 
     /// The Edge TPU is literally a matrix engine: its int8 GEMM quantizes
     /// both operands globally (weights-and-activations style) rather than
     /// per partition, because every output tile reads all of `A`'s row
     /// band and all of `B`.
-    fn run_npu(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run_npu_at(
+        &self,
+        inputs: &[&Tensor],
+        tile: Tile,
+        out: &mut Tensor,
+        origin: (usize, usize),
+        _stash: &mut Stash,
+    ) {
+        check_operands(inputs);
         let qa = QuantParams::from_slice(inputs[0].as_slice());
         let qb = QuantParams::from_slice(inputs[1].as_slice());
         let a = inputs[0].map(|v| qa.snap(v));
         let b = inputs[1].map(|v| qb.snap(v));
-        self.run_exact(&[&a, &b], tile, out);
+        gemm_into(&a, &b, tile, out, origin);
         // Output through the int8 accumulator-rescale grid.
-        let view = out.view(tile.row0, tile.col0, tile.rows, tile.cols);
+        let view = out.view(origin.0, origin.1, tile.rows, tile.cols);
         let (lo, hi) = view.min_max();
         let q = QuantParams::from_range(lo, hi);
-        for r in tile.row0..tile.row0 + tile.rows {
-            for v in &mut out.row_mut(r)[tile.col0..tile.col0 + tile.cols] {
+        for r in origin.0..origin.0 + tile.rows {
+            for v in &mut out.row_mut(r)[origin.1..origin.1 + tile.cols] {
                 *v = q.snap(*v);
             }
         }

@@ -4,6 +4,7 @@
 //! the runtime sums the buffers ([`Aggregation::Reduce`]). Values are binned
 //! over the image range `[0, 256)` with clamping.
 
+use shmt_tensor::arena::Stash;
 use shmt_tensor::tile::Tile;
 use shmt_tensor::Tensor;
 
@@ -49,7 +50,14 @@ impl Kernel for Histogram256 {
         }
     }
 
-    fn run_npu(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run_npu_at(
+        &self,
+        inputs: &[&Tensor],
+        tile: Tile,
+        out: &mut Tensor,
+        _origin: (usize, usize),
+        _stash: &mut Stash,
+    ) {
         // The NPU histogram regresses the 256 bin counts through an int8
         // output layer: per-HLOP counts are exact in aggregate but each
         // bin is reported on an int8 grid spanning the HLOP's count range.

@@ -1,7 +1,10 @@
 use std::fmt;
 
+use shmt_tensor::arena::Stash;
 use shmt_tensor::tile::Tile;
 use shmt_tensor::Tensor;
+
+use crate::npu::OutputQuant;
 
 /// How two partial reduction buffers combine (for reduction VOPs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,9 +123,11 @@ impl KernelShape {
 ///
 /// `run_exact` writes the output elements covered by `tile`; stencil and
 /// block kernels may *read* outside the tile (their HLOP input partitions
-/// include the halo). `run_npu` produces the degraded result the Edge TPU
+/// include the halo). `run_npu_at` produces the degraded result the Edge TPU
 /// device delivers; the default implementation routes through
-/// [`crate::npu::run_via_npu`] with the kernel's fidelity.
+/// [`crate::npu::run_via_npu_at`] with the kernel's fidelity, input model
+/// and output grid. A kernel with an NPU path of its own overrides
+/// `run_npu_at` — never `run_npu`, which only forwards to it.
 pub trait Kernel: Send + Sync + fmt::Debug {
     /// Stable kernel name (matches the paper's benchmark naming).
     fn name(&self) -> &'static str;
@@ -138,15 +143,48 @@ pub trait Kernel: Send + Sync + fmt::Debug {
     /// [`KernelShape::num_inputs`] or shapes disagree.
     fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor);
 
-    /// Computes the output tile through the int8 NPU path.
+    /// Computes the output tile through the int8 NPU path, in place: the
+    /// tile lands at its dataset position in `out`.
     fn run_npu(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
-        crate::npu::run_via_npu(self, inputs, tile, out, self.npu_fidelity());
+        let origin = (tile.row0, tile.col0);
+        self.run_npu_at(inputs, tile, out, origin, &mut Stash::default());
+    }
+
+    /// Computes the output tile through the int8 NPU path and publishes it
+    /// with its top-left corner at `origin` of `out` — its dataset position
+    /// for an in-place result, `(0, 0)` of a tile-sized buffer for an
+    /// executor that stitches tiles afterwards. Reduction kernels fold into
+    /// all of `out` and ignore `origin`. Buffers the size of the tile's
+    /// input footprint are built in `stash`.
+    fn run_npu_at(
+        &self,
+        inputs: &[&Tensor],
+        tile: Tile,
+        out: &mut Tensor,
+        origin: (usize, usize),
+        stash: &mut Stash,
+    ) {
+        crate::npu::run_via_npu_at(
+            self,
+            inputs,
+            tile,
+            out,
+            origin,
+            self.npu_fidelity(),
+            self.npu_output_quant(),
+            stash,
+        );
     }
 
     /// Residual NN-approximation coarseness: a multiplier on the int8
     /// output grid step. `1.0` = pure int8 quantization error.
     fn npu_fidelity(&self) -> f32 {
         1.0
+    }
+
+    /// How the NPU model's int8 output grid is organized.
+    fn npu_output_quant(&self) -> OutputQuant {
+        OutputQuant::PerTile
     }
 
     /// `true` for kernels whose NPU model consumes 8-bit image data

@@ -18,7 +18,8 @@
 //! criticality sampling (range + standard deviation, §3.5) is designed to
 //! detect and route away from the NPU.
 
-use shmt_tensor::quant::QuantParams;
+use shmt_tensor::arena::Stash;
+use shmt_tensor::quant::{self, QuantParams, RangeScan};
 use shmt_tensor::tile::Tile;
 use shmt_tensor::Tensor;
 
@@ -80,6 +81,32 @@ pub fn run_via_npu_quant<K: Kernel + ?Sized>(
     fidelity: f32,
     quant: OutputQuant,
 ) {
+    let origin = (tile.row0, tile.col0);
+    let stash = &mut Stash::default();
+    run_via_npu_at(kernel, inputs, tile, out, origin, fidelity, quant, stash);
+}
+
+/// [`run_via_npu_quant`] publishing the tile with its top-left corner at
+/// `origin` of `out` instead of at the tile's dataset position, so an
+/// executor can collect a tile in a tile-sized buffer. Reduction kernels
+/// fold into all of `out` and ignore `origin`. The device buffers — one
+/// per input and one for the output, each the size of the tile's
+/// [`extended_region`] — are built in `stash` and given back to it.
+///
+/// # Panics
+///
+/// As [`run_via_npu`], or if the tile does not fit `out` at `origin`.
+#[allow(clippy::too_many_arguments)]
+pub fn run_via_npu_at<K: Kernel + ?Sized>(
+    kernel: &K,
+    inputs: &[&Tensor],
+    tile: Tile,
+    out: &mut Tensor,
+    origin: (usize, usize),
+    fidelity: f32,
+    quant: OutputQuant,
+    stash: &mut Stash,
+) {
     assert!(fidelity >= 1.0, "fidelity must be >= 1.0, got {fidelity}");
     let shape = kernel.shape();
     assert_eq!(
@@ -106,25 +133,20 @@ pub fn run_via_npu_quant<K: Kernel + ?Sized>(
     // losslessly; everything else goes through the affine int8 cast. The
     // extraction is fused with the range scan — each transferred page is
     // touched once for both the copy and the cast-parameter derivation,
-    // then once more for the snap itself (the old path did copy, then a
-    // full min/max pass, then a second range scan inside `from_slice`).
+    // then once more for the snap itself.
     let native_u8 = kernel.npu_native_u8();
     assert!(inputs.len() <= MAX_ARITY, "kernel arity above MAX_ARITY");
     let mut snapped: [Option<Tensor>; MAX_ARITY] = [None, None, None, None];
     for (slot, t) in snapped.iter_mut().zip(inputs) {
         let view = t.view(ext.row0, ext.col0, ext.rows, ext.cols);
-        let (mut local, range) = view.to_tensor_with_min_max();
-        // `None` means every element was NaN; `min_max` reports (0, 0)
-        // there, and `from_slice` falls back to the unit range.
-        let (lo, hi) = range.unwrap_or((0.0, 0.0));
+        let (mut local, range) = view.to_tensor_with_min_max_in(stash.take(view.len()));
+        // `None` means every element was NaN; either cast leaves such a
+        // buffer as it is.
+        let (lo, hi) = range.unwrap_or((0.0, 1.0));
         if native_u8 && lo >= 0.0 && hi <= 255.0 {
-            local.map_inplace(|v| v.round());
+            quant::round_slice(local.as_mut_slice());
         } else {
-            let params = match range {
-                Some((lo, hi)) => QuantParams::from_range(lo, hi),
-                None => QuantParams::from_range(0.0, 1.0),
-            };
-            params.snap_slice(local.as_mut_slice());
+            QuantParams::from_range(lo, hi).snap_slice(local.as_mut_slice());
         }
         *slot = Some(local);
     }
@@ -146,40 +168,25 @@ pub fn run_via_npu_quant<K: Kernel + ?Sized>(
     };
     match shape.aggregation {
         Aggregation::Tile => {
-            let mut local_out = Tensor::zeros(ext.rows, ext.cols);
+            let page = stash.take(ext.rows * ext.cols);
+            let mut local_out = Tensor::zeros_in(ext.rows, ext.cols, page);
             kernel.run_exact(snapped_refs, local_tile, &mut local_out);
             // Re-quantize the produced tile through the (possibly coarsened)
-            // int8 output grid *while publishing* it to the global output:
-            // each produced value is read once and the snapped result goes
-            // straight to its final location, instead of an in-place snap
-            // pass followed by a copy pass. The snap arithmetic is the
-            // same, so the output is bit-identical to the two-pass form.
+            // int8 output grid *while publishing* it: each produced value is
+            // read once more after the range scan and the snapped result
+            // goes straight to its final location.
             match quant {
                 OutputQuant::PerTile => {
-                    publish_snapped_tile(&local_out, local_tile, tile, out, fidelity);
+                    publish_snapped_tile(&local_out, local_tile, out, origin, fidelity);
                 }
-                OutputQuant::BlockChannels { edge } => publish_snapped_channels(
-                    &local_out,
-                    local_tile,
-                    tile,
-                    out,
-                    fidelity,
-                    |r, c| (r % edge) * edge + c % edge,
-                    edge * edge,
-                ),
-                OutputQuant::Subbands { edge } => publish_snapped_channels(
-                    &local_out,
-                    local_tile,
-                    tile,
-                    out,
-                    fidelity,
-                    |r, c| {
-                        let half = edge / 2;
-                        usize::from(r % edge >= half) * 2 + usize::from(c % edge >= half)
-                    },
-                    4,
-                ),
+                OutputQuant::BlockChannels { edge } => {
+                    publish_block_channels(&local_out, local_tile, out, origin, fidelity, edge);
+                }
+                OutputQuant::Subbands { edge } => {
+                    publish_subbands(&local_out, local_tile, out, origin, fidelity, edge);
+                }
             }
+            stash.put(local_out.into_vec());
         }
         Aggregation::Reduce {
             rows: srows,
@@ -188,8 +195,7 @@ pub fn run_via_npu_quant<K: Kernel + ?Sized>(
         } => {
             // Reduction kernels accumulate into the shared buffer; partial
             // buffers fold with the reduction's own operation.
-            let shape2 = kernel.shape();
-            let mut local_out = shape2.allocate_output(srows, scols);
+            let mut local_out = shape.allocate_output(srows, scols);
             kernel.run_exact(snapped_refs, local_tile, &mut local_out);
             for r in 0..srows {
                 let dst = out.row_mut(r);
@@ -198,6 +204,9 @@ pub fn run_via_npu_quant<K: Kernel + ?Sized>(
                 }
             }
         }
+    }
+    for local in snapped.into_iter().flatten() {
+        stash.put(local.into_vec());
     }
 }
 
@@ -264,59 +273,41 @@ pub fn extended_region(
 /// positions); lets per-channel ranges and grids live on the stack.
 const MAX_CHANNELS: usize = 64;
 
-/// Snaps the `local_tile` region of `local` per channel and writes the
-/// result into the `tile` region of `out` in one pass. Each channel id
-/// gets its own int8 grid derived from that channel's observed range
-/// within the tile. Channel ids are computed from *local* coordinates,
-/// which share the global block phase because the extraction region is
-/// block-aligned.
-fn publish_snapped_channels(
-    local: &Tensor,
+/// The int8 output grid for an observed `[lo, hi]`, its step coarsened by
+/// pretending the range is `fidelity` times wider; the unit grid for a
+/// channel that saw no value.
+fn output_grid(range: Option<(f32, f32)>, fidelity: f32) -> QuantParams {
+    match range {
+        Some((lo, hi)) => {
+            let mid = 0.5 * (lo + hi);
+            let half = 0.5 * (hi - lo) * fidelity;
+            QuantParams::from_range(mid - half, mid + half)
+        }
+        None => QuantParams::from_range(0.0, 1.0),
+    }
+}
+
+/// The tile's row `r` in `local`, and where it is published in `out`.
+fn publish_rows<'a>(
+    local: &'a Tensor,
     local_tile: Tile,
-    tile: Tile,
-    out: &mut Tensor,
-    fidelity: f32,
-    channel_of: impl Fn(usize, usize) -> usize,
-    channels: usize,
-) {
-    assert!(channels <= MAX_CHANNELS, "too many quantization channels");
-    let mut lo = [f32::INFINITY; MAX_CHANNELS];
-    let mut hi = [f32::NEG_INFINITY; MAX_CHANNELS];
-    for r in local_tile.row0..local_tile.row0 + local_tile.rows {
-        let row = &local.row(r)[local_tile.col0..local_tile.col0 + local_tile.cols];
-        for (j, &v) in row.iter().enumerate() {
-            let ch = channel_of(r, local_tile.col0 + j);
-            lo[ch] = lo[ch].min(v);
-            hi[ch] = hi[ch].max(v);
-        }
-    }
-    let mut params = [QuantParams::from_range(0.0, 1.0); MAX_CHANNELS];
-    for (ch, p) in params.iter_mut().take(channels).enumerate() {
-        if lo[ch] <= hi[ch] {
-            let mid = 0.5 * (lo[ch] + hi[ch]);
-            let half = 0.5 * (hi[ch] - lo[ch]) * fidelity;
-            *p = QuantParams::from_range(mid - half, mid + half);
-        }
-    }
-    for r in 0..tile.rows {
-        let lr = local_tile.row0 + r;
-        let src = &local.row(lr)[local_tile.col0..local_tile.col0 + tile.cols];
-        let dst = &mut out.row_mut(tile.row0 + r)[tile.col0..tile.col0 + tile.cols];
-        for (j, (d, s)) in dst.iter_mut().zip(src).enumerate() {
-            let ch = channel_of(lr, local_tile.col0 + j);
-            *d = params[ch].snap(*s);
-        }
-    }
+    out: &'a mut Tensor,
+    origin: (usize, usize),
+    r: usize,
+) -> (&'a [f32], &'a mut [f32]) {
+    let src = &local.row(local_tile.row0 + r)[local_tile.col0..][..local_tile.cols];
+    let dst = &mut out.row_mut(origin.0 + r)[origin.1..][..local_tile.cols];
+    (src, dst)
 }
 
 /// Snaps the `local_tile` region of `local` to an int8 grid derived from
 /// that region's range (step coarsened by `fidelity`) and writes the
-/// result into the `tile` region of `out` in one pass.
+/// result into `out` at `origin` in one pass.
 fn publish_snapped_tile(
     local: &Tensor,
     local_tile: Tile,
-    tile: Tile,
     out: &mut Tensor,
+    origin: (usize, usize),
     fidelity: f32,
 ) {
     let view = local.view(
@@ -325,17 +316,104 @@ fn publish_snapped_tile(
         local_tile.rows,
         local_tile.cols,
     );
-    let (lo, hi) = view.min_max();
-    // Coarsen by pretending the range is `fidelity` times wider.
-    let mid = 0.5 * (lo + hi);
-    let half = 0.5 * (hi - lo) * fidelity;
-    let params = QuantParams::from_range(mid - half, mid + half);
-    for r in 0..tile.rows {
-        let src = &local.row(local_tile.row0 + r)[local_tile.col0..local_tile.col0 + tile.cols];
-        let dst = &mut out.row_mut(tile.row0 + r)[tile.col0..tile.col0 + tile.cols];
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = params.snap(*s);
-        }
+    let params = output_grid(Some(view.min_max()), fidelity);
+    for r in 0..local_tile.rows {
+        let (src, dst) = publish_rows(local, local_tile, out, origin, r);
+        params.snap_into(src, dst);
+    }
+}
+
+/// Walks the columns of `tile` in runs that stay on one side of the phases
+/// `split` and `edge` within their `edge`-wide block, calling `f(offset
+/// from the tile's first column, length, phase of the run's first column)`.
+fn for_each_run(tile: Tile, edge: usize, split: usize, mut f: impl FnMut(usize, usize, usize)) {
+    let mut j = 0;
+    while j < tile.cols {
+        let phase = (tile.col0 + j) % edge;
+        let stop = if phase < split { split } else { edge };
+        let len = (stop - phase).min(tile.cols - j);
+        f(j, len, phase);
+        j += len;
+    }
+}
+
+/// [`publish_snapped_tile`] with one grid per position within an
+/// `edge x edge` block, each derived from that position's range within
+/// the tile. Positions come from *local* coordinates, which share the
+/// global block phase because the extraction region is block-aligned. A
+/// block row's positions are adjacent channels, so ranges and snaps run
+/// lane-wise over each block row.
+fn publish_block_channels(
+    local: &Tensor,
+    local_tile: Tile,
+    out: &mut Tensor,
+    origin: (usize, usize),
+    fidelity: f32,
+    edge: usize,
+) {
+    let channels = edge * edge;
+    assert!(channels <= MAX_CHANNELS, "too many quantization channels");
+    let mut lo = [f32::INFINITY; MAX_CHANNELS];
+    let mut hi = [f32::NEG_INFINITY; MAX_CHANNELS];
+    for r in 0..local_tile.rows {
+        let base = ((local_tile.row0 + r) % edge) * edge;
+        let row = &local.row(local_tile.row0 + r)[local_tile.col0..][..local_tile.cols];
+        for_each_run(local_tile, edge, 0, |j, len, phase| {
+            let ch = base + phase;
+            quant::fold_lanes(
+                &mut lo[ch..ch + len],
+                &mut hi[ch..ch + len],
+                &row[j..j + len],
+            );
+        });
+    }
+    let mut params = [output_grid(None, fidelity); MAX_CHANNELS];
+    for ((p, &lo), &hi) in params.iter_mut().zip(&lo).zip(&hi).take(channels) {
+        *p = output_grid((lo <= hi).then_some((lo, hi)), fidelity);
+    }
+    for r in 0..local_tile.rows {
+        let base = ((local_tile.row0 + r) % edge) * edge;
+        let (src, dst) = publish_rows(local, local_tile, out, origin, r);
+        for_each_run(local_tile, edge, 0, |j, len, phase| {
+            let ch = base + phase;
+            quant::snap_lanes_into(
+                &params[ch..ch + len],
+                &src[j..j + len],
+                &mut dst[j..j + len],
+            );
+        });
+    }
+}
+
+/// [`publish_snapped_tile`] with one grid per quadrant subband of an
+/// `edge x edge` block: a row crosses two subbands in alternating runs of
+/// half a block.
+fn publish_subbands(
+    local: &Tensor,
+    local_tile: Tile,
+    out: &mut Tensor,
+    origin: (usize, usize),
+    fidelity: f32,
+    edge: usize,
+) {
+    let half = edge / 2;
+    let band =
+        |r: usize, phase: usize| usize::from(r % edge >= half) * 2 + usize::from(phase >= half);
+    let mut ranges = [RangeScan::new(); 4];
+    for r in 0..local_tile.rows {
+        let lr = local_tile.row0 + r;
+        let row = &local.row(lr)[local_tile.col0..][..local_tile.cols];
+        for_each_run(local_tile, edge, half, |j, len, phase| {
+            ranges[band(lr, phase)].scan(&row[j..j + len]);
+        });
+    }
+    let params = ranges.map(|range| output_grid(range.finish(), fidelity));
+    for r in 0..local_tile.rows {
+        let lr = local_tile.row0 + r;
+        let (src, dst) = publish_rows(local, local_tile, out, origin, r);
+        for_each_run(local_tile, edge, half, |j, len, phase| {
+            params[band(lr, phase)].snap_into(&src[j..j + len], &mut dst[j..j + len]);
+        });
     }
 }
 
@@ -462,10 +540,61 @@ mod tests {
         assert!(mean_abs_err(&wide) > 10.0 * mean_abs_err(&narrow));
     }
 
-    /// The pre-fusion NPU pipeline, kept verbatim as the reference the
-    /// fused path must match bit-for-bit: separate copy / min-max /
-    /// parameter passes on the way in, and an in-place snap followed by
-    /// a copy pass on the way out.
+    /// The int8 grid in the scalar forms the vector loops replaced: libm
+    /// `round`, sequential `f32::min`/`max` folds, the output snap through
+    /// an actual `i8`.
+    #[derive(Clone, Copy)]
+    struct RefGrid {
+        lo: f32,
+        scale: f32,
+    }
+
+    impl RefGrid {
+        fn from_range(lo: f32, hi: f32) -> Self {
+            let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
+            let (lo, hi) = if (hi - lo).abs() < f32::EPSILON {
+                (lo - 0.5, hi + 0.5)
+            } else {
+                (lo, hi)
+            };
+            RefGrid {
+                lo,
+                scale: (hi - lo) / 255.0,
+            }
+        }
+
+        fn coarsened(lo: f32, hi: f32, fidelity: f32) -> Self {
+            let mid = 0.5 * (lo + hi);
+            let half = 0.5 * (hi - lo) * fidelity;
+            Self::from_range(mid - half, mid + half)
+        }
+
+        fn steps(&self, x: f32) -> f32 {
+            ((x - self.lo) / self.scale).round().clamp(0.0, 255.0)
+        }
+
+        fn snap_input(&self, x: f32) -> f32 {
+            self.lo + self.steps(x) * self.scale
+        }
+
+        fn snap_output(&self, x: f32) -> f32 {
+            let code = (self.steps(x) - 128.0) as i8;
+            self.lo + (f32::from(code) + 128.0) * self.scale
+        }
+    }
+
+    /// Sequential NaN-filtered range; `None` if every value is NaN.
+    fn ref_range(values: impl Iterator<Item = f32>) -> Option<(f32, f32)> {
+        let mut it = values.filter(|v| !v.is_nan());
+        let first = it.next()?;
+        Some(it.fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v))))
+    }
+
+    /// The pre-fusion, pre-vectorisation NPU pipeline, kept as the
+    /// reference the production path must match bit-for-bit: separate
+    /// copy / min-max / parameter passes on the way in, an in-place
+    /// per-element snap followed by a copy pass on the way out, a
+    /// `channel_of` closure with two `%` per element.
     fn two_pass_reference<K: Kernel + ?Sized>(
         kernel: &K,
         inputs: &[&Tensor],
@@ -490,12 +619,14 @@ mod tests {
             .map(|t| {
                 let view = t.view(ext.row0, ext.col0, ext.rows, ext.cols);
                 let mut local = view.to_tensor();
-                let (lo, hi) = local.min_max();
+                let range = ref_range(local.as_slice().iter().copied());
+                let (lo, hi) = range.unwrap_or((0.0, 0.0));
                 if native_u8 && lo >= 0.0 && hi <= 255.0 {
                     local.map_inplace(|v| v.round());
                 } else {
-                    let params = QuantParams::from_slice(local.as_slice());
-                    params.snap_slice(local.as_mut_slice());
+                    let (lo, hi) = range.unwrap_or((0.0, 1.0));
+                    let grid = RefGrid::from_range(lo, hi);
+                    local.map_inplace(|v| grid.snap_input(v));
                 }
                 local
             })
@@ -508,6 +639,8 @@ mod tests {
             rows: tile.rows,
             cols: tile.cols,
         };
+        let tile_rows = local_tile.row0..local_tile.row0 + local_tile.rows;
+        let tile_cols = local_tile.col0..local_tile.col0 + local_tile.cols;
         match shape.aggregation {
             Aggregation::Tile => {
                 let mut local_out = Tensor::zeros(ext.rows, ext.cols);
@@ -516,49 +649,41 @@ mod tests {
                     |t: &mut Tensor, channel_of: &dyn Fn(usize, usize) -> usize, channels| {
                         let mut lo = vec![f32::INFINITY; channels];
                         let mut hi = vec![f32::NEG_INFINITY; channels];
-                        for r in local_tile.row0..local_tile.row0 + local_tile.rows {
-                            for c in local_tile.col0..local_tile.col0 + local_tile.cols {
+                        for r in tile_rows.clone() {
+                            for c in tile_cols.clone() {
                                 let ch = channel_of(r, c);
                                 let v = t[(r, c)];
                                 lo[ch] = lo[ch].min(v);
                                 hi[ch] = hi[ch].max(v);
                             }
                         }
-                        let params: Vec<QuantParams> = (0..channels)
+                        let grids: Vec<RefGrid> = (0..channels)
                             .map(|ch| {
                                 if lo[ch] > hi[ch] {
-                                    QuantParams::from_range(0.0, 1.0)
+                                    RefGrid::from_range(0.0, 1.0)
                                 } else {
-                                    let mid = 0.5 * (lo[ch] + hi[ch]);
-                                    let half = 0.5 * (hi[ch] - lo[ch]) * fidelity;
-                                    QuantParams::from_range(mid - half, mid + half)
+                                    RefGrid::coarsened(lo[ch], hi[ch], fidelity)
                                 }
                             })
                             .collect();
-                        for r in local_tile.row0..local_tile.row0 + local_tile.rows {
-                            for c in local_tile.col0..local_tile.col0 + local_tile.cols {
-                                let ch = channel_of(r, c);
-                                t[(r, c)] = params[ch].snap(t[(r, c)]);
+                        for r in tile_rows.clone() {
+                            for c in tile_cols.clone() {
+                                t[(r, c)] = grids[channel_of(r, c)].snap_output(t[(r, c)]);
                             }
                         }
                     };
                 match quant {
                     OutputQuant::PerTile => {
-                        let view = local_out.view(
-                            local_tile.row0,
-                            local_tile.col0,
-                            local_tile.rows,
-                            local_tile.cols,
-                        );
-                        let (lo, hi) = view.min_max();
-                        let mid = 0.5 * (lo + hi);
-                        let half = 0.5 * (hi - lo) * fidelity;
-                        let params = QuantParams::from_range(mid - half, mid + half);
-                        for r in local_tile.row0..local_tile.row0 + local_tile.rows {
-                            let start = local_tile.col0;
-                            params.snap_slice(
-                                &mut local_out.row_mut(r)[start..start + local_tile.cols],
-                            );
+                        let values = tile_rows
+                            .clone()
+                            .flat_map(|r| tile_cols.clone().map(move |c| (r, c)))
+                            .map(|rc| local_out[rc]);
+                        let (lo, hi) = ref_range(values).unwrap_or((0.0, 0.0));
+                        let grid = RefGrid::coarsened(lo, hi, fidelity);
+                        for r in tile_rows.clone() {
+                            for v in &mut local_out.row_mut(r)[tile_cols.clone()] {
+                                *v = grid.snap_output(*v);
+                            }
                         }
                     }
                     OutputQuant::BlockChannels { edge } => snap_channels(
@@ -600,52 +725,149 @@ mod tests {
         }
     }
 
+    /// First row band, last row band and an off-origin interior tile of a
+    /// `rows x cols` dataset, on the kernel's alignment.
+    fn probe_tiles(shape: crate::KernelShape, rows: usize, cols: usize) -> Vec<Tile> {
+        let a = shape.block_align;
+        let thirds = |n: usize| {
+            let first = a * (n / 3 / a).max(1);
+            (first, (a * (2 * n / 3 / a)).max(first + a))
+        };
+        let (r1, r2) = thirds(rows);
+        let (c1, c2) = if shape.full_rows {
+            (0, cols)
+        } else {
+            thirds(cols)
+        };
+        let tile = |index, row0, col0, rows, cols| Tile {
+            index,
+            row0,
+            col0,
+            rows,
+            cols,
+        };
+        vec![
+            tile(0, 0, 0, r1, cols),
+            tile(1, r2, 0, rows - r2, cols),
+            tile(2, r1, c1, r2 - r1, c2 - c1),
+        ]
+    }
+
     #[test]
     fn fused_path_bit_identical_to_two_pass_reference() {
-        // An off-origin tile (halo + block alignment in play) on every
-        // output-grid organization, plus a reduction kernel for the
-        // input-side fusion alone. Exact equality, not tolerance.
-        let cases = [
-            (Benchmark::Sobel, OutputQuant::PerTile, 1.8),
-            (
-                Benchmark::Dct8x8,
-                OutputQuant::BlockChannels { edge: 8 },
-                1.0,
-            ),
-            (Benchmark::Dwt, OutputQuant::Subbands { edge: 32 }, 2.5),
-            (Benchmark::Histogram, OutputQuant::PerTile, 1.0),
-        ];
-        for (bench, quant, fidelity) in cases {
+        // Every benchmark on its own fidelity and output grid; a dataset
+        // on the block edges and one that is a multiple of neither 8 nor
+        // 32 (FFT keeps a power-of-two row); tiles on the first and last
+        // row band and off-origin in the interior; generated inputs, a
+        // constant input (degenerate range on both sides) and one with
+        // NaNs in the tile and in its halo. Exact equality of the bits.
+        for bench in crate::ALL_BENCHMARKS {
+            // The production kernel for its NPU facts; the generic path
+            // under test is `run_via_npu_quant` itself, which Histogram's
+            // own `run_npu` does not use.
             let kernel = bench.kernel();
-            let inputs = bench.generate_inputs(96, 96, 11);
-            let refs: Vec<&Tensor> = inputs.iter().collect();
             let shape = kernel.shape();
-            let tile = Tile {
-                index: 0,
-                row0: 32,
-                col0: 0,
-                rows: 33,
-                cols: 96,
-            };
-            let (or, oc) = match shape.aggregation {
-                Aggregation::Tile => (96, 96),
-                Aggregation::Reduce { rows, cols, .. } => (rows, cols),
-            };
-            let mut fused = shape.allocate_output(or, oc);
-            run_via_npu_quant(kernel.as_ref(), &refs, tile, &mut fused, fidelity, quant);
-            let mut reference = shape.allocate_output(or, oc);
-            two_pass_reference(
-                kernel.as_ref(),
-                &refs,
-                tile,
-                &mut reference,
-                fidelity,
-                quant,
-            );
+            let (fidelity, quant) = (kernel.npu_fidelity(), kernel.npu_output_quant());
+            for (rows, cols) in [(96usize, 96usize), (67, 101)] {
+                let cols = if bench == Benchmark::Fft {
+                    cols.next_power_of_two()
+                } else {
+                    cols
+                };
+                let generated = bench.generate_inputs(rows, cols, 11);
+                let constant: Vec<Tensor> = generated
+                    .iter()
+                    .map(|_| Tensor::filled(rows, cols, 7.0))
+                    .collect();
+                let mut with_nan = bench.generate_inputs(rows, cols, 12);
+                for t in &mut with_nan {
+                    for (r, c) in [(0, 0), (rows / 2, cols / 2), (rows / 3, cols / 3)] {
+                        t[(r, c)] = f32::NAN;
+                    }
+                }
+                for (label, inputs) in [
+                    ("generated", &generated),
+                    ("constant", &constant),
+                    ("with NaN", &with_nan),
+                ] {
+                    let refs: Vec<&Tensor> = inputs.iter().collect();
+                    for tile in probe_tiles(shape, rows, cols) {
+                        let (or, oc) = match shape.aggregation {
+                            Aggregation::Tile => (rows, cols),
+                            Aggregation::Reduce { rows, cols, .. } => (rows, cols),
+                        };
+                        let mut fused = shape.allocate_output(or, oc);
+                        run_via_npu_quant(
+                            kernel.as_ref(),
+                            &refs,
+                            tile,
+                            &mut fused,
+                            fidelity,
+                            quant,
+                        );
+                        let mut reference = shape.allocate_output(or, oc);
+                        two_pass_reference(
+                            kernel.as_ref(),
+                            &refs,
+                            tile,
+                            &mut reference,
+                            fidelity,
+                            quant,
+                        );
+                        let same = fused
+                            .as_slice()
+                            .iter()
+                            .zip(reference.as_slice())
+                            .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()));
+                        assert!(
+                            same,
+                            "{bench} {rows}x{cols} {label} inputs, tile {tile:?}: \
+                             output must be bit-identical to the scalar reference"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn publishing_at_an_origin_moves_the_tile_and_nothing_else() {
+        // What the pool executor relies on: the tile published into a
+        // tile-sized buffer, with the device buffers built in a stash that
+        // already holds pages, is the tile `run_npu` writes in place —
+        // for the default path and for a kernel with a path of its own.
+        let mut cases: Vec<(Box<dyn Kernel>, Vec<Tensor>)> =
+            [Benchmark::Hotspot, Benchmark::Dct8x8, Benchmark::Dwt]
+                .map(|b| (b.kernel(), b.generate_inputs(96, 96, 5)))
+                .into();
+        cases.push((
+            Box::new(crate::gemm::Gemm),
+            vec![
+                shmt_tensor::gen::image8(96, 96, 5),
+                shmt_tensor::gen::image8(96, 96, 6),
+            ],
+        ));
+        for (kernel, inputs) in &cases {
+            let refs: Vec<&Tensor> = inputs.iter().collect();
+            let tile = probe_tiles(kernel.shape(), 96, 96)[2];
+            let mut in_place = Tensor::zeros(96, 96);
+            kernel.run_npu(&refs, tile, &mut in_place);
+            let mut moved = Tensor::filled(tile.rows + 1, tile.cols + 1, -7.0);
+            let mut stash = Stash::with_pages(3, 96 * 96);
+            kernel.run_npu_at(&refs, tile, &mut moved, (1, 1), &mut stash);
             assert_eq!(
-                fused.as_slice(),
-                reference.as_slice(),
-                "{bench:?} fused output must be bit-identical"
+                moved.view(1, 1, tile.rows, tile.cols).to_tensor(),
+                in_place
+                    .view(tile.row0, tile.col0, tile.rows, tile.cols)
+                    .to_tensor(),
+                "{}",
+                kernel.name()
+            );
+            assert!(
+                moved.row(0).iter().all(|&v| v == -7.0)
+                    && (0..moved.rows()).all(|r| moved.row(r)[0] == -7.0),
+                "{}: wrote outside the tile",
+                kernel.name()
             );
         }
     }

@@ -117,7 +117,14 @@ pub fn gemm(a: &Tensor, b: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(m, n);
     // Shares the k-blocked i-k-j core with the GEMM VOP kernel; products
     // still accumulate in ascending k order per element.
-    crate::gemm::gemm_into(a, b, 0, m, 0, n, &mut out);
+    let all = shmt_tensor::tile::Tile {
+        index: 0,
+        row0: 0,
+        col0: 0,
+        rows: m,
+        cols: n,
+    };
+    crate::gemm::gemm_into(a, b, all, &mut out, (0, 0));
     out
 }
 

@@ -14,6 +14,7 @@
 //! paths; `perf_report` benches the Mean Filter and Sobel references to
 //! quantify the interior/halo speedup.
 
+use shmt_tensor::arena::Stash;
 use shmt_tensor::quant::QuantParams;
 use shmt_tensor::tile::Tile;
 use shmt_tensor::Tensor;
@@ -37,21 +38,22 @@ use crate::{Benchmark, Kernel, KernelShape};
 /// [`Kernel::run_exact`], with the wrapped kernel passed explicitly.
 type NaiveRun<K> = fn(&K, &[&Tensor], Tile, &mut Tensor);
 
+/// The signature of a naive NPU path: [`NaiveRun`] plus where in `out` the
+/// tile is published (see [`Kernel::run_npu_at`]).
+type NaiveNpu<K> = fn(&K, &[&Tensor], Tile, &mut Tensor, (usize, usize));
+
 /// A reference kernel: the production kernel `K` with its `run_exact`
 /// replaced by the original naive loop (and, where the production kernel
-/// customizes `run_npu`, an equivalent override that routes through the
-/// naive exact core).
+/// customizes `run_npu_at`, an equivalent override that routes through
+/// the naive exact core).
 #[derive(Debug)]
 pub struct Naive<K: Kernel> {
     inner: K,
     run: NaiveRun<K>,
-    /// Output quantization for the default NPU routing; `None` = the
-    /// trait-default `PerTile` scheme.
-    quant: Option<OutputQuant>,
     /// Fully custom NPU path (Histogram's per-HLOP snap, GEMM's global
     /// operand quantization) — mirrors the production override but calls
     /// the naive exact core.
-    custom_npu: Option<NaiveRun<Naive<K>>>,
+    custom_npu: Option<NaiveNpu<Naive<K>>>,
 }
 
 impl<K: Kernel> Kernel for Naive<K> {
@@ -67,19 +69,31 @@ impl<K: Kernel> Kernel for Naive<K> {
         (self.run)(&self.inner, inputs, tile, out)
     }
 
-    fn run_npu(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
-        if let Some(f) = self.custom_npu {
-            f(self, inputs, tile, out);
-        } else {
-            crate::npu::run_via_npu_quant(
+    fn run_npu_at(
+        &self,
+        inputs: &[&Tensor],
+        tile: Tile,
+        out: &mut Tensor,
+        origin: (usize, usize),
+        stash: &mut Stash,
+    ) {
+        match self.custom_npu {
+            Some(f) => f(self, inputs, tile, out, origin),
+            None => crate::npu::run_via_npu_at(
                 self,
                 inputs,
                 tile,
                 out,
+                origin,
                 self.npu_fidelity(),
-                self.quant.unwrap_or(OutputQuant::PerTile),
-            );
+                self.npu_output_quant(),
+                stash,
+            ),
         }
+    }
+
+    fn npu_output_quant(&self) -> OutputQuant {
+        self.inner.npu_output_quant()
     }
 
     fn npu_fidelity(&self) -> f32 {
@@ -143,7 +157,6 @@ pub fn mean_filter() -> Naive<MeanFilter> {
     Naive {
         inner: MeanFilter,
         run,
-        quant: None,
         custom_npu: None,
     }
 }
@@ -171,7 +184,6 @@ pub fn sobel() -> Naive<Sobel> {
     Naive {
         inner: Sobel,
         run,
-        quant: None,
         custom_npu: None,
     }
 }
@@ -192,7 +204,6 @@ pub fn laplacian() -> Naive<Laplacian> {
     Naive {
         inner: Laplacian,
         run,
-        quant: None,
         custom_npu: None,
     }
 }
@@ -223,7 +234,6 @@ pub fn hotspot(k: Hotspot) -> Naive<Hotspot> {
     Naive {
         inner: k,
         run,
-        quant: None,
         custom_npu: None,
     }
 }
@@ -268,7 +278,6 @@ pub fn srad(k: Srad) -> Naive<Srad> {
     Naive {
         inner: k,
         run,
-        quant: None,
         custom_npu: None,
     }
 }
@@ -300,7 +309,6 @@ pub fn conv2d(k: Conv2d) -> Naive<Conv2d> {
     Naive {
         inner: k,
         run,
-        quant: None,
         custom_npu: None,
     }
 }
@@ -351,7 +359,6 @@ pub fn dct8x8() -> Naive<Dct8x8> {
     Naive {
         inner: Dct8x8,
         run,
-        quant: Some(OutputQuant::BlockChannels { edge: N8 }),
         custom_npu: None,
     }
 }
@@ -411,7 +418,6 @@ pub fn dwt97() -> Naive<Dwt97> {
     Naive {
         inner: Dwt97::default(),
         run,
-        quant: Some(OutputQuant::Subbands { edge: BLOCK }),
         custom_npu: None,
     }
 }
@@ -434,7 +440,6 @@ pub fn row_fft() -> Naive<RowFft> {
     Naive {
         inner: RowFft,
         run,
-        quant: None,
         custom_npu: None,
     }
 }
@@ -451,7 +456,13 @@ pub fn histogram256() -> Naive<Histogram256> {
             }
         }
     }
-    fn npu(this: &Naive<Histogram256>, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn npu(
+        this: &Naive<Histogram256>,
+        inputs: &[&Tensor],
+        tile: Tile,
+        out: &mut Tensor,
+        _origin: (usize, usize),
+    ) {
         let mut local = Tensor::zeros(1, BINS);
         this.run_exact(inputs, tile, &mut local);
         let params = QuantParams::from_slice(local.as_slice());
@@ -462,7 +473,6 @@ pub fn histogram256() -> Naive<Histogram256> {
     Naive {
         inner: Histogram256,
         run,
-        quant: None,
         custom_npu: Some(npu),
     }
 }
@@ -495,25 +505,34 @@ pub fn gemm() -> Naive<Gemm> {
             }
         }
     }
-    fn npu(this: &Naive<Gemm>, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn npu(
+        this: &Naive<Gemm>,
+        inputs: &[&Tensor],
+        tile: Tile,
+        out: &mut Tensor,
+        origin: (usize, usize),
+    ) {
         let qa = QuantParams::from_slice(inputs[0].as_slice());
         let qb = QuantParams::from_slice(inputs[1].as_slice());
         let a = inputs[0].map(|v| qa.snap(v));
         let b = inputs[1].map(|v| qb.snap(v));
-        this.run_exact(&[&a, &b], tile, out);
-        let view = out.view(tile.row0, tile.col0, tile.rows, tile.cols);
+        // The naive core writes the tile at its dataset position.
+        let (n, m) = a.shape();
+        let mut product = Tensor::zeros(n, m);
+        this.run_exact(&[&a, &b], tile, &mut product);
+        let view = product.view(tile.row0, tile.col0, tile.rows, tile.cols);
         let (lo, hi) = view.min_max();
         let q = QuantParams::from_range(lo, hi);
-        for r in tile.row0..tile.row0 + tile.rows {
-            for v in &mut out.row_mut(r)[tile.col0..tile.col0 + tile.cols] {
-                *v = q.snap(*v);
+        for r in 0..tile.rows {
+            let dst = &mut out.row_mut(origin.0 + r)[origin.1..][..tile.cols];
+            for (d, &s) in dst.iter_mut().zip(view.row(r)) {
+                *d = q.snap(s);
             }
         }
     }
     Naive {
         inner: Gemm,
         run,
-        quant: None,
         custom_npu: Some(npu),
     }
 }
@@ -541,7 +560,6 @@ pub fn blackscholes() -> Naive<Blackscholes> {
     Naive {
         inner: Blackscholes::default(),
         run,
-        quant: None,
         custom_npu: None,
     }
 }

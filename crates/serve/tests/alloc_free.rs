@@ -11,35 +11,62 @@
 //! clearing the arena *does* allocate — growth happens once, not per
 //! request.
 //!
-//! The counter is process-global, so every test serializes on one mutex
-//! and keeps allocation-heavy setup outside its measured window.
+//! Every test serializes on one mutex and keeps allocation-heavy setup
+//! outside its measured window. The zero-allocation claims count the
+//! threads a run can execute on — the calling thread and the compute
+//! pool's workers ([`take_turn`]) — because the process also holds the
+//! test harness, which allocates whenever it likes: it spawns the next
+//! test's thread, sends and prints a result while another test is inside
+//! its window (caught by a backtrace probe: `test::run_test`, the new
+//! thread's `thread_info`, the finished thread's channel `send`, the main
+//! thread's channel `recv`). The bounded server test keeps counting the
+//! whole process.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex, MutexGuard};
 
 use shmt::arena::recycle_report;
+use shmt::pool::ComputePool;
 use shmt::{Platform, Policy, RuntimeConfig, ShmtRuntime, Vop};
 use shmt_kernels::Benchmark;
 use shmt_serve::{Request, Server, ServerConfig};
 
 struct CountingAlloc;
 
+/// Allocator calls by any thread of the process.
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+
+/// Allocator calls by enlisted threads.
+static RUN_ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set on the threads a run executes on. Const-initialized and without
+    /// a destructor, so reading it inside the allocator allocates nothing.
+    static ENLISTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_call() {
+    ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
+    if ENLISTED.try_with(Cell::get).unwrap_or(false) {
+        RUN_ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
+        count_call();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
+        count_call();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
+        count_call();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -54,8 +81,42 @@ static COUNTER: CountingAlloc = CountingAlloc;
 /// One counter, one process: measured windows must not interleave.
 static SERIAL: Mutex<()> = Mutex::new(());
 
+/// Allocator calls so far on the threads a run executes on.
 fn allocs() -> u64 {
+    RUN_ALLOC_CALLS.load(Ordering::SeqCst)
+}
+
+/// Allocator calls so far by the whole process.
+fn process_allocs() -> u64 {
     ALLOC_CALLS.load(Ordering::SeqCst)
+}
+
+/// A test's turn at the counters: the serialization lock, held with the
+/// calling thread and every worker of the global compute pool enlisted.
+/// The calling thread is struck off again when the turn ends — it goes on
+/// to report its result through the harness's channel, which allocates.
+struct Turn(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+impl Drop for Turn {
+    fn drop(&mut self) {
+        ENLISTED.with(|e| e.set(false));
+    }
+}
+
+/// Waits for the turn and enlists the run threads: one pool job per
+/// thread, each held at a barrier until all have arrived, so no thread can
+/// take two — which also means every worker has finished starting up
+/// before anything is measured.
+fn take_turn() -> Turn {
+    let serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let pool = ComputePool::global();
+    let threads = pool.workers() + 1;
+    let all_arrived = Barrier::new(threads);
+    pool.scope_fn(threads, &|| {
+        ENLISTED.with(|e| e.set(true));
+        all_arrived.wait();
+    });
+    Turn(serial)
 }
 
 fn sobel_vop(n: usize, seed: u64) -> Vop {
@@ -73,7 +134,7 @@ fn runtime(partitions: usize) -> ShmtRuntime {
 /// `ShmtRuntime::execute` + `recycle_report` cycle allocates nothing.
 #[test]
 fn warm_execute_performs_zero_heap_allocations() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = take_turn();
     let vop = sobel_vop(128, 3);
     let rt = runtime(8);
     // Warm-up: grows the tensor arena, the spine pools, and the global
@@ -96,7 +157,7 @@ fn warm_execute_performs_zero_heap_allocations() {
 /// decision-side arithmetic over pooled spines.
 #[test]
 fn warm_qaws_execute_performs_zero_heap_allocations() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = take_turn();
     let vop = sobel_vop(128, 5);
     let mut cfg = RuntimeConfig::new(Policy::Qaws {
         assignment: shmt::QawsAssignment::TopK,
@@ -151,7 +212,7 @@ fn warm_server_request_allocations_are_bounded() {
     // it out of the serving window.
     let requests: Vec<Request> = (10..15).map(make).collect();
     let n = requests.len() as u64;
-    let before = allocs();
+    let before = process_allocs();
     for request in requests {
         let response = server
             .submit_blocking(request)
@@ -160,7 +221,7 @@ fn warm_server_request_allocations_are_bounded() {
             .expect("warm request succeeds");
         recycle_report(response.report);
     }
-    let per_request = (allocs() - before) / n;
+    let per_request = (process_allocs() - before) / n;
     assert!(
         per_request < 100,
         "warm serve round trips must stay within a small allocation constant, \
@@ -173,7 +234,7 @@ fn warm_server_request_allocations_are_bounded() {
 /// once instead of per request.
 #[test]
 fn cold_start_allocates_then_settles() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = take_turn();
     let vop = sobel_vop(128, 9);
     let rt = runtime(8);
     // Make sure the spine pools and compute pool exist so the only cold

@@ -3,14 +3,17 @@
 //!
 //! Steady-state serving should not touch the system allocator (ROADMAP
 //! item 3): every warm request re-uses pages recycled from earlier
-//! requests. This module provides the three pooling primitives the
-//! workspace builds that on:
+//! requests. This module provides the pooling primitives the workspace
+//! builds that on:
 //!
 //! * A global, size-bucketed pool of `Vec<f32>` pages ([`take_f32`] /
 //!   [`put_f32`]). [`crate::Tensor`] is integrated with it — every
 //!   tensor takes its backing storage from the pool and returns it on
 //!   drop — so *all* tensor traffic (HLOP input/output pages, quantize
 //!   scratch, kernel locals) recycles without any call-site changes.
+//! * [`Stash`], the pages one executor worker holds for the length of a
+//!   run, so what a run takes from the pool does not depend on how its
+//!   workers overlap.
 //! * [`VecPool`], a typed pool of `Vec<T>` spines for the runtime's
 //!   per-run bookkeeping vectors (HLOP records, compute tasks, …).
 //! * [`ObjPool`], a pool of whole reusable objects (queue pairs, slot
@@ -178,6 +181,78 @@ pub fn clear() {
     }
 }
 
+/// Pages one worker keeps to itself while it computes a run's tasks.
+///
+/// A task's footprint buffers — its localized or cast inputs, its local
+/// output — live only while the task is computed. Drawn from the global
+/// pool one task at a time, the number a run needs at once depends on how
+/// many workers happen to compute at the same moment, so a warm pool can
+/// still come up short on a later, more overlapped run. An executor
+/// instead takes one stash per worker *before* the workers start
+/// ([`Stash::with_pages`]: the same pages every run, whatever the overlap)
+/// and every task builds its buffers in its worker's stash.
+///
+/// [`Stash::default`] holds nothing and forwards to the global pool, for
+/// callers that compute a single task. Dropping a stash returns its pages
+/// to the global pool.
+#[derive(Debug, Default)]
+pub struct Stash {
+    pages: [Vec<f32>; Stash::PAGES],
+}
+
+impl Stash {
+    /// Most pages a stash keeps; further ones go back to the global pool.
+    pub const PAGES: usize = 8;
+
+    /// A stash of `count` pages with room for `len` elements each, taken
+    /// from the global pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` exceeds [`Stash::PAGES`].
+    pub fn with_pages(count: usize, len: usize) -> Self {
+        assert!(
+            count <= Self::PAGES,
+            "a stash keeps at most {} pages, asked for {count}",
+            Self::PAGES
+        );
+        let mut stash = Stash::default();
+        for page in &mut stash.pages[..count] {
+            *page = take_f32(len);
+        }
+        stash
+    }
+
+    /// Takes an empty page with room for at least `len` elements: one of
+    /// the stash's own when one is large enough, otherwise one from the
+    /// global pool.
+    pub fn take(&mut self, len: usize) -> Vec<f32> {
+        match self.pages.iter_mut().find(|p| p.capacity() >= len.max(1)) {
+            Some(page) => std::mem::take(page),
+            None => take_f32(len),
+        }
+    }
+
+    /// Gives a page (back) to the stash; it is cleared, its capacity kept.
+    pub fn put(&mut self, mut page: Vec<f32>) {
+        match self.pages.iter_mut().find(|p| p.capacity() == 0) {
+            Some(slot) => {
+                page.clear();
+                *slot = page;
+            }
+            None => put_f32(page),
+        }
+    }
+}
+
+impl Drop for Stash {
+    fn drop(&mut self) {
+        for page in &mut self.pages {
+            put_f32(std::mem::take(page));
+        }
+    }
+}
+
 /// A pool of `Vec<T>` spines: vectors come back empty with their
 /// capacity intact, so per-run bookkeeping (HLOP records, compute
 /// tasks, plan queues) stops allocating once warm.
@@ -339,6 +414,42 @@ mod tests {
         let after = stats();
         assert!(after.hits + after.misses > before.hits + before.misses);
         assert!(after.recycled + after.dropped > before.recycled + before.dropped);
+    }
+
+    #[test]
+    fn stash_serves_its_own_pages_and_keeps_what_it_is_given() {
+        let mut stash = Stash::with_pages(2, 1000);
+        let a = stash.take(900);
+        let b = stash.take(1000);
+        assert!(a.capacity() >= 1000 && b.capacity() >= 1000);
+        assert!(a.is_empty() && b.is_empty());
+        // Both pages are out: a third take falls through to the pool.
+        let c = stash.take(10);
+        assert!(c.capacity() >= 10);
+        let (pa, pb) = (a.as_ptr(), b.as_ptr());
+        let mut a = a;
+        a.extend([1.0, 2.0]);
+        stash.put(a);
+        stash.put(b);
+        stash.put(c);
+        // The same storage comes back, cleared; a page too small for the
+        // request is passed over.
+        let again = stash.take(1000);
+        assert!(again.is_empty());
+        assert!(again.as_ptr() == pa || again.as_ptr() == pb);
+        assert!(stash.take(1 << 20).capacity() >= 1 << 20);
+    }
+
+    #[test]
+    fn empty_stash_forwards_to_the_pool_and_overflow_goes_back_to_it() {
+        let mut stash = Stash::default();
+        let page = stash.take(64);
+        assert!(page.capacity() >= 64);
+        assert_eq!(stash.take(0).capacity(), 0);
+        stash.put(page);
+        for _ in 0..2 * Stash::PAGES {
+            stash.put(Vec::with_capacity(64)); // beyond PAGES: must not panic
+        }
     }
 
     #[test]

@@ -143,7 +143,7 @@ pub fn image8(rows: usize, cols: usize, seed: u64) -> Tensor {
         base + amp * rng.gen_range(-1.0_f32..1.0)
     });
     // Real image data is 8-bit integral.
-    img.map_inplace(|v| v.clamp(0.0, 255.0).round());
+    img.map_inplace(|v| crate::quant::round_half_away(v.clamp(0.0, 255.0)));
     img
 }
 

@@ -1,3 +1,4 @@
+use crate::quant::RangeScan;
 use crate::{Result, TensorError};
 
 /// An owned, row-major, dense 2-D array of `f32`.
@@ -74,6 +75,24 @@ impl Tensor {
         let mut data = crate::arena::take_f32(len);
         data.resize(len, value);
         Ok(Tensor { rows, cols, data })
+    }
+
+    /// [`Tensor::zeros`] built in `page` (cleared first) instead of a page
+    /// from the arena — see [`crate::arena::Stash`]; [`Tensor::into_vec`]
+    /// hands the page back.
+    ///
+    /// # Panics
+    ///
+    /// As [`Tensor::zeros`].
+    pub fn zeros_in(rows: usize, cols: usize, mut page: Vec<f32>) -> Self {
+        let len = Self::checked_len(rows, cols).expect("valid tensor shape");
+        page.clear();
+        page.resize(len, 0.0);
+        Tensor {
+            rows,
+            cols,
+            data: page,
+        }
     }
 
     /// Creates a tensor by evaluating `f(row, col)` for every element.
@@ -293,11 +312,9 @@ impl Tensor {
     /// NaN elements are ignored; if every element is NaN the result is
     /// `(0.0, 0.0)`.
     pub fn min_max(&self) -> (f32, f32) {
-        let mut it = self.data.iter().copied().filter(|v| !v.is_nan());
-        match it.next() {
-            None => (0.0, 0.0),
-            Some(first) => it.fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v))),
-        }
+        let mut range = RangeScan::new();
+        range.scan(&self.data);
+        range.finish().unwrap_or((0.0, 0.0))
     }
 }
 
@@ -397,14 +414,20 @@ impl<'a> TensorView<'a> {
 
     /// Copies the window into a new owned [`Tensor`].
     pub fn to_tensor(&self) -> Tensor {
-        let mut data = crate::arena::take_f32(self.len());
+        self.to_tensor_in(crate::arena::take_f32(self.len()))
+    }
+
+    /// [`TensorView::to_tensor`] built in `page` (cleared first) instead
+    /// of a page from the arena — see [`crate::arena::Stash`].
+    pub fn to_tensor_in(&self, mut page: Vec<f32>) -> Tensor {
+        page.clear();
         for r in 0..self.rows {
-            data.extend_from_slice(self.row(r));
+            page.extend_from_slice(self.row(r));
         }
         Tensor {
             rows: self.rows,
             cols: self.cols,
-            data,
+            data: page,
         }
     }
 
@@ -416,29 +439,29 @@ impl<'a> TensorView<'a> {
     ///
     /// Returns `None` for the range when every element is NaN, matching
     /// the `(0.0, 0.0)` convention of [`TensorView::min_max`] at the
-    /// call site's discretion. The range is bit-identical to a separate
-    /// [`TensorView::min_max`] scan: the same elements are folded with
-    /// the same `min`/`max` calls in the same row-major order.
+    /// call site's discretion. The range is the one a separate
+    /// [`TensorView::min_max`] scan reports.
     pub fn to_tensor_with_min_max(&self) -> (Tensor, Option<(f32, f32)>) {
-        let mut data = crate::arena::take_f32(self.len());
-        let mut range: Option<(f32, f32)> = None;
+        self.to_tensor_with_min_max_in(crate::arena::take_f32(self.len()))
+    }
+
+    /// [`TensorView::to_tensor_with_min_max`] built in `page` (cleared
+    /// first) instead of a page from the arena.
+    pub fn to_tensor_with_min_max_in(&self, mut page: Vec<f32>) -> (Tensor, Option<(f32, f32)>) {
+        page.clear();
+        let mut range = RangeScan::new();
         for r in 0..self.rows {
             let row = self.row(r);
-            data.extend_from_slice(row);
-            for v in row.iter().copied().filter(|v| !v.is_nan()) {
-                range = Some(match range {
-                    None => (v, v),
-                    Some((lo, hi)) => (lo.min(v), hi.max(v)),
-                });
-            }
+            page.extend_from_slice(row);
+            range.scan(row);
         }
         (
             Tensor {
                 rows: self.rows,
                 cols: self.cols,
-                data,
+                data: page,
             },
-            range,
+            range.finish(),
         )
     }
 
@@ -446,11 +469,11 @@ impl<'a> TensorView<'a> {
     ///
     /// NaN elements are ignored; all-NaN windows yield `(0.0, 0.0)`.
     pub fn min_max(&self) -> (f32, f32) {
-        let mut it = self.iter().filter(|v| !v.is_nan());
-        match it.next() {
-            None => (0.0, 0.0),
-            Some(first) => it.fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v))),
+        let mut range = RangeScan::new();
+        for r in 0..self.rows {
+            range.scan(self.row(r));
         }
+        range.finish().unwrap_or((0.0, 0.0))
     }
 }
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Proof that the kernel hot loops autovectorize: build shmt-kernels with
-# --emit asm and require packed float instructions in the output.
+# Proof that the hot loops autovectorize: build shmt-kernels (and with it
+# shmt-tensor) with --emit asm and require packed float instructions in
+# the output.
 #
 # The interior loops are written in the slice idioms (windows(3) zips,
 # iter_mut().zip saxpy) that LLVM reliably turns into SIMD; this gate
@@ -8,6 +9,16 @@
 # vectorization (say, reintroducing per-element bounds checks) collapses
 # the packed-op count and fails CI. Packed sqrtps additionally pins the
 # Sobel/SRAD magnitude loops specifically, since sqrt only appears there.
+#
+# The int8 NPU emulation (shmt-tensor's quant and range loops) is gated on
+# what made it fast while staying bit-identical, function by function: the
+# body of each loop the request path runs is cut out of the assembly by its
+# symbol and must hold the packed form of its own arithmetic, which stays
+# f32 — a packed divide per snap (x * (1/scale) is not (x / scale) bit for
+# bit), packed min/max for the range scan and the clamp, a packed compare
+# for the tie select, a packed convert for the i8 codes. Packed ops
+# elsewhere in the crate cannot stand in for a loop that fell back to
+# scalar code. And no loop calls libm's roundf any more, in either crate.
 #
 # Uses its own target dir: the RUSTFLAGS change would otherwise
 # invalidate the main build cache for every later cargo invocation.
@@ -25,11 +36,13 @@ esac
 RUSTFLAGS="--emit asm" cargo build --release -q -p shmt-kernels \
     --target-dir target/simd-check
 
+count() { grep -cE "$1" "$2" || true; }
+
 asm=$(ls -t target/simd-check/release/deps/shmt_kernels-*.s | head -1)
 [ -s "$asm" ] || { echo "no assembly emitted for shmt-kernels"; exit 1; }
 
-packed=$(grep -cE '\b(mulps|addps|subps|vmulps|vaddps|vsubps|vfmadd[0-9]*ps)\b' "$asm" || true)
-packed_sqrt=$(grep -cE '\b(sqrtps|vsqrtps)\b' "$asm" || true)
+packed=$(count '\b(mulps|addps|subps|vmulps|vaddps|vsubps|vfmadd[0-9]*ps)\b' "$asm")
+packed_sqrt=$(count '\b(sqrtps|vsqrtps)\b' "$asm")
 
 echo "packed float ops: $packed, packed sqrt: $packed_sqrt ($asm)"
 if [ "$packed" -lt 50 ]; then
@@ -40,4 +53,48 @@ if [ "$packed_sqrt" -lt 1 ]; then
     echo "autovectorization regressed: no packed sqrt in the stencil magnitude loops"
     exit 1
 fi
+
+tasm=$(ls -t target/simd-check/release/deps/shmt_tensor-*.s | head -1)
+[ -s "$tasm" ] || { echo "no assembly emitted for shmt-tensor"; exit 1; }
+
+# body <mangled path below shmt_tensor::quant>: one function's instructions.
+body() {
+    awk -v sym="^_ZN11shmt_tensor5quant$1""17h[0-9a-f]+E:\$" '
+        $0 ~ sym { on = 1; found = 1; next }
+        on && /^\.Lfunc_end/ { on = 0 }
+        on
+        END { if (!found) exit 3 }' "$tasm"
+}
+
+# require <name> <mangled path> <instruction regex>...
+require() {
+    local name=$1 path=$2 text op
+    shift 2
+    text=$(body "$path") || {
+        echo "$name: no such symbol in $tasm (inlined away or renamed?)"
+        exit 1
+    }
+    for op in "$@"; do
+        if ! grep -qE "\\bv?${op}\\b" <<<"$text"; then
+            echo "$name fell back to scalar code: no packed $op in its body"
+            exit 1
+        fi
+    done
+    echo "  $name: $*"
+}
+
+echo "quant/range loops, per function ($tasm):"
+require RangeScan::scan 9RangeScan4scan minps maxps
+require QuantParams::snap_slice 11QuantParams10snap_slice divps minps maxps
+require QuantParams::snap_into 11QuantParams9snap_into divps minps maxps 'cmp[a-z]*ps'
+require snap_lanes_into 15snap_lanes_into divps minps maxps 'cmp[a-z]*ps'
+require QuantParams::quantize_slice 11QuantParams14quantize_slice divps minps maxps
+require QuantParams::dequantize_slice 11QuantParams16dequantize_slice cvtdq2ps
+for f in "$tasm" "$asm"; do
+    libm=$(count 'roundf' "$f")
+    if [ "$libm" -ne 0 ]; then
+        echo "roundf is back: $libm references in $f (want 0)"
+        exit 1
+    fi
+done
 echo "SIMD asm check OK"

@@ -11,6 +11,11 @@ cargo build --release --workspace --all-targets
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== exhaustive rounding sweep (release, ~30 s) =="
+# The int8 path's libcall-free round-and-clamp against f32::round and the
+# trip through i8, for all 2^32 bit patterns.
+cargo test --release -q -p shmt-tensor --lib -- --ignored
+
 if cargo clippy --version >/dev/null 2>&1; then
     echo "== clippy (warnings are errors) =="
     cargo clippy -q --workspace --all-targets -- -D warnings
@@ -25,9 +30,11 @@ else
 fi
 
 echo "== SIMD asm check =="
-# Proves the kernel hot loops actually autovectorize: builds shmt-kernels
-# with --emit asm and requires packed float ops (mulps/addps/sqrtps) in
-# the output. Skips itself on non-x86_64 hosts.
+# Proves the hot loops actually autovectorize: builds shmt-kernels and
+# shmt-tensor with --emit asm and requires packed float ops
+# (mulps/addps/sqrtps) in the kernels, packed divide / min / max / compare
+# / convert in the quant and range loops, and no roundf call in either.
+# Skips itself on non-x86_64 hosts.
 scripts/check_simd.sh
 
 echo "== docs (warnings are errors) =="
