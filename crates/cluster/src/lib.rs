@@ -14,9 +14,10 @@
 //!   ([`ScoreWeights`]).
 //! - **Node-level circuit breaking** — availability failures quarantine
 //!   a node; a single-flight probe reintegrates it
-//!   ([`NodeBreakerConfig`]), the serve crate's device breaker lifted
-//!   one level up. Quarantine can stall but never stick, and the fleet
-//!   never masks its last capable node.
+//!   ([`ClusterConfig::breaker`]) — the serve crate's
+//!   [`shmt_serve::Breaker`] with one slot per node and the clock ticking
+//!   once per routed request. Quarantine can stall but never stick, and
+//!   the fleet never masks its last capable node.
 //! - **Budgeted retries** — bounded attempts with capped, deadline-aware
 //!   backoff ([`RetryConfig`]), each paid for from a cluster-wide token
 //!   bucket ([`RetryBudgetConfig`]) so retries cannot storm a degraded
@@ -36,14 +37,12 @@
 
 #![warn(missing_docs)]
 
-mod breaker;
 mod budget;
 mod error;
 pub mod loadgen;
 mod node;
 mod router;
 
-pub use breaker::{NodeBreakerConfig, NodeHealth};
 pub use budget::{BudgetStats, RetryBudgetConfig};
 pub use error::ClusterError;
 pub use node::{NodeConfig, NodeFaultPlan, SlowWindow};

@@ -8,10 +8,9 @@ use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use shmt::sched::TPU;
-use shmt_serve::{Priority, Request, Response, ServeError};
+use shmt_serve::{Breaker, HealthConfig, Priority, Request, Response, ServeError, SlotHealth};
 use shmt_trace::{MetricsRegistry, Observatory};
 
-use crate::breaker::{FleetBreaker, NodeBreakerConfig, NodeHealth};
 use crate::budget::{BudgetStats, RetryBudget, RetryBudgetConfig};
 use crate::error::ClusterError;
 use crate::node::{ClusterNode, NodeConfig, NodeError, NodeTicket};
@@ -136,8 +135,11 @@ impl Default for ScoreWeights {
 pub struct ClusterConfig {
     /// The fleet: one serving stack + fault plan per node.
     pub nodes: Vec<NodeConfig>,
-    /// Node-level circuit breaker.
-    pub breaker: NodeBreakerConfig,
+    /// Node-level circuit breaker: consecutive availability strikes
+    /// (unreachable at dispatch, connection lost mid-flight, attempt
+    /// timeout) that quarantine a node, and routed requests before one
+    /// probes it.
+    pub breaker: HealthConfig,
     /// Cluster-wide retry budget.
     pub budget: RetryBudgetConfig,
     /// Tail-latency hedging.
@@ -152,8 +154,6 @@ pub struct ClusterConfig {
     /// the node and moves on — the backstop that makes hangs impossible
     /// even with no deadline set.
     pub attempt_timeout: Duration,
-    /// Deadline applied to requests that do not set their own.
-    pub default_deadline: Option<Duration>,
 }
 
 impl ClusterConfig {
@@ -161,20 +161,23 @@ impl ClusterConfig {
     pub fn with_nodes(n: usize) -> Self {
         ClusterConfig {
             nodes: (0..n.max(1)).map(|_| NodeConfig::default()).collect(),
-            breaker: NodeBreakerConfig::default(),
+            breaker: HealthConfig {
+                enabled: true,
+                quarantine_after: 2,
+                probe_after: 8,
+            },
             budget: RetryBudgetConfig::default(),
             hedge: HedgeConfig::default(),
             retry: RetryConfig::default(),
             shed: ShedConfig::default(),
             score: ScoreWeights::default(),
             attempt_timeout: Duration::from_secs(1),
-            default_deadline: None,
         }
     }
 }
 
 /// Routing-level options for one request: QoS class, deadline, locality
-/// affinity, quality SLO, and whether hedging may duplicate it.
+/// affinity, and quality SLO.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RouteOptions {
     /// QoS class: orders both shedding (BestEffort first) and each
@@ -187,8 +190,6 @@ pub struct RouteOptions {
     /// Quality SLO stamped onto the dispatched request; also steers
     /// routing away from nodes with a quarantined TPU.
     pub max_mape: Option<f64>,
-    /// Forbid hedging for this request (e.g. side-effecting work).
-    pub no_hedge: bool,
 }
 
 impl RouteOptions {
@@ -224,13 +225,6 @@ impl RouteOptions {
         self.max_mape = Some(max_mape);
         self
     }
-
-    /// Forbids hedging.
-    #[must_use]
-    pub fn without_hedge(mut self) -> Self {
-        self.no_hedge = true;
-        self
-    }
 }
 
 /// A response served by the cluster, with routing provenance.
@@ -252,7 +246,7 @@ pub struct ClusterResponse {
 
 /// Router-internal mutable policy state (breaker + budget), one mutex.
 struct RouterState {
-    breaker: FleetBreaker,
+    breaker: Breaker,
     budget: RetryBudget,
 }
 
@@ -266,7 +260,6 @@ pub struct ClusterRouter {
     shed: ShedConfig,
     score: ScoreWeights,
     attempt_timeout: Duration,
-    default_deadline: Option<Duration>,
     /// Lock order: `state`, `metrics`, and `obs` are only ever acquired
     /// alone — never nested (the same discipline the serve layer keeps).
     state: Mutex<RouterState>,
@@ -310,7 +303,7 @@ impl ClusterRouter {
         for (id, nc) in node_configs.into_iter().enumerate() {
             nodes.push(ClusterNode::new(id, nc, epoch)?);
         }
-        let breaker = FleetBreaker::new(config.breaker, nodes.len());
+        let breaker = Breaker::new(config.breaker, nodes.len());
         Ok(ClusterRouter {
             nodes,
             epoch,
@@ -319,7 +312,6 @@ impl ClusterRouter {
             shed: config.shed,
             score: config.score,
             attempt_timeout: config.attempt_timeout.max(Duration::from_millis(1)),
-            default_deadline: config.default_deadline,
             state: Mutex::new(RouterState {
                 breaker,
                 budget: RetryBudget::new(config.budget),
@@ -342,12 +334,11 @@ impl ClusterRouter {
     }
 
     /// Per-node breaker snapshots, indexed by node id.
-    pub fn node_health(&self) -> Vec<NodeHealth> {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .breaker
-            .snapshot()
+    pub fn node_health(&self) -> Vec<SlotHealth> {
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        (0..self.nodes.len())
+            .map(|id| state.breaker.health(id))
+            .collect()
     }
 
     /// Retry-budget accounting.
@@ -398,7 +389,7 @@ impl ClusterRouter {
     }
 
     /// One node's device-health snapshot (GPU, CPU, TPU breakers).
-    pub fn node_device_health(&self, id: usize) -> [shmt_serve::DeviceHealth; 3] {
+    pub fn node_device_health(&self, id: usize) -> [SlotHealth; 3] {
         self.nodes[id].server().device_health()
     }
 
@@ -683,13 +674,15 @@ impl ClusterRouter {
         make: &dyn Fn() -> Request,
         started: Instant,
     ) -> Result<ClusterResponse, ClusterError> {
-        let deadline = opts.deadline.or(self.default_deadline);
+        let deadline = opts.deadline;
         {
             // One deposit and one quarantine-clock tick per routed
             // request.
             let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
             state.budget.deposit();
-            state.breaker.tick();
+            for id in 0..self.nodes.len() {
+                state.breaker.tick(id);
+            }
         }
         let mut excluded = vec![false; self.nodes.len()];
         let mut tries = 0usize;
@@ -871,7 +864,7 @@ impl ClusterRouter {
     ) -> AttemptOutcome {
         let attempt_started = Instant::now();
         let attempt_deadline = attempt_started + self.attempt_timeout;
-        let hedge_at = (self.hedge.enabled && !opts.no_hedge && self.nodes.len() > 1)
+        let hedge_at = (self.hedge.enabled && self.nodes.len() > 1)
             .then(|| attempt_started + self.hedge_delay());
         let mut flights: Vec<(NodeTicket, bool, bool)> = vec![(primary, primary_probe, false)];
         let mut failed: Vec<usize> = Vec::new();

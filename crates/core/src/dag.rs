@@ -1,10 +1,11 @@
 //! Multi-VOP dataflow graphs with inter-stage data residency.
 //!
-//! [`crate::pipeline::Program`] chains stages linearly and re-stages every
-//! intermediate through host memory. [`VopDag`] generalizes the chain into
-//! a DAG of VOP stages (nodes = VOP stages, edges = tensor dependencies,
-//! cycle/arity validation at build time) and composes the stages with
-//! *mixed-mode awareness*:
+//! [`VopDag`] is the one multi-VOP program type: a DAG of VOP stages
+//! (nodes = VOP stages, edges = tensor dependencies, cycle/arity
+//! validation at build time), of which a linear chain
+//! ([`VopDag::linear`]) is the degenerate case. Hand-chaining VOPs through
+//! the runtime re-stages every intermediate through host memory; the DAG
+//! composes the stages with *mixed-mode awareness*:
 //!
 //! * **Residency** — an HLOP's output stays resident on its producing
 //!   device when the consuming stage reads it there. The CPU and GPU share
@@ -30,9 +31,9 @@
 //! Every stage is executed **once** through the ordinary
 //! [`crate::runtime::ShmtRuntime`] — placement, stealing, and the computed
 //! values are decided there, so the resident and naive compositions below
-//! are bit-identical by construction and a linear DAG reproduces
-//! [`crate::pipeline::Program`]'s per-stage reports exactly. The DAG layer
-//! then *re-times* each stage's schedule twice with placement pinned:
+//! are bit-identical by construction and a linear DAG reproduces the
+//! per-stage reports of the same VOPs chained by hand exactly. The DAG
+//! layer then *re-times* each stage's schedule twice with placement pinned:
 //!
 //! * **naive** — conventional framework composition: every Edge-TPU tile
 //!   stages in and restores out in full, and each inter-stage edge
@@ -50,6 +51,11 @@
 //! same quantize→compute→dequantize computation. Guarded stages (per-node
 //! quality budgets) are not re-timed — their pass-1 makespan is used for
 //! both compositions, so the guard's charge is never flattered.
+//!
+//! [`VopDag::run_conventional`] is the paper's Fig 1a reference for the
+//! same graph: every stage on its single best device (the GPU baseline),
+//! serially, where [`VopDag::run`] is Fig 1c — every stage spread across
+//! all devices at once.
 
 use hetsim::{DeviceKind, DeviceTimeline, Interconnect, SimTime};
 use shmt_kernels::primitives::{BinaryOp, UnaryOp};
@@ -58,13 +64,13 @@ use shmt_tensor::tile::Tile;
 use shmt_tensor::Tensor;
 use shmt_trace::{NullSink, TraceSink};
 
+use crate::baseline::gpu_baseline;
 use crate::error::{Result, ShmtError};
 use crate::guard::GuardConfig;
 use crate::partition::partition_vop;
-use crate::pipeline::{sanitize, Stage};
 use crate::platform::Platform;
 use crate::report::RunReport;
-use crate::runtime::{RuntimeConfig, ShmtRuntime};
+use crate::runtime::{tpu_extra_launches, RuntimeConfig, ShmtRuntime};
 use crate::sched::{CPU, GPU, TPU};
 use crate::vop::{Opcode, Vop};
 
@@ -75,8 +81,8 @@ pub type NodeId = usize;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NodeOp {
     /// A benchmark kernel stage; auxiliary inputs beyond the supplied
-    /// dependencies are generated from `aux_seed` (exactly like
-    /// [`crate::pipeline::Program`] stages).
+    /// dependencies are generated from `aux_seed` (e.g. Hotspot's power
+    /// grid).
     Benchmark {
         /// The kernel this stage applies.
         benchmark: Benchmark,
@@ -232,22 +238,21 @@ impl VopDag {
         Ok(VopDag { nodes, topo, sink })
     }
 
-    /// The linear DAG equivalent to a [`crate::pipeline::Program`] stage
-    /// chain: node `i` consumes node `i-1`, node 0 reads the external
-    /// input.
+    /// A linear chain of `(benchmark, aux_seed)` stages: node `i`
+    /// consumes node `i-1`, node 0 reads the external input.
     ///
     /// # Errors
     ///
     /// Propagates [`VopDag::new`]'s validation errors (e.g. an empty
     /// chain).
-    pub fn linear(stages: &[Stage]) -> Result<Self> {
+    pub fn linear(stages: &[(Benchmark, u64)]) -> Result<Self> {
         let nodes = stages
             .iter()
             .enumerate()
-            .map(|(i, s)| {
+            .map(|(i, &(benchmark, aux_seed))| {
                 DagNode::benchmark(
-                    s.benchmark,
-                    s.aux_seed,
+                    benchmark,
+                    aux_seed,
                     if i == 0 { vec![] } else { vec![i - 1] },
                 )
             })
@@ -507,6 +512,32 @@ impl VopDag {
         })
     }
 
+    /// Runs every stage on its single best device (Fig 1a, the
+    /// conventional model): the GPU baseline per stage, serially, no
+    /// fusion. Returns the summed stage makespans and the sink's output.
+    ///
+    /// # Errors
+    ///
+    /// Propagates VOP validation and runtime errors.
+    pub fn run_conventional(&self, input: &Tensor, partitions: usize) -> Result<(f64, Tensor)> {
+        let stages = self.plan_stages(false);
+        let mut outputs: Vec<Option<Tensor>> = vec![None; stages.len()];
+        let mut total_s = 0.0;
+        for (si, stage) in stages.iter().enumerate() {
+            let vop = self.stage_vop(stage, &outputs, input)?;
+            let platform = stage_platform(&self.nodes[stage.nodes[0]].op);
+            let report = gpu_baseline(&platform, &vop, partitions)?;
+            total_s += report.makespan_s;
+            outputs[si] = Some(sanitize(report.output));
+        }
+        // The sink's exec stage is always last (see `run_with_cancel`).
+        let output = outputs
+            .pop()
+            .flatten()
+            .ok_or_else(|| ShmtError::Internal("DAG sink produced no output".into()))?;
+        Ok((total_s, output))
+    }
+
     /// Groups nodes into execution stages, fusing chains of unary
     /// element-wise nodes when `fuse` is set. Fusion criteria: the
     /// producer is unary, its single consumer is unary, and the producer
@@ -709,8 +740,8 @@ pub struct DagStageReport {
     pub staged_in_elements: usize,
     /// Output elements restored to host memory in the resident replay.
     pub staged_out_elements: usize,
-    /// The stage's pass-1 run report (Program-equivalent timing; the
-    /// `output` tensor is a placeholder).
+    /// The stage's pass-1 run report (the timing of the same VOP run on
+    /// its own; the `output` tensor is a placeholder).
     pub report: RunReport,
 }
 
@@ -724,9 +755,8 @@ pub struct DagReport {
     /// End-to-end makespan of the naive stage-by-stage round-trip
     /// composition (always ≥ `makespan_s`).
     pub naive_makespan_s: f64,
-    /// Sum of the pass-1 stage makespans — exactly
-    /// [`crate::pipeline::ProgramReport::total_latency_s`] for a linear
-    /// benchmark DAG.
+    /// Sum of the pass-1 stage makespans (stages are data-dependent, so
+    /// hand-chained execution serializes them).
     pub total_latency_s: f64,
     /// Sum of stage energies.
     pub total_energy_j: f64,
@@ -990,7 +1020,8 @@ fn replay_stage(
         prev_start[d] = start;
         let mut end = timelines[d].execute(data_ready, work);
         if d == TPU {
-            let extra = tpu_extra_launch_time(elems, &profiles[TPU]);
+            let extra = tpu_extra_launches(elems, profiles[TPU].device_memory_bytes) as f64
+                * profiles[TPU].launch_overhead;
             if extra > 0.0 {
                 timelines[d].stall_until(end + extra);
                 end += extra;
@@ -1074,12 +1105,18 @@ fn queue_index(kind: DeviceKind) -> usize {
     }
 }
 
-/// Mirrors the runtime's extra-launch charge for HLOPs whose int8
-/// footprint exceeds the Edge TPU's device memory.
-fn tpu_extra_launch_time(elems: usize, tpu: &hetsim::DeviceProfile) -> f64 {
-    let dev_mem = tpu.device_memory_bytes.unwrap_or(usize::MAX).max(1);
-    let need = elems * 2;
-    need.div_ceil(dev_mem).saturating_sub(1) as f64 * tpu.launch_overhead
+/// Keeps flowing data inside kernel-friendly numeric ranges between
+/// stages (image kernels expect non-negative 8-bit-scale values;
+/// transforms can emit negatives).
+fn sanitize(mut t: Tensor) -> Tensor {
+    t.map_inplace(|v| {
+        if v.is_finite() {
+            v.clamp(-1.0e6, 1.0e6)
+        } else {
+            0.0
+        }
+    });
+    t
 }
 
 /// A chain of unary element-wise primitives fused into one kernel, so a
@@ -1158,45 +1195,79 @@ mod tests {
         assert!(matches!(VopDag::new(bad), Err(ShmtError::InvalidConfig(_))));
     }
 
+    const VISION: [(Benchmark, u64); 2] = [(Benchmark::MeanFilter, 1), (Benchmark::Sobel, 2)];
+
+    /// A linear DAG is the same VOPs hand-chained through
+    /// `ShmtRuntime::execute` + `sanitize`, bit for bit.
     #[test]
     fn linear_dag_matches_program_exactly() {
-        let stages = [
-            Stage {
-                benchmark: Benchmark::MeanFilter,
-                aux_seed: 1,
-            },
-            Stage {
-                benchmark: Benchmark::Sobel,
-                aux_seed: 2,
-            },
-        ];
-        let dag = VopDag::linear(&stages).unwrap();
+        let dag = VopDag::linear(&VISION).unwrap();
         let input = gen::image8(96, 96, 3);
         let c = cfg();
-        let program = crate::pipeline::Program::new(stages.to_vec()).unwrap();
-        let p = program.run_shmt(input.clone(), c.runtime).unwrap();
         let d = dag.run(&input, &c).unwrap();
-        assert_eq!(d.output.as_slice(), p.output.as_slice());
-        assert_eq!(d.total_latency_s, p.total_latency_s);
-        for (ds, ps) in d.stages.iter().zip(&p.stages) {
-            assert_eq!(ds.report.makespan_s, ps.makespan_s);
-            assert_eq!(ds.report.bus_bytes, ps.bus_bytes);
+        assert_eq!(d.stages.len(), VISION.len());
+        // The same VOPs, one `ShmtRuntime::execute` after another.
+        let mut flowing = input;
+        let mut total_latency_s = 0.0;
+        for (&(benchmark, _), ds) in VISION.iter().zip(&d.stages) {
+            let vop = Vop::from_benchmark(benchmark, vec![flowing]).unwrap();
+            let r = ShmtRuntime::new(Platform::jetson(benchmark), c.runtime)
+                .execute(&vop)
+                .unwrap();
+            assert_eq!(ds.report.makespan_s, r.makespan_s);
+            assert_eq!(ds.report.bus_bytes, r.bus_bytes);
+            // The stage output moved on and left a 1x1 placeholder behind,
+            // so observers must never infer workload from `report.output`:
+            // `output_shape` and the per-device element counts carry the
+            // real sizes.
+            assert_eq!(ds.report.output.shape(), (1, 1));
+            assert_eq!(ds.report.output_shape, r.output_shape);
+            assert_eq!(ds.report.device_elements(), r.device_elements());
+            assert_eq!(ds.elements, 96 * 96);
+            total_latency_s += r.makespan_s;
+            flowing = sanitize(r.output);
         }
+        assert_eq!(d.output.as_slice(), flowing.as_slice());
+        assert_eq!(d.total_latency_s, total_latency_s);
+        assert!(d.total_energy_j > 0.0);
+        // Sobel magnitudes are non-negative up to int8 grid rounding (the
+        // TPU output grid's lower edge can dequantize a hair below zero).
+        assert!(d.output.as_slice().iter().all(|&v| v >= -1e-3));
+    }
+
+    #[test]
+    fn multi_input_stages_get_aux_inputs() {
+        let dag = VopDag::linear(&[(Benchmark::Hotspot, 7)]).unwrap();
+        let input = gen::temperature(96, 96, 1);
+        let mut c = cfg();
+        c.runtime.partitions = 4;
+        let d = dag.run(&input, &c).unwrap();
+        assert_eq!(d.stages.len(), 1);
+        // Temperatures stay physical after one step.
+        let (lo, hi) = d.output.min_max();
+        assert!(lo > 250.0 && hi < 450.0, "{lo}..{hi}");
+    }
+
+    #[test]
+    fn conventional_walk_is_the_per_stage_gpu_baseline() {
+        let dag = VopDag::linear(&VISION).unwrap();
+        let input = gen::image8(128, 128, 5);
+        let (conv_s, conv_out) = dag.run_conventional(&input, 8).unwrap();
+        let mut flowing = input;
+        let mut total_s = 0.0;
+        for (benchmark, _) in VISION {
+            let vop = Vop::from_benchmark(benchmark, vec![flowing]).unwrap();
+            let r = gpu_baseline(&Platform::jetson(benchmark), &vop, 8).unwrap();
+            total_s += r.makespan_s;
+            flowing = sanitize(r.output);
+        }
+        assert_eq!(conv_s, total_s);
+        assert_eq!(conv_out.as_slice(), flowing.as_slice());
     }
 
     #[test]
     fn resident_never_loses_to_naive() {
-        let dag = VopDag::linear(&[
-            Stage {
-                benchmark: Benchmark::Sobel,
-                aux_seed: 1,
-            },
-            Stage {
-                benchmark: Benchmark::Histogram,
-                aux_seed: 2,
-            },
-        ])
-        .unwrap();
+        let dag = VopDag::linear(&[(Benchmark::Sobel, 1), (Benchmark::Histogram, 2)]).unwrap();
         let input = gen::image8(128, 128, 5);
         let d = dag.run(&input, &cfg()).unwrap();
         assert!(
@@ -1250,11 +1321,7 @@ mod tests {
 
     #[test]
     fn canceled_runs_surface_typed_error() {
-        let dag = VopDag::linear(&[Stage {
-            benchmark: Benchmark::Sobel,
-            aux_seed: 1,
-        }])
-        .unwrap();
+        let dag = VopDag::linear(&[(Benchmark::Sobel, 1)]).unwrap();
         let input = gen::image8(32, 32, 1);
         let err = dag
             .run_with_cancel(&input, &cfg(), &mut NullSink, &mut || true)

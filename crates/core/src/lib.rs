@@ -24,6 +24,11 @@
 //!   hardware, with per-benchmark device ratios taken from the paper's
 //!   Fig 2.
 //! * [`baseline`] — the GPU baseline and software-pipelining references.
+//! * [`dag`] — multi-VOP programs: [`VopDag`], a validated DAG of VOP
+//!   stages with element-wise fusion and inter-stage Edge-TPU residency.
+//!   A linear chain is the degenerate case ([`VopDag::linear`]), and
+//!   [`VopDag::run_conventional`] is the paper's Fig 1a
+//!   one-device-per-function reference for the same graph.
 //! * [`exec`] — host-side parallel execution of the HLOP computations.
 //! * [`arena`] — pooled tensor pages and per-run bookkeeping spines, so
 //!   warm repeated executions allocate nothing.
@@ -79,7 +84,6 @@ pub mod experiments;
 pub mod guard;
 pub mod hlop;
 pub mod partition;
-pub mod pipeline;
 pub mod platform;
 pub mod pool;
 pub mod quality;

@@ -935,7 +935,7 @@ impl ShmtRuntime {
 /// sub-invocations, and the first launch is already charged by the
 /// device's ordinary launch overhead — an HLOP that exactly fits pays
 /// nothing extra.
-fn tpu_extra_launches(elems: usize, device_memory_bytes: Option<usize>) -> u64 {
+pub(crate) fn tpu_extra_launches(elems: usize, device_memory_bytes: Option<usize>) -> u64 {
     let dev_mem = device_memory_bytes.unwrap_or(usize::MAX).max(1);
     let need = elems * 2; // int8 in + out
     need.div_ceil(dev_mem).saturating_sub(1) as u64

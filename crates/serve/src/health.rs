@@ -1,70 +1,26 @@
-//! Per-device health: strike accounting, a quarantine circuit breaker,
-//! and probe-and-reintegrate.
+//! Per-device health: the server's device-mask adapter over the shared
+//! [`Breaker`] state machine, one slot per device.
 //!
 //! The serving layer watches every completed request for evidence that a
 //! modeled device is misbehaving — a dropout recorded in the run's
 //! [`shmt::FaultReport`], or approximate output bad enough that the
-//! quality guard had to repair it. Evidence accumulates as *strikes*;
-//! enough **consecutive** strikes trip a circuit breaker that
-//! *quarantines* the device, masking it out of subsequent requests'
+//! quality guard had to repair it — and strikes that device's breaker
+//! slot. Quarantined devices are masked out of subsequent requests'
 //! device masks (requests still run, in degraded mode, on the remaining
-//! devices). After a configurable number of quarantined requests the
-//! tracker *probes*: one request re-admits the device, and a clean run
-//! reintegrates it while another strike re-arms the quarantine.
+//! devices); every request a quarantined device sits out ticks its
+//! quarantine clock, and a due probe leaves the device in one request's
+//! mask.
 //!
-//! The tracker never masks the last capable device — when every device a
-//! request asked for is quarantined, the request runs with its original
-//! mask (serving degraded beats not serving).
+//! Two rules are the adapter's own: it never masks the last capable
+//! device — when every device a request asked for is quarantined, the
+//! request runs with its original mask (serving degraded beats not
+//! serving) — and a failure no device can be blamed for releases an
+//! in-flight probe without a verdict.
 
+use crate::breaker::{Breaker, HealthConfig, HealthDelta, SlotHealth};
 use crate::server::DEVICES;
 
-/// Circuit-breaker tuning for [`crate::ServerConfig::health`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthConfig {
-    /// Master switch. Disabled, the tracker observes nothing and never
-    /// touches a request's device mask.
-    pub enabled: bool,
-    /// Consecutive strikes that trip the quarantine breaker.
-    pub quarantine_after: usize,
-    /// Requests served while a device sits quarantined before one request
-    /// is used to probe it.
-    pub probe_after: usize,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            enabled: true,
-            quarantine_after: 3,
-            probe_after: 4,
-        }
-    }
-}
-
-/// Public snapshot of one device's health, from [`crate::Server::device_health`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DeviceHealth {
-    /// Whether the circuit breaker is currently open for this device.
-    pub quarantined: bool,
-    /// Strikes since the last clean run this device took part in.
-    pub consecutive_strikes: usize,
-    /// Strikes over the server's lifetime.
-    pub total_strikes: usize,
-    /// Times the breaker tripped.
-    pub quarantines: usize,
-    /// Probe requests dispatched to this device while quarantined.
-    pub probes: usize,
-    /// Probes that came back clean and closed the breaker.
-    pub reintegrations: usize,
-    /// A dispatched probe has not reported back yet. A probe that never
-    /// reports (its executor died, or the server shut down with the probe
-    /// still queued) is declared lost after `probe_after` further planned
-    /// requests and the breaker probes again — the quarantine can stall,
-    /// but never stick.
-    pub probe_inflight: bool,
-}
-
-/// What the tracker decided for one request before execution.
+/// What the device breaker decided for one request before execution.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MaskDecision {
     /// The device mask the request should actually run with.
@@ -76,80 +32,34 @@ pub(crate) struct MaskDecision {
     pub masked_any: bool,
 }
 
-/// Health counter increments one outcome produced, applied to the metrics
-/// registry after the health lock drops (lock order: health is never held
-/// together with `state` or `metrics`).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct HealthDelta {
-    pub strikes: usize,
-    pub quarantines: usize,
-    pub reintegrations: usize,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    quarantined: bool,
-    /// A probe request is in flight; hold further probes until it lands.
-    probe_inflight: bool,
-    consecutive: usize,
-    /// Requests planned since the quarantine began (or since the last
-    /// probe); reaching `probe_after` releases the next probe.
-    since_quarantine: usize,
-    total_strikes: usize,
-    quarantines: usize,
-    probes: usize,
-    reintegrations: usize,
-}
-
-/// The mutable tracker behind the server's health mutex.
+/// The server's device-mask adapter over a [`Breaker`] with one slot per
+/// device: the state behind the server's health mutex (lock order: health
+/// is never held together with `state` or `metrics`).
 #[derive(Debug)]
-pub(crate) struct HealthTracker {
-    config: HealthConfig,
-    slots: [Slot; DEVICES],
-}
+pub(crate) struct DeviceMasks(Breaker);
 
-impl HealthTracker {
+impl DeviceMasks {
     pub(crate) fn new(config: HealthConfig) -> Self {
-        HealthTracker {
-            config,
-            slots: [Slot::default(); DEVICES],
-        }
+        DeviceMasks(Breaker::new(config, DEVICES))
     }
 
     /// Decides the effective device mask for a request about to execute:
-    /// masks quarantined devices, releases due probes, and falls back to
-    /// the requested mask when quarantine would leave nothing enabled.
+    /// masks quarantined devices (ticking their clocks), releases due
+    /// probes, and falls back to the requested mask when quarantine would
+    /// leave nothing enabled.
     pub(crate) fn plan(&mut self, requested: [bool; DEVICES]) -> MaskDecision {
-        if !self.config.enabled {
-            return MaskDecision {
-                mask: requested,
-                probed: [false; DEVICES],
-                masked_any: false,
-            };
-        }
         let mut mask = requested;
         let mut probed = [false; DEVICES];
-        for (d, slot) in self.slots.iter_mut().enumerate() {
-            if !requested[d] || !slot.quarantined {
+        for d in 0..DEVICES {
+            if !requested[d] || self.0.routable(d) {
                 continue;
             }
-            if !slot.probe_inflight && slot.since_quarantine >= self.config.probe_after {
-                slot.probe_inflight = true;
-                slot.since_quarantine = 0;
-                slot.probes += 1;
+            if self.0.probe_ready(d) {
+                self.0.begin_probe(d);
                 probed[d] = true; // stays in the mask as a probe
             } else {
-                slot.since_quarantine += 1;
+                self.0.tick(d);
                 mask[d] = false;
-                if slot.probe_inflight && slot.since_quarantine >= self.config.probe_after.max(1) {
-                    // The in-flight probe never reported a verdict — its
-                    // executor is gone (shutdown raced the probe, or the
-                    // thread died). Declare it lost so the quarantine
-                    // clock keeps running and the next due request can
-                    // probe again; otherwise the breaker would stay open
-                    // forever with `probe_inflight` stuck.
-                    slot.probe_inflight = false;
-                }
             }
         }
         if !mask.iter().any(|&m| m) {
@@ -164,68 +74,36 @@ impl HealthTracker {
         }
     }
 
-    /// Folds one request's outcome back into the tracker. `struck` is the
-    /// per-device fault attribution (`None` when the run failed for a
-    /// reason no device can be blamed for — probes in flight are released
-    /// without a verdict).
+    /// Folds one request's outcome back in and returns the counter
+    /// increments together with the devices now quarantined — one lock
+    /// acquisition covers both. `struck` is the per-device fault
+    /// attribution (`None` when the run failed for a reason no device can
+    /// be blamed for — probes in flight are released without a verdict).
     pub(crate) fn record(
         &mut self,
         decision: &MaskDecision,
         struck: Option<[bool; DEVICES]>,
-    ) -> HealthDelta {
+    ) -> (HealthDelta, [bool; DEVICES]) {
         let mut delta = HealthDelta::default();
-        if !self.config.enabled {
-            return delta;
-        }
-        let Some(struck) = struck else {
-            for (d, slot) in self.slots.iter_mut().enumerate() {
-                if decision.probed[d] {
-                    slot.probe_inflight = false;
+        for d in 0..DEVICES {
+            match struck {
+                None if decision.probed[d] => self.0.release_probe(d),
+                Some(struck) if decision.mask[d] => {
+                    delta += self.0.record(d, !struck[d], decision.probed[d]);
                 }
-            }
-            return delta;
-        };
-        for (d, slot) in self.slots.iter_mut().enumerate() {
-            if !decision.mask[d] {
-                continue;
-            }
-            if struck[d] {
-                slot.consecutive += 1;
-                slot.total_strikes += 1;
-                delta.strikes += 1;
-                if decision.probed[d] {
-                    // Failed probe: the breaker stays open, the probe
-                    // clock restarts.
-                    slot.probe_inflight = false;
-                } else if !slot.quarantined && slot.consecutive >= self.config.quarantine_after {
-                    slot.quarantined = true;
-                    slot.since_quarantine = 0;
-                    slot.quarantines += 1;
-                    delta.quarantines += 1;
-                }
-            } else {
-                slot.consecutive = 0;
-                if decision.probed[d] {
-                    slot.probe_inflight = false;
-                    slot.quarantined = false;
-                    slot.reintegrations += 1;
-                    delta.reintegrations += 1;
-                }
+                _ => {}
             }
         }
-        delta
+        (delta, self.quarantined())
     }
 
-    pub(crate) fn snapshot(&self) -> [DeviceHealth; DEVICES] {
-        self.slots.map(|s| DeviceHealth {
-            quarantined: s.quarantined,
-            consecutive_strikes: s.consecutive,
-            total_strikes: s.total_strikes,
-            quarantines: s.quarantines,
-            probes: s.probes,
-            reintegrations: s.reintegrations,
-            probe_inflight: s.probe_inflight,
-        })
+    /// Which devices are quarantined right now.
+    pub(crate) fn quarantined(&self) -> [bool; DEVICES] {
+        std::array::from_fn(|d| !self.0.routable(d))
+    }
+
+    pub(crate) fn snapshot(&self) -> [SlotHealth; DEVICES] {
+        std::array::from_fn(|d| self.0.health(d))
     }
 }
 
@@ -234,99 +112,83 @@ mod tests {
     use super::*;
 
     const ALL: [bool; DEVICES] = [true; DEVICES];
+    const EXACT_ONLY: [bool; DEVICES] = [true, true, false];
+    const CLEAN: Option<[bool; DEVICES]> = Some([false; DEVICES]);
+    const TPU_STRUCK: Option<[bool; DEVICES]> = Some([false, false, true]);
 
-    fn strikes_on(d: usize) -> Option<[bool; DEVICES]> {
-        let mut s = [false; DEVICES];
-        s[d] = true;
-        Some(s)
+    fn tracker(quarantine_after: usize, probe_after: usize) -> DeviceMasks {
+        DeviceMasks::new(HealthConfig {
+            enabled: true,
+            quarantine_after,
+            probe_after,
+        })
+    }
+
+    /// One request end to end: plan its mask, record its outcome.
+    fn serve(
+        t: &mut DeviceMasks,
+        requested: [bool; DEVICES],
+        struck: Option<[bool; DEVICES]>,
+    ) -> (MaskDecision, HealthDelta, [bool; DEVICES]) {
+        let dec = t.plan(requested);
+        let (delta, quarantined) = t.record(&dec, struck);
+        (dec, delta, quarantined)
     }
 
     #[test]
     fn consecutive_strikes_trip_the_breaker() {
-        let mut t = HealthTracker::new(HealthConfig::default());
+        let mut t = tracker(3, 4);
         for i in 0..3 {
-            let dec = t.plan(ALL);
+            let (dec, delta, quarantined) = serve(&mut t, ALL, TPU_STRUCK);
             assert!(dec.mask[2], "device still admitted before trip {i}");
-            t.record(&dec, strikes_on(2));
+            assert_eq!(delta.strikes, 1);
+            assert_eq!(quarantined, [false, false, i == 2], "third strike trips");
         }
         let dec = t.plan(ALL);
-        assert!(!dec.mask[2], "quarantined device must be masked");
-        assert!(dec.mask[0] && dec.mask[1]);
+        assert_eq!(dec.mask, EXACT_ONLY, "quarantined device is masked");
         assert!(dec.masked_any);
         assert!(t.snapshot()[2].quarantined);
     }
 
     #[test]
     fn clean_runs_reset_the_streak() {
-        let mut t = HealthTracker::new(HealthConfig::default());
-        for _ in 0..2 {
-            let dec = t.plan(ALL);
-            t.record(&dec, strikes_on(2));
-        }
-        let dec = t.plan(ALL);
-        t.record(&dec, Some([false; DEVICES]));
-        let dec = t.plan(ALL);
-        t.record(&dec, strikes_on(2));
+        let mut t = tracker(3, 4);
+        serve(&mut t, ALL, TPU_STRUCK);
+        serve(&mut t, ALL, TPU_STRUCK);
+        // A clean run the device sat out says nothing about it...
+        serve(&mut t, EXACT_ONLY, CLEAN);
+        assert_eq!(t.snapshot()[2].consecutive_strikes, 2);
+        // ...one it took part in resets the streak.
+        serve(&mut t, ALL, CLEAN);
+        serve(&mut t, ALL, TPU_STRUCK);
         assert!(!t.snapshot()[2].quarantined, "streak must reset on clean");
     }
 
     #[test]
     fn probe_reintegrates_after_a_clean_run() {
-        let cfg = HealthConfig {
-            quarantine_after: 1,
-            probe_after: 2,
-            ..HealthConfig::default()
-        };
-        let mut t = HealthTracker::new(cfg);
-        let dec = t.plan(ALL);
-        t.record(&dec, strikes_on(2));
+        let mut t = tracker(1, 2);
+        serve(&mut t, ALL, TPU_STRUCK);
+        // Requests that never asked for the device do not run its clock.
+        let (dec, ..) = serve(&mut t, EXACT_ONLY, CLEAN);
+        assert!(!dec.masked_any);
         // Quarantined for probe_after requests...
         for _ in 0..2 {
-            let dec = t.plan(ALL);
-            assert!(!dec.mask[2]);
-            t.record(&dec, Some([false; DEVICES]));
+            let (dec, ..) = serve(&mut t, ALL, CLEAN);
+            assert!(!dec.mask[2] && !dec.probed[2]);
         }
         // ...then the next request probes.
-        let dec = t.plan(ALL);
+        let (dec, delta, quarantined) = serve(&mut t, ALL, CLEAN);
         assert!(dec.probed[2] && dec.mask[2], "due probe re-admits device");
-        t.record(&dec, Some([false; DEVICES]));
-        let snap = t.snapshot()[2];
-        assert!(!snap.quarantined);
-        assert_eq!(snap.reintegrations, 1);
-    }
-
-    #[test]
-    fn failed_probe_keeps_the_breaker_open() {
-        let cfg = HealthConfig {
-            quarantine_after: 1,
-            probe_after: 1,
-            ..HealthConfig::default()
-        };
-        let mut t = HealthTracker::new(cfg);
-        let dec = t.plan(ALL);
-        t.record(&dec, strikes_on(2));
-        let dec = t.plan(ALL); // quarantined request, clock ticks
-        t.record(&dec, Some([false; DEVICES]));
-        let dec = t.plan(ALL);
-        assert!(dec.probed[2]);
-        t.record(&dec, strikes_on(2));
-        assert!(t.snapshot()[2].quarantined, "struck probe must not close");
-        // And the probe clock restarts rather than probing immediately.
-        let dec = t.plan(ALL);
-        assert!(!dec.mask[2] && !dec.probed[2]);
+        assert_eq!(delta.reintegrations, 1);
+        assert_eq!(quarantined, [false; DEVICES]);
+        assert_eq!(t.snapshot()[2].reintegrations, 1);
     }
 
     #[test]
     fn never_masks_the_last_capable_device() {
-        let cfg = HealthConfig {
-            quarantine_after: 1,
-            probe_after: 100,
-            ..HealthConfig::default()
-        };
-        let mut t = HealthTracker::new(cfg);
+        let mut t = tracker(1, 100);
         let only_tpu = [false, false, true];
-        let dec = t.plan(only_tpu);
-        t.record(&dec, strikes_on(2));
+        serve(&mut t, only_tpu, TPU_STRUCK);
         let dec = t.plan(only_tpu);
         assert_eq!(dec.mask, only_tpu, "last device must stay enabled");
         assert!(!dec.masked_any);
@@ -334,78 +196,16 @@ mod tests {
 
     #[test]
     fn unattributable_failure_releases_probe_without_verdict() {
-        let cfg = HealthConfig {
-            quarantine_after: 1,
-            probe_after: 0,
-            ..HealthConfig::default()
-        };
-        let mut t = HealthTracker::new(cfg);
-        let dec = t.plan(ALL);
-        t.record(&dec, strikes_on(2));
+        let mut t = tracker(1, 0);
+        serve(&mut t, ALL, TPU_STRUCK);
         let dec = t.plan(ALL);
         assert!(dec.probed[2]);
-        t.record(&dec, None);
-        let snap = t.snapshot()[2];
-        assert!(snap.quarantined);
-        assert_eq!(snap.total_strikes, 1, "no verdict, no strike");
-    }
-
-    #[test]
-    fn lost_probe_is_released_and_the_device_probes_again() {
-        // A probe whose executor never reports back (shutdown raced the
-        // probe, or the thread died) must not leave `probe_inflight`
-        // stuck forever: after `probe_after` further planned requests the
-        // probe is declared lost and the next request probes again.
-        let cfg = HealthConfig {
-            quarantine_after: 1,
-            probe_after: 2,
-            ..HealthConfig::default()
-        };
-        let mut t = HealthTracker::new(cfg);
-        let dec = t.plan(ALL);
-        t.record(&dec, strikes_on(2));
-        for _ in 0..2 {
-            let dec = t.plan(ALL);
-            t.record(&dec, Some([false; DEVICES]));
-        }
-        let dec = t.plan(ALL);
-        assert!(dec.probed[2], "probe due");
         assert!(t.snapshot()[2].probe_inflight);
-        // The probe's record() never arrives. Two more planned requests
-        // declare it lost...
-        for _ in 0..2 {
-            let dec = t.plan(ALL);
-            assert!(!dec.probed[2]);
-            t.record(&dec, Some([false; DEVICES]));
-        }
-        assert!(
-            !t.snapshot()[2].probe_inflight,
-            "lost probe must be released"
-        );
-        // ...and the next request probes again; a clean verdict closes
-        // the breaker as usual.
-        let dec = t.plan(ALL);
-        assert!(dec.probed[2], "breaker must probe again after a lost probe");
-        t.record(&dec, Some([false; DEVICES]));
+        let (delta, quarantined) = t.record(&dec, None);
+        assert_eq!(delta, HealthDelta::default());
+        assert!(quarantined[2]);
         let snap = t.snapshot()[2];
-        assert!(!snap.quarantined);
-        assert_eq!(snap.probes, 2);
-        assert_eq!(snap.reintegrations, 1);
-    }
-
-    #[test]
-    fn disabled_tracker_is_inert() {
-        let cfg = HealthConfig {
-            enabled: false,
-            ..HealthConfig::default()
-        };
-        let mut t = HealthTracker::new(cfg);
-        for _ in 0..10 {
-            let dec = t.plan(ALL);
-            assert_eq!(dec.mask, ALL);
-            let delta = t.record(&dec, strikes_on(2));
-            assert_eq!(delta.strikes, 0);
-        }
-        assert_eq!(t.snapshot()[2], DeviceHealth::default());
+        assert!(!snap.probe_inflight);
+        assert_eq!(snap.total_strikes, 1, "no verdict, no strike");
     }
 }

@@ -45,7 +45,9 @@
 //!   breaker ([`HealthConfig`]): repeated dropouts or guard repairs
 //!   quarantine a device, quarantined devices are masked out of incoming
 //!   requests (never the last one), and periodic probes reintegrate a
-//!   device once it runs clean ([`Server::device_health`]).
+//!   device once it runs clean ([`Server::device_health`]). The state
+//!   machine itself is [`Breaker`], public because the cluster router
+//!   runs the same one over nodes.
 //! * **QoS classes** — every request carries a [`Priority`]
 //!   (`Interactive`, `Batch` — the default — or `BestEffort`); the
 //!   admission queue is drained by priority-weighted stride scheduling,
@@ -84,15 +86,16 @@
 
 #![warn(missing_docs)]
 
+mod breaker;
 mod error;
 mod flight;
 mod health;
 mod server;
 mod stats;
 
+pub use breaker::{Breaker, HealthConfig, HealthDelta, SlotHealth};
 pub use error::{ServeError, SubmitError};
 pub use flight::{Anomaly, FlightConfig, FlightRecord, FlightRecorder};
-pub use health::{DeviceHealth, HealthConfig};
 pub use server::{
     Payload, Priority, Request, Response, Server, ServerConfig, TelemetryConfig, Ticket,
 };

@@ -13,9 +13,10 @@ use shmt::{
 };
 use shmt_trace::{MetricsRegistry, Observatory};
 
+use crate::breaker::{HealthConfig, SlotHealth};
 use crate::error::{ServeError, SubmitError};
 use crate::flight::{Anomaly, FlightConfig, FlightRecord, FlightRecorder};
-use crate::health::{DeviceHealth, HealthConfig, HealthTracker};
+use crate::health::DeviceMasks;
 use crate::stats::{ClassSummary, PolicySummary, Sample, SampleStore};
 
 /// Number of modeled devices (GPU, CPU, Edge TPU) — the width of every
@@ -115,8 +116,8 @@ pub struct Request {
     pub platform: Platform,
     /// Runtime configuration (policy, partitions, quality knobs).
     pub config: RuntimeConfig,
-    /// Per-request deadline measured from admission; overrides the
-    /// server's [`ServerConfig::default_deadline`] when set.
+    /// Per-request deadline measured from admission; `None` waits as
+    /// long as it takes.
     pub deadline: Option<Duration>,
     /// Per-request quality SLO: when set, the executor enables the
     /// runtime's quality guard with this MAPE budget
@@ -139,8 +140,7 @@ pub struct Request {
 }
 
 impl Request {
-    /// A request with no per-request deadline (server default applies),
-    /// no quality SLO, and no fault plan.
+    /// A request with no deadline, no quality SLO, and no fault plan.
     pub fn new(vop: Vop, platform: Platform, config: RuntimeConfig) -> Self {
         Request {
             payload: Payload::Vop(vop),
@@ -303,8 +303,6 @@ pub struct ServerConfig {
     /// Admission-queue bound: [`Server::submit`] returns
     /// [`SubmitError::Busy`] once this many requests are waiting.
     pub queue_capacity: usize,
-    /// Deadline applied to requests that do not set their own.
-    pub default_deadline: Option<Duration>,
     /// Device-health circuit breaker (strike thresholds, probe cadence).
     pub health: HealthConfig,
     /// Continuous-telemetry switches (observatory, flight recorder,
@@ -324,7 +322,6 @@ impl Default for ServerConfig {
         ServerConfig {
             executors: 2,
             queue_capacity: 8,
-            default_deadline: None,
             health: HealthConfig::default(),
             telemetry: TelemetryConfig::default(),
             adapt: AdaptiveConfig::default(),
@@ -492,13 +489,12 @@ struct Shared {
     /// Signalled when work arrives or shutdown begins (executors wait).
     work_ready: Condvar,
     capacity: usize,
-    default_deadline: Option<Duration>,
     metrics: Mutex<MetricsRegistry>,
     samples: Mutex<SampleStore>,
     /// Device-health circuit breaker. Lock order: `health` is only ever
     /// acquired alone — never while `state`, `metrics`, or `samples` is
     /// held.
-    health: Mutex<HealthTracker>,
+    health: Mutex<DeviceMasks>,
     /// Live telemetry (latency histograms, device profiles). Same lock
     /// discipline as `health`: only ever acquired alone.
     observatory: Mutex<Observatory>,
@@ -566,10 +562,9 @@ impl Server {
             space_ready: Condvar::new(),
             work_ready: Condvar::new(),
             capacity: config.queue_capacity.max(1),
-            default_deadline: config.default_deadline,
             metrics: Mutex::new(metrics),
             samples: Mutex::new(SampleStore::default()),
-            health: Mutex::new(HealthTracker::new(config.health)),
+            health: Mutex::new(DeviceMasks::new(config.health)),
             observatory: Mutex::new(Observatory::new()),
             observatory_enabled: config.telemetry.observatory,
             flight: Mutex::new(FlightRecorder::new(config.telemetry.flight)),
@@ -668,7 +663,7 @@ impl Server {
             slot: Mutex::new(None),
             ready: Condvar::new(),
         });
-        let deadline = request.deadline.or(self.shared.default_deadline);
+        let deadline = request.deadline;
         state.push(Queued {
             request,
             ticket: Arc::clone(&ticket),
@@ -723,14 +718,14 @@ impl Server {
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
         obs.merge_registry(&metrics);
-        let health = self
+        let quarantined = self
             .shared
             .health
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .snapshot();
-        for (d, h) in health.iter().enumerate() {
-            obs.set_quarantined(d, h.quarantined);
+            .quarantined();
+        for (d, &q) in quarantined.iter().enumerate() {
+            obs.set_quarantined(d, q);
         }
         obs
     }
@@ -764,7 +759,7 @@ impl Server {
 
     /// Snapshot of the per-device health breaker state, indexed by the
     /// runtime's device order (GPU, CPU, Edge TPU).
-    pub fn device_health(&self) -> [DeviceHealth; DEVICES] {
+    pub fn device_health(&self) -> [SlotHealth; DEVICES] {
         self.shared
             .health
             .lock()
@@ -1056,23 +1051,11 @@ fn executor_loop(shared: &Shared) {
             }
             Err(_) => None,
         };
-        let delta = shared
+        let (delta, quarantined) = shared
             .health
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .record(&decision, struck);
-        let quarantined = {
-            let snapshot = shared
-                .health
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .snapshot();
-            let mut q = [false; DEVICES];
-            for (d, h) in snapshot.iter().enumerate() {
-                q[d] = h.quarantined;
-            }
-            q
-        };
 
         // Continuous telemetry: feed the observatory from the completed
         // report (span completions in virtual time) and leave a flight

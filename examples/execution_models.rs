@@ -6,7 +6,7 @@
 //! cargo run --release --example execution_models
 //! ```
 
-use shmt::pipeline::{Program, Stage};
+use shmt::dag::{DagConfig, VopDag};
 use shmt::sampling::SamplingMethod;
 use shmt::{Policy, QawsAssignment, RuntimeConfig};
 use shmt_kernels::Benchmark;
@@ -15,26 +15,17 @@ use shmt_tensor::gen;
 fn main() -> Result<(), shmt::ShmtError> {
     let size = 4096;
     // A denoise -> detect -> summarize program (functions A, B, C of Fig 1).
-    let program = Program::new(vec![
-        Stage {
-            benchmark: Benchmark::MeanFilter,
-            aux_seed: 1,
-        },
-        Stage {
-            benchmark: Benchmark::Sobel,
-            aux_seed: 2,
-        },
-        Stage {
-            benchmark: Benchmark::Histogram,
-            aux_seed: 3,
-        },
+    let program = VopDag::linear(&[
+        (Benchmark::MeanFilter, 1),
+        (Benchmark::Sobel, 2),
+        (Benchmark::Histogram, 3),
     ])?;
     let frame = gen::image8(size, size, 2024);
 
     println!("Fig 1 execution models on a {size}x{size} frame, 3-stage program\n");
 
     // (a) Conventional: each function runs on the single best device.
-    let (conventional_s, _) = program.run_conventional(frame.clone(), 64)?;
+    let (conventional_s, _) = program.run_conventional(&frame, 64)?;
     println!(
         "(a) conventional (best single device per function): {:7.2} ms",
         conventional_s * 1e3
@@ -46,7 +37,7 @@ fn main() -> Result<(), shmt::ShmtError> {
         sampling: SamplingMethod::Striding,
     });
     cfg.partitions = 64;
-    let shmt = program.run_shmt(frame, cfg)?;
+    let shmt = program.run(&frame, &DagConfig::new(cfg))?;
     println!(
         "(c) SHMT (all devices per function):                {:7.2} ms",
         shmt.total_latency_s * 1e3
@@ -57,17 +48,14 @@ fn main() -> Result<(), shmt::ShmtError> {
         shmt.total_energy_j
     );
     println!("\nper-stage device shares under SHMT:");
-    for (stage, report) in program.stages().iter().zip(&shmt.stages) {
-        let shares: Vec<String> = report
+    for stage in &shmt.stages {
+        let shares: Vec<String> = stage
+            .report
             .device_shares()
             .iter()
             .map(|(kind, f)| format!("{kind} {:.0}%", f * 100.0))
             .collect();
-        println!(
-            "  {:<12} {}",
-            stage.benchmark.to_string(),
-            shares.join("  ")
-        );
+        println!("  {:<12} {}", stage.label, shares.join("  "));
     }
     Ok(())
 }

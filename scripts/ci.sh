@@ -163,17 +163,17 @@ echo "adaptive scheduling smoke validated: $f"
 
 echo "== dag composition smoke check =="
 # dag_report runs three pipelines through the VopDag layer and certifies
-# its contract: the degenerate linear DAG reproduces Program exactly,
-# the resident composition strictly beats naive host round-tripping on
-# every pipeline, the unfused DAG is bit-identical to hand-chained
-# sequential execution, the unary tail fuses, and identical element-wise
-# stages leave interior edges fully resident (zero staged elements). The
-# bin aborts on any violation and re-validates its own artifact with the
-# workspace's JSON parser.
+# its contract: a linear DAG reproduces the same VOPs chained by hand
+# through the runtime exactly, the resident composition strictly beats
+# naive host round-tripping on every pipeline, the unfused DAG is
+# bit-identical to that sequential execution, the unary tail fuses, and
+# identical element-wise stages leave interior edges fully resident (zero
+# staged elements). The bin aborts on any violation and re-validates its
+# own artifact with the workspace's JSON parser.
 cargo run --release -q -p shmt-bench --bin dag_report -- --smoke >/dev/null
 f=results/BENCH_dag_smoke.json
 [ -s "$f" ] || { echo "empty dag report: $f"; exit 1; }
-grep -q '"degenerate_matches_program":true' "$f" || { echo "linear DAG diverged from Program in $f"; exit 1; }
+grep -q '"linear_matches_sequential":true' "$f" || { echo "linear DAG diverged from hand-chained execution in $f"; exit 1; }
 grep -q '"zero_staged_interior":true' "$f" || { echo "all-resident chain staged elements in $f"; exit 1; }
 grep -q '"fusion_computes_chain":true' "$f" || { echo "fused kernel computed the wrong chain in $f"; exit 1; }
 if grep -q '"resident_beats_naive":false' "$f"; then
@@ -206,5 +206,11 @@ grep -q '"besteffort_shed_first":true' "$f" || { echo "shed ordering violated in
 grep -q '"flapping_reintegrated":true' "$f" || { echo "flapping node never reintegrated in $f"; exit 1; }
 grep -q '"dual_failure_served":true' "$f" || { echo "correlated dual failure dropped requests in $f"; exit 1; }
 echo "cluster robustness smoke validated: $f"
+
+echo "== end-to-end benchmark smoke check =="
+# The BENCHMARK.json benchmark through the package the driver builds: its
+# unit tests, then every workload for 2 s, each checked for the full set
+# of end-to-end metrics.
+crates/bench/src/bin/e2e/check.sh
 
 echo "CI OK"

@@ -175,3 +175,55 @@ fn identical_stage_chain_is_fully_resident() {
     assert!(d.resident_bus_bytes < d.naive_bus_bytes);
     assert!(d.makespan_s < d.naive_makespan_s);
 }
+
+/// `DagConfig::residency_dispatch` hands each stage's planner the share
+/// of its input the upstream stage left on the Edge TPU, widening the
+/// QAWS admission by `1 + share`. Off (the default) it is the neutral
+/// 0.0; on, this DCT chain stays deterministic and its downstream stages
+/// run a larger share on the TPU than under the hint-free plan. (The
+/// widening is a statement about the *plan*; stealing can still move the
+/// executed share of other chains either way.)
+#[test]
+fn residency_dispatch_widens_downstream_tpu_share() {
+    let mut rt = RuntimeConfig::new(Policy::Qaws {
+        assignment: shmt::QawsAssignment::TopK,
+        sampling: shmt::sampling::SamplingMethod::Striding,
+    });
+    rt.partitions = 32;
+    let off = DagConfig::new(rt);
+    assert!(!off.residency_dispatch, "off by default");
+    let mut on = off;
+    on.residency_dispatch = true;
+
+    let dag = VopDag::linear(&[
+        (Benchmark::Dct8x8, 1),
+        (Benchmark::Dct8x8, 2),
+        (Benchmark::Dct8x8, 3),
+    ])
+    .expect("valid chain");
+    let input = gen::image8(256, 256, 5);
+    let tpu_share = |r: &shmt::DagReport, stage: usize| r.stages[stage].report.tpu_fraction;
+
+    let base = dag.run(&input, &off).expect("hint-off run");
+    let hinted = dag.run(&input, &on).expect("hinted run");
+    let again = dag.run(&input, &on).expect("hinted rerun");
+    assert_eq!(hinted.output.as_slice(), again.output.as_slice());
+    assert_eq!(hinted.makespan_s, again.makespan_s);
+
+    // The root has no upstream, so its hint is the neutral 0.0 and its
+    // stage is the hint-off stage bit for bit.
+    assert!(tpu_share(&base, 0) > 0.0, "the chain must reach the TPU");
+    assert_eq!(tpu_share(&hinted, 0), tpu_share(&base, 0));
+    assert_eq!(
+        hinted.stages[0].report.makespan_s,
+        base.stages[0].report.makespan_s
+    );
+    for stage in 1..base.stages.len() {
+        assert!(
+            tpu_share(&hinted, stage) > tpu_share(&base, stage),
+            "stage {stage}: hinted {} vs hint-free {}",
+            tpu_share(&hinted, stage),
+            tpu_share(&base, stage)
+        );
+    }
+}

@@ -9,12 +9,12 @@
 //!    HLOPs round-robin, pushing QAWS-critical partitions onto the int8
 //!    TPU. Orphans now follow the same accuracy-class rule as dropout
 //!    re-dispatch.
-//! 3. **Pipeline clone** — `Program::run_shmt` cloned every stage's full
+//! 3. **Pipeline clone** — a multi-stage run cloned every stage's full
 //!    output tensor; the flowing tensor now moves between stages.
 
 use hetsim::FaultPlan;
 use shmt::calibration::{bench_profile, Calibration};
-use shmt::pipeline::{Program, Stage};
+use shmt::dag::{DagConfig, VopDag};
 use shmt::quality::mape;
 use shmt::sampling::SamplingMethod;
 use shmt::{Platform, Policy, QawsAssignment, RuntimeConfig, ShmtRuntime, Vop};
@@ -217,35 +217,26 @@ fn tpu_only_mask_still_runs_on_the_tpu() {
 }
 
 /// Stage outputs move through the pipeline instead of being cloned: the
-/// per-stage reports carry a 1x1 placeholder, and the program output is
+/// per-stage reports carry a 1x1 placeholder, and the DAG output is
 /// still the deterministic chained result.
 #[test]
 fn pipeline_moves_stage_outputs_without_cloning() {
-    let program = Program::new(vec![
-        Stage {
-            benchmark: Benchmark::MeanFilter,
-            aux_seed: 1,
-        },
-        Stage {
-            benchmark: Benchmark::Sobel,
-            aux_seed: 2,
-        },
-    ])
-    .unwrap();
+    let dag = VopDag::linear(&[(Benchmark::MeanFilter, 1), (Benchmark::Sobel, 2)]).unwrap();
     let n = 128;
     let input = Tensor::from_fn(n, n, |r, c| ((r * 31 + c * 17) % 251) as f32);
-    let mut cfg = RuntimeConfig::new(Policy::WorkStealing);
-    cfg.partitions = 8;
-    let report = program.run_shmt(input.clone(), cfg).unwrap();
+    let mut rt = RuntimeConfig::new(Policy::WorkStealing);
+    rt.partitions = 8;
+    let cfg = DagConfig::new(rt);
+    let report = dag.run(&input, &cfg).unwrap();
     assert_eq!(report.output.shape(), (n, n), "final output is full-sized");
     for stage in &report.stages {
         assert_eq!(
-            stage.output.shape(),
+            stage.report.output.shape(),
             (1, 1),
             "stage outputs are placeholders, not clones"
         );
     }
     // Moving instead of cloning must not change the result.
-    let again = program.run_shmt(input, cfg).unwrap();
+    let again = dag.run(&input, &cfg).unwrap();
     assert_eq!(report.output.as_slice(), again.output.as_slice());
 }

@@ -216,27 +216,18 @@ fn summary_renders_for_a_real_run() {
 }
 
 #[test]
-fn program_stages_each_carry_a_trace() {
-    use shmt::pipeline::{Program, Stage};
-    let program = Program::new(vec![
-        Stage {
-            benchmark: Benchmark::MeanFilter,
-            aux_seed: 1,
-        },
-        Stage {
-            benchmark: Benchmark::Sobel,
-            aux_seed: 2,
-        },
-    ])
-    .unwrap();
+fn dag_sink_sees_one_partition_start_per_stage() {
+    use shmt::dag::{DagConfig, VopDag};
+    let dag = VopDag::linear(&[(Benchmark::MeanFilter, 1), (Benchmark::Sobel, 2)]).unwrap();
     let input = shmt_tensor::gen::image8(128, 128, 3);
     let mut cfg = RuntimeConfig::new(Policy::WorkStealing);
     cfg.partitions = 8;
-    let report = program.run_shmt_traced(input, cfg).unwrap();
+    let mut recorder = TraceRecorder::new();
+    let report = dag
+        .run_with_sink(&input, &DagConfig::new(cfg), &mut recorder)
+        .unwrap();
     assert_eq!(report.stages.len(), 2);
-    for stage in &report.stages {
-        let trace = stage.trace.as_ref().expect("per-stage trace");
-        assert!(trace.count("ComputeStart") > 0);
-        assert!(trace.is_monotonic());
-    }
+    let trace = recorder.finish();
+    assert_eq!(trace.count("PartitionStart"), report.stages.len());
+    assert!(trace.count("ComputeStart") > 0);
 }
