@@ -8,24 +8,28 @@
 //! per-device monitor threads (§3.3.1) — while keeping results bit-exact
 //! and deterministic:
 //!
-//! * Tile-aggregated kernels write disjoint output tiles. Inline, each task
-//!   writes its tile straight into the output. On the pool, an exact task
-//!   runs on inputs localized to the tile's halo-extended footprint and an
-//!   NPU task casts that footprint itself (from the shared inputs, so the
-//!   quantization region is the one the inline path derives); either
-//!   deposits one tile-sized buffer that is stitched in one pass.
+//! * Tile-aggregated kernels write disjoint output tiles, checked in bounds
+//!   and pairwise disjoint before any task runs. Inline, each task writes
+//!   its tile straight into the output. On the pool, an exact task runs on
+//!   inputs localized to the tile's halo-extended footprint and an NPU task
+//!   casts that footprint itself (from the shared inputs, so the
+//!   quantization region is the one the inline path derives); either way
+//!   the claimant copies the finished tile from its own scratch into the
+//!   output, so aggregation is a gather done by the workers themselves
+//!   and the caller has nothing left to assemble after the barrier.
 //! * Reduction kernels (Histogram, reduce_*) produce one partial buffer per
 //!   HLOP, folded in task order at every thread count — inline included —
 //!   so float accumulation order never depends on how many workers ran or
 //!   which worker ran which task.
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use shmt_kernels::{Aggregation, Kernel};
 use shmt_tensor::arena::Stash;
 use shmt_tensor::tile::Tile;
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorView};
 
 use crate::pool::ComputePool;
 
@@ -34,8 +38,9 @@ use crate::pool::ComputePool;
 /// Every benchmark kernel takes 1 or 2 inputs; 4 leaves headroom.
 pub const MAX_KERNEL_ARITY: usize = 4;
 
-/// Pre-sized per-slot result collection: each claimed task index is
-/// written by exactly one worker, so the slots need no lock.
+/// Pre-sized per-slot collection of a reduction's per-task partials: each
+/// claimed task index is written by exactly one worker, so the slots need
+/// no lock.
 ///
 /// Safety contract: index `i` is written at most once (claimants obtain
 /// indices from a shared `fetch_add` cursor, so claims are unique), the
@@ -62,6 +67,87 @@ impl SlotWriter {
         // The pre-sized slot holds `None` (trivial drop), so a plain
         // store through the pointer is enough.
         unsafe { *self.ptr.add(i) = Some(value) };
+    }
+}
+
+/// Shared write access to the tiles of one output tensor: every claimant
+/// copies each tile it finishes straight into its place in the output.
+///
+/// Safety contract: the tiles written are in bounds of the output and
+/// pairwise disjoint ([`check_tiles`] asserts both before any claimant
+/// starts); each is written only by the claimant that claimed its task
+/// (claims come from a shared `fetch_add` cursor, so they are unique); the
+/// writer mutably borrows the output, so nothing else reads or writes it
+/// while workers hold the pointer; and the pool's batch barrier orders
+/// every write before the caller touches the output again.
+struct TileWriter<'a> {
+    ptr: *mut f32,
+    cols: usize,
+    _output: PhantomData<&'a mut Tensor>,
+}
+
+// SAFETY: concurrent `write` calls touch disjoint elements per the
+// contract above; the raw pointer itself is freely sendable.
+unsafe impl Sync for TileWriter<'_> {}
+
+impl<'a> TileWriter<'a> {
+    fn new(output: &'a mut Tensor) -> Self {
+        TileWriter {
+            ptr: output.as_mut_slice().as_mut_ptr(),
+            cols: output.cols(),
+            _output: PhantomData,
+        }
+    }
+
+    /// Copies `src` to `tile`'s position in the output.
+    ///
+    /// # Safety
+    ///
+    /// `tile` must be one of the checked tiles, claimed by the caller
+    /// alone (see the struct contract).
+    unsafe fn write(&self, tile: Tile, src: TensorView<'_>) {
+        assert_eq!(
+            (src.rows(), src.cols()),
+            (tile.rows, tile.cols),
+            "tile result shape"
+        );
+        for r in 0..tile.rows {
+            let row = src.row(r);
+            // SAFETY: the destination row segment lies inside `tile`, which
+            // is in bounds and nobody else's (the struct contract); `src`
+            // borrows a different buffer, so the ranges cannot overlap.
+            unsafe {
+                let dst = self.ptr.add((tile.row0 + r) * self.cols + tile.col0);
+                std::ptr::copy_nonoverlapping(row.as_ptr(), dst, row.len());
+            }
+        }
+    }
+}
+
+/// Asserts that the tasks' tiles lie inside a `rows x cols` output and that
+/// no two overlap — what lets a `Tile` aggregation write them in any order
+/// and from any thread.
+///
+/// # Panics
+///
+/// Panics naming the first tile out of bounds or the first overlapping
+/// pair.
+fn check_tiles(tasks: &[ComputeTask], rows: usize, cols: usize) {
+    // Half-open ranges `[a0, a0 + an)` and `[b0, b0 + bn)` share nothing.
+    let apart = |a0: usize, an: usize, b0: usize, bn: usize| a0.max(b0) >= (a0 + an).min(b0 + bn);
+    for (i, task) in tasks.iter().enumerate() {
+        let a = task.tile;
+        assert!(
+            a.row0.saturating_add(a.rows) <= rows && a.col0.saturating_add(a.cols) <= cols,
+            "task tile {a:?} lies outside the {rows}x{cols} output"
+        );
+        // Every earlier tile passed the bounds check, so no sum overflows.
+        for b in tasks[..i].iter().map(|t| t.tile) {
+            assert!(
+                apart(a.row0, a.rows, b.row0, b.rows) || apart(a.col0, a.cols, b.col0, b.cols),
+                "task tiles overlap: {b:?} and {a:?}"
+            );
+        }
     }
 }
 
@@ -100,7 +186,9 @@ pub fn default_threads() -> usize {
 ///
 /// # Panics
 ///
-/// Panics if a worker panics (kernel contract violations).
+/// Panics if the task tiles of a tile-aggregated kernel overlap or leave
+/// `output` (before any task runs, whatever the thread count), or if a
+/// worker panics (kernel contract violations).
 pub fn compute_tasks(
     kernel: &dyn Kernel,
     inputs: &[&Tensor],
@@ -134,6 +222,9 @@ pub fn compute_tasks_on(
     let shape = kernel.shape();
     let inline = threads <= 1 || tasks.len() == 1;
     let (out_rows, out_cols) = output.shape();
+    if shape.aggregation == Aggregation::Tile {
+        check_tiles(tasks, out_rows, out_cols);
+    }
     // One reduction partial per task, whoever computes it.
     let partial = |task: &ComputeTask| {
         let mut buf = shape.allocate_output(out_rows, out_cols);
@@ -163,37 +254,24 @@ pub fn compute_tasks_on(
     );
 
     // Claimant jobs pull task indices through a shared atomic cursor —
-    // the software analogue of pulling from a shared incoming queue — and
-    // deposit each result into its task's pre-sized slot, so assembly
-    // order is independent of which worker ran what and collection needs
-    // no lock (the seed's `Mutex<Vec<(usize, Tensor)>>` serialized every
-    // deposit). Slot spines and all scratch tensors come from the arena,
-    // so a warm call allocates nothing.
+    // the software analogue of pulling from a shared incoming queue — so
+    // each task is computed exactly once, by whichever worker claims it.
+    // All scratch comes from the arena, so a warm call allocates nothing.
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<Tensor>> = crate::arena::SLOTS.take();
-    slots.resize_with(tasks.len(), || None);
-    let writer = SlotWriter {
-        ptr: slots.as_mut_ptr(),
-        len: slots.len(),
-    };
-
     let n_claims = threads.min(tasks.len());
     match shape.aggregation {
         Aggregation::Tile => {
-            // Each task deposits a tile-sized buffer, and scratch memory
-            // scales with the tile (plus halo), not the dataset: an exact
-            // task localizes its inputs to the tile's halo-extended
-            // footprint and runs in local coordinates; an NPU task
-            // extracts and casts that footprint from the shared inputs
-            // itself and publishes straight into its buffer. (An exact
-            // task copies its halo-extended scratch down to the tile
-            // rather than deposit it: the halo pushes a power-of-two tile
-            // into the arena's next page class, and the slots of a run
-            // would hold twice the memory.) Exact tasks of kernels that
-            // read far outside the footprint (`global_inputs`, e.g. GEMM)
-            // keep the full inputs and a per-claimant full-shape buffer.
-            // Tiles are disjoint, so stitching is order-independent and
-            // exact.
+            // Scratch memory scales with the tile (plus halo), not the
+            // dataset: an exact task localizes its inputs to the tile's
+            // halo-extended footprint and runs in local coordinates; an
+            // NPU task extracts and casts that footprint from the shared
+            // inputs itself and publishes into a tile-sized page. Exact
+            // tasks of kernels that read far outside the footprint
+            // (`global_inputs`, e.g. GEMM) keep the full inputs and a
+            // per-claimant full-shape buffer. Wherever the tile was
+            // computed, its claimant copies it straight into the output:
+            // tiles are checked disjoint, so the writes commute and the
+            // result is exact at any thread count.
             let (in_rows, in_cols) = inputs[0].shape();
             let footprint = |tile: Tile| {
                 shmt_kernels::npu::extended_region(
@@ -205,26 +283,33 @@ pub fn compute_tasks_on(
                     in_cols,
                 )
             };
-            // A task's footprint buffers — one per input and one for its
-            // local output, exact and NPU alike — come from its claimant's
-            // stash. The stashes are taken here, before any claimant runs,
-            // sized for the largest footprint: what a run takes from the
-            // page arena is then the same whether its claimants overlap or
-            // take turns, which is what lets a warm run promise zero
-            // allocations rather than usually deliver them.
-            let (stash_pages, stash_len) = if shape.global_inputs {
-                (0, 0)
+            // A task's buffers — one per input and one for its local
+            // output, exact and NPU alike, plus an NPU task's tile page —
+            // come from its claimant's stash. The stashes are taken here,
+            // before any claimant runs, sized for the largest footprint:
+            // what a run takes from the page arena is then the same
+            // whether its claimants overlap or take turns, which is what
+            // lets a warm run promise zero allocations rather than usually
+            // deliver them.
+            let footprint_pages = if shape.global_inputs {
+                0
             } else {
-                let largest = tasks.iter().map(|task| {
+                inputs.len() + 1
+            };
+            let stash_pages = footprint_pages + usize::from(tasks.iter().any(|t| t.npu));
+            let stash_len = tasks
+                .iter()
+                .map(|task| {
                     let ext = footprint(task.tile);
                     ext.rows * ext.cols
-                });
-                (inputs.len() + 1, largest.max().unwrap_or(0))
-            };
+                })
+                .max()
+                .unwrap_or(0);
             let mut stashes: Vec<Stash> = crate::arena::STASHES.take();
             stashes.resize_with(n_claims, || Stash::with_pages(stash_pages, stash_len));
             let stashes = Mutex::new(stashes);
             let lock_stashes = || stashes.lock().unwrap_or_else(PoisonError::into_inner);
+            let writer = TileWriter::new(output);
             pool.scope_fn(n_claims, &|| {
                 let mut stash = lock_stashes().pop().expect("one stash per claimant");
                 let mut full_scratch: Option<Tensor> = None;
@@ -232,17 +317,20 @@ pub fn compute_tasks_on(
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(task) = tasks.get(i) else { break };
                     let tile = task.tile;
-                    let result = if task.npu {
-                        let mut buf = Tensor::zeros(tile.rows, tile.cols);
+                    // SAFETY: `tile` passed `check_tiles`, and `i` came from
+                    // the shared cursor, so this claim is ours alone.
+                    let publish = |src: TensorView<'_>| unsafe { writer.write(tile, src) };
+                    if task.npu {
+                        let page = stash.take(tile.len());
+                        let mut buf = Tensor::zeros_in(tile.rows, tile.cols, page);
                         kernel.run_npu_at(inputs, tile, &mut buf, (0, 0), &mut stash);
-                        buf
+                        publish(buf.view(0, 0, tile.rows, tile.cols));
+                        stash.put(buf.into_vec());
                     } else if shape.global_inputs {
                         let scratch =
                             full_scratch.get_or_insert_with(|| Tensor::zeros(out_rows, out_cols));
                         kernel.run_exact(inputs, tile, scratch);
-                        scratch
-                            .view(tile.row0, tile.col0, tile.rows, tile.cols)
-                            .to_tensor()
+                        publish(scratch.view(tile.row0, tile.col0, tile.rows, tile.cols));
                     } else {
                         let ext = footprint(tile);
                         let len = ext.rows * ext.cols;
@@ -264,47 +352,46 @@ pub fn compute_tasks_on(
                         };
                         let mut scratch = Tensor::zeros_in(ext.rows, ext.cols, stash.take(len));
                         kernel.run_exact(&local_refs[..inputs.len()], local_tile, &mut scratch);
-                        let result = scratch
-                            .view(local_tile.row0, local_tile.col0, tile.rows, tile.cols)
-                            .to_tensor();
+                        publish(scratch.view(
+                            local_tile.row0,
+                            local_tile.col0,
+                            tile.rows,
+                            tile.cols,
+                        ));
                         stash.put(scratch.into_vec());
                         for local in locals.into_iter().flatten() {
                             stash.put(local.into_vec());
                         }
-                        result
-                    };
-                    // SAFETY: `i` came from the shared cursor, so this
-                    // claim is unique and in bounds (`tasks.get` checked).
-                    unsafe { writer.write(i, result) };
+                    }
                 }
                 lock_stashes().push(stash);
             });
             crate::arena::STASHES.put(stashes.into_inner().unwrap_or_else(PoisonError::into_inner));
-            for (slot, task) in slots.iter_mut().zip(tasks) {
-                let result = slot.take().expect("claimed task deposited no result");
-                let tile = task.tile;
-                for r in 0..tile.rows {
-                    output.row_mut(tile.row0 + r)[tile.col0..tile.col0 + tile.cols]
-                        .copy_from_slice(result.row(r));
-                }
-            }
         }
         Aggregation::Reduce { op, .. } => {
             // Reduction buffers are tiny: claimants deposit one buffer per
-            // *task*, and the fold walks the slots in ascending task order.
+            // *task* into its pre-sized slot, and the fold walks the slots
+            // in ascending task order, whoever computed what.
+            let mut slots: Vec<Option<Tensor>> = crate::arena::SLOTS.take();
+            slots.resize_with(tasks.len(), || None);
+            let writer = SlotWriter {
+                ptr: slots.as_mut_ptr(),
+                len: slots.len(),
+            };
             pool.scope_fn(n_claims, &|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(task) = tasks.get(i) else { break };
-                // SAFETY: unique in-bounds claim, as above.
+                // SAFETY: `i` came from the shared cursor, so this claim
+                // is unique and in bounds (`tasks.get` checked).
                 unsafe { writer.write(i, partial(task)) };
             });
             for slot in slots.iter_mut() {
                 let buf = slot.take().expect("claimed task deposited no result");
                 fold_partial(op, output, &buf);
             }
+            crate::arena::SLOTS.put(slots);
         }
     }
-    crate::arena::SLOTS.put(slots);
 }
 
 /// Folds one task's reduction partial into the output.
@@ -399,6 +486,10 @@ mod tests {
         // Histogram input whose TPU partials are fractional, where
         // accumulating exact tiles in place (one rounding per count) and
         // folding per-task partials (one rounding per tile) part ways.
+        // A second input lists only every other tile over an output
+        // pre-filled with a sentinel: workers write their own tiles and
+        // nothing else.
+        const SENTINEL: f32 = -12345.5;
         let n = 96;
         for b in shmt_kernels::ALL_BENCHMARKS {
             let kernel = b.kernel();
@@ -411,21 +502,49 @@ mod tests {
                     npu: t.index % 3 == 0,
                 })
                 .collect();
+            let every_other: Vec<ComputeTask> = tasks.iter().copied().step_by(2).collect();
+            let listed = |r: usize, c: usize| {
+                every_other.iter().any(|t| {
+                    let t = t.tile;
+                    (t.row0..t.row0 + t.rows).contains(&r) && (t.col0..t.col0 + t.cols).contains(&c)
+                })
+            };
             for seed in [3, 13] {
                 let inputs = b.generate_inputs(n, n, seed);
                 let refs: Vec<&Tensor> = inputs.iter().collect();
-                let run = |threads: usize| {
+                let run = |tasks: &[ComputeTask], prefill: Option<f32>, threads: usize| {
                     let mut out = shape.allocate_output(n, n);
-                    compute_tasks(kernel.as_ref(), &refs, &tasks, &mut out, threads);
+                    if let Some(v) = prefill {
+                        out.as_mut_slice().fill(v);
+                    }
+                    compute_tasks(kernel.as_ref(), &refs, tasks, &mut out, threads);
                     out
                 };
-                let one = run(1);
-                for threads in [2, 4] {
+                let one = run(&tasks, None, 1);
+                let sparse_one = run(&every_other, Some(SENTINEL), 1);
+                for threads in [1, 2, 4] {
                     assert_eq!(
                         one.as_slice(),
-                        run(threads).as_slice(),
+                        run(&tasks, None, threads).as_slice(),
                         "{b} seed {seed}: 1 vs {threads} threads"
                     );
+                    let sparse = run(&every_other, Some(SENTINEL), threads);
+                    assert_eq!(
+                        sparse_one.as_slice(),
+                        sparse.as_slice(),
+                        "{b} seed {seed}, every other tile: 1 vs {threads} threads"
+                    );
+                    if shape.aggregation == Aggregation::Tile {
+                        for r in 0..n {
+                            for (c, &v) in sparse.row(r).iter().enumerate() {
+                                assert_eq!(
+                                    v == SENTINEL,
+                                    !listed(r, c),
+                                    "{b} seed {seed}, {threads} threads: ({r}, {c}) = {v}"
+                                );
+                            }
+                        }
+                    }
                 }
                 if b == Benchmark::Histogram && seed == 13 {
                     let mut partial = shape.allocate_output(n, n);
@@ -523,5 +642,51 @@ mod tests {
         let mut out = Tensor::filled(32, 32, 7.0);
         compute_tasks(kernel.as_ref(), &refs, &[], &mut out, 4);
         assert!(out.as_slice().iter().all(|&v| v == 7.0));
+    }
+
+    #[test]
+    fn overlapping_or_out_of_range_tiles_panic_inline_and_pooled() {
+        // Workers write tiles straight into the shared output, so a task
+        // list whose tiles overlap or leave the output is rejected before
+        // anything runs — on the inline path too, so both reject alike.
+        let b = Benchmark::Sobel;
+        let kernel = b.kernel();
+        let inputs = b.generate_inputs(32, 32, 1);
+        let refs: Vec<&Tensor> = inputs.iter().collect();
+        let task = |index, row0, rows, npu| ComputeTask {
+            tile: Tile {
+                index,
+                row0,
+                col0: 0,
+                rows,
+                cols: 32,
+            },
+            npu,
+        };
+        let cases = [
+            (
+                [task(0, 0, 16, false), task(1, 8, 16, true)],
+                ["overlap", "index: 0", "index: 1"],
+            ),
+            (
+                [task(0, 0, 16, false), task(1, 16, 24, true)],
+                ["outside", "index: 1", "32x32"],
+            ),
+        ];
+        for (tasks, needles) in &cases {
+            for threads in [1, 2, 4] {
+                let mut out = Tensor::zeros(32, 32);
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    compute_tasks(kernel.as_ref(), &refs, tasks, &mut out, threads)
+                }));
+                let payload = caught.expect_err("bad tiles must panic");
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .expect("formatted panic message");
+                for needle in needles {
+                    assert!(msg.contains(needle), "{threads} threads: {msg}");
+                }
+            }
+        }
     }
 }

@@ -11,6 +11,13 @@ cargo build --release --workspace --all-targets
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== executor tests with 8 pool workers =="
+# Pool workers write finished tiles straight into the shared output; the
+# writer's disjoint-tiles contract and the per-claimant stashes matter most
+# with more concurrent claimants than a small host's default pool has.
+SHMT_THREADS=8 cargo test --release -q -p shmt --lib exec
+SHMT_THREADS=8 cargo test --release -q -p shmt-serve --test alloc_free
+
 echo "== exhaustive rounding sweep (release, ~30 s) =="
 # The int8 path's libcall-free round-and-clamp against f32::round and the
 # trip through i8, for all 2^32 bit patterns.
