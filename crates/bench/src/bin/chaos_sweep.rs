@@ -215,7 +215,6 @@ fn run_policy(
     let mut off_cfg = config(policy, cfg.partitions);
     off_cfg.guard = GuardConfig {
         enabled: false,
-        repair: false,
         budget: QualityBudget { max_mape: 0.0 },
         page_rows: 3,
         pages_per_hlop: 7,

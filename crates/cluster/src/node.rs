@@ -119,7 +119,7 @@ impl NodeFaultPlan {
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
     /// The node's serving layer (executors, queue bound, health breaker,
-    /// telemetry, adaptation).
+    /// telemetry).
     pub server: shmt_serve::ServerConfig,
     /// The node's chaos schedule.
     pub faults: NodeFaultPlan,

@@ -13,17 +13,14 @@
 //! magnitudes consistent with the paper's measured work-stealing speedups
 //! exceeding `1 + tpu_ratio` for the stencil benchmarks.
 
-//! The static tables above seed the model; [`AdaptiveConfig`] closes the
-//! loop at run time, overriding the static ratios with *observed* EWMA
-//! throughput from a [`shmt_trace::Observatory`] once a device has
-//! enough spans, and scaling the planner's TPU admission from the
-//! quality guard's measured MAPE EWMA.
+//! [`AdaptiveCalibration`] is the one planner input kept beside the
+//! tables: a static TPU admission multiplier that `sched::plan` applies.
+//! It is set per configuration, never learnt from earlier requests, so a
+//! plan depends only on its own request.
 
 use shmt_kernels::Benchmark;
-use shmt_trace::DeviceProfile;
 
 use crate::error::{Result, ShmtError};
-use crate::sched::TPU;
 
 /// Global platform calibration constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,133 +159,9 @@ pub fn generic_profile() -> BenchProfile {
     }
 }
 
-/// Gates and clamps for the online recalibration loop.
-///
-/// `calibrate` turns an observation stream ([`shmt_trace::Observatory`]
-/// device profiles) into an [`AdaptiveCalibration`]: per-device
-/// observed-over-modeled speed factors, plus a TPU admission multiplier
-/// derived from the guard's measured MAPE EWMA. Every output is a pure
-/// function of the observations and this config — no clocks, no
-/// randomness — so the same stream always yields the same calibration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Master switch. Disabled, `calibrate` always returns the neutral
-    /// calibration and downstream behavior is bit-identical to the
-    /// static planner.
-    pub enabled: bool,
-    /// Spans of the planned HLOP kind a device's EWMA must cover before
-    /// its observed throughput overrides the static model.
-    pub min_kind_spans: u64,
-    /// MAPE observations the TPU profile must hold before quality
-    /// feedback adjusts its admission.
-    pub min_mape_observations: u64,
-    /// Deadband around 1.0: observed/modeled ratios within
-    /// `[1/deadband, deadband]` are healthy noise and stay at exactly
-    /// 1.0 rather than perturbing plans.
-    pub speed_deadband: f64,
-    /// Symmetric clamp on speed factors (`[1/max, max]`).
-    pub max_speed_factor: f64,
-    /// Quality target used when the request carries no SLO of its own.
-    /// `None` disables admission adaptation for SLO-less requests.
-    pub target_mape: Option<f64>,
-    /// Upper clamp on the admission multiplier when loosening.
-    pub max_admission: f64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            enabled: false,
-            min_kind_spans: 3,
-            min_mape_observations: 3,
-            speed_deadband: 1.5,
-            max_speed_factor: 16.0,
-            target_mape: None,
-            max_admission: 2.0,
-        }
-    }
-}
-
-impl AdaptiveConfig {
-    /// An enabled config with default gates.
-    pub fn enabled() -> Self {
-        AdaptiveConfig {
-            enabled: true,
-            ..AdaptiveConfig::default()
-        }
-    }
-
-    /// Resolves observed device profiles into a calibration.
-    ///
-    /// `modeled_elems_per_s[d]` is what the static platform model says
-    /// device `d` sustains on this kernel (device throughput in work
-    /// units/s divided by the kernel's work per element) — the
-    /// denominator the observed EWMA is compared against. `kind` is the
-    /// opcode being planned; only that kind's EWMA is trusted.
-    /// `target_mape` is the request's quality SLO, falling back to
-    /// [`AdaptiveConfig::target_mape`].
-    pub fn calibrate(
-        &self,
-        profiles: &[DeviceProfile],
-        modeled_elems_per_s: [f64; 3],
-        kind: &str,
-        target_mape: Option<f64>,
-    ) -> AdaptiveCalibration {
-        let mut cal = AdaptiveCalibration::neutral();
-        if !self.enabled {
-            return cal;
-        }
-        for (d, &modeled) in modeled_elems_per_s.iter().enumerate() {
-            let Some(p) = profiles.get(d) else { continue };
-            if p.kind_span_count(kind) < self.min_kind_spans || modeled <= 0.0 {
-                continue;
-            }
-            let Some(&observed) = p.ewma_throughput.get(kind) else {
-                continue;
-            };
-            if observed <= 0.0 {
-                continue;
-            }
-            let factor = observed / modeled;
-            if factor >= 1.0 / self.speed_deadband && factor <= self.speed_deadband {
-                continue; // healthy: exactly neutral, not approximately
-            }
-            cal.speed_factors[d] = factor.clamp(1.0 / self.max_speed_factor, self.max_speed_factor);
-        }
-        if let Some(target) = target_mape.or(self.target_mape) {
-            if target > 0.0 {
-                if let Some(p) = profiles.get(TPU) {
-                    if p.mape_observations >= self.min_mape_observations {
-                        if let Some(m) = p.ewma_mape {
-                            if m > target {
-                                // Observed error above target: tighten
-                                // superlinearly so a badly miscalibrated
-                                // TPU is squeezed out fast.
-                                cal.tpu_admission = (target / m).powi(2);
-                            } else if m < target && m >= 0.0 {
-                                // Headroom: admit more approximate work,
-                                // up to the clamp.
-                                cal.tpu_admission = (target / m).min(self.max_admission);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        cal
-    }
-}
-
-/// A resolved adaptation decision: what the planner and scheduler apply
-/// to one run. The neutral calibration is the exact identity — factors
-/// of 1.0 multiply and divide bitwise-exactly — so carrying it through
-/// every code path keeps adaptation-off runs bit-identical.
+/// Static planner input carried on [`crate::RuntimeConfig::adapt`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveCalibration {
-    /// Observed-over-modeled speed per device (GPU, CPU, TPU). The
-    /// scheduler divides its *decision-side* cost estimates by these;
-    /// virtual-time charging never sees them.
-    pub speed_factors: [f64; 3],
     /// Multiplier on the planner's TPU admission aperture: scales the
     /// QAWS window share left to the TPU and its device limit. 1.0 is
     /// the static planner; 0.0 evicts the TPU from planning.
@@ -296,41 +169,20 @@ pub struct AdaptiveCalibration {
 }
 
 impl AdaptiveCalibration {
-    /// The identity calibration (no observed overrides).
+    /// The identity (admission 1.0).
     pub fn neutral() -> Self {
-        AdaptiveCalibration {
-            speed_factors: [1.0; 3],
-            tpu_admission: 1.0,
-        }
+        AdaptiveCalibration { tpu_admission: 1.0 }
     }
 
-    /// Whether this calibration is the exact identity.
-    pub fn is_neutral(&self) -> bool {
-        *self == Self::neutral()
-    }
-
-    /// Rejects non-finite or non-positive factors before a run.
+    /// Rejects a non-finite or negative admission before a run.
     pub fn validate(&self) -> Result<()> {
-        for (d, &f) in self.speed_factors.iter().enumerate() {
-            if !f.is_finite() || f <= 0.0 {
-                return Err(ShmtError::InvalidConfig(format!(
-                    "adaptive speed factor for device {d} must be positive and finite, got {f}"
-                )));
-            }
-        }
         if !self.tpu_admission.is_finite() || self.tpu_admission < 0.0 {
             return Err(ShmtError::InvalidConfig(format!(
-                "adaptive TPU admission must be finite and >= 0, got {}",
+                "TPU admission must be finite and >= 0, got {}",
                 self.tpu_admission
             )));
         }
         Ok(())
-    }
-}
-
-impl Default for AdaptiveCalibration {
-    fn default() -> Self {
-        Self::neutral()
     }
 }
 
@@ -370,98 +222,11 @@ mod tests {
         assert!(c.gpu_throughput > 0.0 && c.cast_s_per_elem > 0.0);
     }
 
-    use shmt_trace::Observatory;
-
-    const MODELED: [f64; 3] = [1.0e6, 5.0e5, 7.1e5];
-
-    #[test]
-    fn disabled_config_is_always_neutral() {
-        let mut obs = Observatory::new();
-        for _ in 0..32 {
-            obs.observe_span(0, "Sobel", 1000, 0.064); // far off model
-            obs.observe_mape(2, 0.9);
-        }
-        let cal = AdaptiveConfig::default().calibrate(obs.profiles(), MODELED, "Sobel", Some(0.05));
-        assert!(cal.is_neutral());
-    }
-
-    #[test]
-    fn speed_factors_are_confidence_gated_and_deadbanded() {
-        let cfg = AdaptiveConfig::enabled();
-        let mut obs = Observatory::new();
-        // Two spans of a 4x GPU slowdown: below the min_kind_spans gate.
-        obs.observe_span(0, "Sobel", 1000, 0.004);
-        obs.observe_span(0, "Sobel", 1000, 0.004);
-        let cal = cfg.calibrate(obs.profiles(), MODELED, "Sobel", None);
-        assert!(cal.is_neutral(), "insufficient evidence stays neutral");
-        // Third span clears the gate; the 4x slowdown is outside the
-        // deadband, so the GPU factor converges toward 0.25.
-        obs.observe_span(0, "Sobel", 1000, 0.004);
-        let cal = cfg.calibrate(obs.profiles(), MODELED, "Sobel", None);
-        assert!(cal.speed_factors[0] < 0.5, "got {:?}", cal.speed_factors);
-        assert_eq!(cal.speed_factors[1], 1.0, "unobserved device untouched");
-        assert!(cal.validate().is_ok());
-        // A device running within the deadband stays at exactly 1.0.
-        for _ in 0..8 {
-            obs.observe_span(1, "Sobel", 1000, 0.0021); // ~0.95x of model
-        }
-        let cal = cfg.calibrate(obs.profiles(), MODELED, "Sobel", None);
-        assert_eq!(cal.speed_factors[1], 1.0, "deadband means exactly 1.0");
-        // The wrong kind's evidence never leaks into another plan.
-        let cal = cfg.calibrate(obs.profiles(), MODELED, "Fft", None);
-        assert!(cal.is_neutral(), "Fft has no spans");
-    }
-
-    #[test]
-    fn calibrate_is_deterministic_for_the_same_stream() {
-        let feed = |obs: &mut Observatory| {
-            for i in 0..16 {
-                obs.observe_span(0, "Sobel", 1000 + i, 0.004);
-                obs.observe_mape(2, 0.2 + (i as f64) * 0.01);
-            }
-        };
-        let (mut a, mut b) = (Observatory::new(), Observatory::new());
-        feed(&mut a);
-        feed(&mut b);
-        let cfg = AdaptiveConfig::enabled();
-        let ca = cfg.calibrate(a.profiles(), MODELED, "Sobel", Some(0.05));
-        let cb = cfg.calibrate(b.profiles(), MODELED, "Sobel", Some(0.05));
-        assert_eq!(ca, cb, "same stream, same calibration, bit for bit");
-        assert!(!ca.is_neutral());
-    }
-
-    #[test]
-    fn admission_tightens_on_breach_and_loosens_on_headroom() {
-        let cfg = AdaptiveConfig::enabled();
-        let mut obs = Observatory::new();
-        for _ in 0..8 {
-            obs.observe_mape(2, 0.50);
-        }
-        let cal = cfg.calibrate(obs.profiles(), MODELED, "Sobel", Some(0.05));
-        assert!(
-            cal.tpu_admission < 0.05,
-            "10x over target must squeeze hard, got {}",
-            cal.tpu_admission
-        );
-        let mut obs = Observatory::new();
-        for _ in 0..8 {
-            obs.observe_mape(2, 0.001);
-        }
-        let cal = cfg.calibrate(obs.profiles(), MODELED, "Sobel", Some(0.05));
-        assert_eq!(cal.tpu_admission, cfg.max_admission, "headroom clamps");
-        // No SLO anywhere: admission stays neutral no matter the EWMA.
-        let cal = cfg.calibrate(obs.profiles(), MODELED, "Sobel", None);
-        assert_eq!(cal.tpu_admission, 1.0);
-    }
-
     #[test]
     fn validate_rejects_degenerate_calibrations() {
-        let mut cal = AdaptiveCalibration::neutral();
-        cal.speed_factors[1] = 0.0;
-        assert!(cal.validate().is_err());
-        let mut cal = AdaptiveCalibration::neutral();
-        cal.tpu_admission = f64::NAN;
-        assert!(cal.validate().is_err());
+        for tpu_admission in [f64::NAN, f64::INFINITY, -0.5] {
+            assert!(AdaptiveCalibration { tpu_admission }.validate().is_err());
+        }
         assert!(AdaptiveCalibration::neutral().validate().is_ok());
     }
 }

@@ -62,13 +62,6 @@ pub struct GuardConfig {
     /// Whether the guard runs at all. Disabled (the default) is inert:
     /// reports are bit-identical to an unguarded run.
     pub enabled: bool,
-    /// Whether over-budget partitions are re-executed exactly (the
-    /// default). With `repair == false` the guard runs in *monitor*
-    /// mode: it verifies and charges virtual time identically, but
-    /// over-budget partitions keep their approximate output and their
-    /// measured error flows into `true_mape` — the feedback signal the
-    /// adaptive scheduler consumes.
-    pub repair: bool,
     /// The error budget enforced on every approximate partition.
     pub budget: QualityBudget,
     /// Rows per sampled page.
@@ -82,7 +75,6 @@ impl Default for GuardConfig {
     fn default() -> Self {
         GuardConfig {
             enabled: false,
-            repair: true,
             budget: QualityBudget::default(),
             page_rows: 8,
             pages_per_hlop: 2,
@@ -97,16 +89,6 @@ impl GuardConfig {
             enabled: true,
             budget: QualityBudget { max_mape },
             ..GuardConfig::default()
-        }
-    }
-
-    /// An enabled guard that *measures* quality against `max_mape` but
-    /// never repairs: over-budget partitions are reported through
-    /// [`QualityReport::true_mape`], not re-executed.
-    pub fn monitor(max_mape: f64) -> Self {
-        GuardConfig {
-            repair: false,
-            ..GuardConfig::enforcing(max_mape)
         }
     }
 
@@ -174,9 +156,7 @@ pub struct QualityReport {
     pub estimated_mape: f64,
     /// Element-weighted post-repair MAPE over all sampled pages —
     /// repaired partitions contribute zero, so this is ≤ the budget
-    /// whenever a repairing guard returned `Ok`. In monitor mode
-    /// ([`GuardConfig::monitor`]) nothing is repaired and this is the
-    /// measured shipped error, which may exceed the budget.
+    /// whenever the guard returned `Ok`.
     pub true_mape: f64,
     /// Exact re-executions performed, in HLOP order.
     pub repairs: Vec<RepairRecord>,
@@ -343,7 +323,7 @@ pub(crate) fn run_guard(
         est_weighted += page_weighted;
         elems_weighed += page_elems;
 
-        if estimate > budget && config.repair {
+        if estimate > budget {
             // Repair: re-execute the whole partition exactly and splice
             // the result in. The true pre-repair error over the full tile
             // is a free by-product of the recomputation.
@@ -392,8 +372,7 @@ pub(crate) fn run_guard(
             // The repaired partition is now exact: its verified pages
             // contribute zero post-repair error.
         } else {
-            // Under budget — or monitor mode, where the measured error
-            // ships as-is and is reported instead of fixed.
+            // Under budget: the measured error ships as-is.
             true_weighted += page_weighted;
         }
     }

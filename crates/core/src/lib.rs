@@ -93,7 +93,7 @@ pub mod sampling;
 pub mod sched;
 pub mod vop;
 
-pub use calibration::{AdaptiveCalibration, AdaptiveConfig};
+pub use calibration::AdaptiveCalibration;
 pub use dag::{DagConfig, DagNode, DagReport, DagStageReport, NodeId, NodeOp, VopDag};
 pub use error::{Result, ShmtError};
 pub use guard::{GuardConfig, QualityBudget, QualityReport, RepairRecord};

@@ -52,13 +52,9 @@ pub struct RuntimeConfig {
     /// Output-verification quality guard (disabled by default; a
     /// disabled guard leaves reports bit-identical).
     pub guard: GuardConfig,
-    /// Adaptive calibration resolved from observed device behavior
-    /// ([`crate::calibration::AdaptiveConfig::calibrate`]). The neutral
-    /// default is the exact identity: it scales decision-side cost
-    /// estimates by 1.0 and leaves the planner's TPU admission at 1.0,
-    /// so runs stay bit-identical to the static scheduler. Speed
-    /// factors steer *decisions* (steal-profit, endgame withdrawal);
-    /// virtual-time charging never sees them.
+    /// Static planner input: the TPU admission multiplier `sched::plan`
+    /// applies to the QAWS window share and device limit. The neutral
+    /// default of 1.0 is the plain planner; 0.0 evicts the TPU.
     pub adapt: AdaptiveCalibration,
     /// Ablation knob: force synchronous (non-double-buffered) casts and
     /// transfers regardless of policy.
@@ -395,14 +391,9 @@ impl ShmtRuntime {
         // owner finishes its own remainder and the run cannot re-strand.
         let mut draining = false;
 
-        // Adaptive speed factors scale the *decision-side* cost
-        // estimates only: which queue looks worth stealing from, which
-        // device wins the endgame. Virtual-time charging below stays on
-        // the static model, so adaptation can never flatter the
-        // makespan — and the neutral 1.0 divides bitwise-exactly,
-        // keeping adaptation-off runs bit-identical.
-        let speed = self.config.adapt.speed_factors;
-        let est = |dev: usize, work: f64| profiles[dev].exec_time(work) / speed[dev];
+        // Decision-side cost estimate: which queue looks worth stealing
+        // from, which device wins the endgame.
+        let est = |dev: usize, work: f64| profiles[dev].exec_time(work);
 
         // The next device to act is always the earliest-free one with work
         // available (its own queue, or a queue it may steal from).

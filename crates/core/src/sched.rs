@@ -269,12 +269,12 @@ fn steal_accuracy_ordered() -> [[bool; 3]; 3] {
 }
 
 /// Device throughputs the planner needs to price scheduling overheads,
-/// plus the adaptive layer's knobs on planning policy.
+/// plus the static inputs that widen or narrow the TPU's share.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanContext {
     /// GPU sustained throughput (work units/s).
     pub gpu_throughput: f64,
-    /// Adaptive multiplier on the Edge TPU's admission aperture
+    /// Static multiplier on the Edge TPU's admission aperture
     /// ([`crate::calibration::AdaptiveCalibration::tpu_admission`]):
     /// scales the QAWS window share left to the TPU under Top-K and the
     /// TPU's criticality limit under DeviceLimits. `1.0` reproduces the

@@ -33,9 +33,6 @@ pub enum Anomaly {
     Redispatch,
     /// The request failed outright.
     Failure,
-    /// The adaptive calibration applied to this request changed from the
-    /// previous calibration for the same opcode.
-    Adaptation,
 }
 
 impl Anomaly {
@@ -48,7 +45,6 @@ impl Anomaly {
             Anomaly::DeviceQuarantine => "device_quarantine",
             Anomaly::Redispatch => "redispatch",
             Anomaly::Failure => "failure",
-            Anomaly::Adaptation => "adaptation",
         }
     }
 }

@@ -54,16 +54,8 @@
 //!   so foreground traffic is dequeued ahead of scavenger traffic
 //!   without starving it. Per-class queue-wait summaries via
 //!   [`Server::class_summaries`].
-//! * **Adaptive scheduling** — with [`ServerConfig::adapt`] enabled,
-//!   executors close the loop from the observatory back to the planner:
-//!   each request is recalibrated from the live per-device EWMA
-//!   throughput and measured-MAPE profiles
-//!   ([`shmt::AdaptiveConfig::calibrate`]) before it runs, so a slowed
-//!   device sheds work and a miscalibrated TPU loses eligibility.
-//!   Calibration changes are counted (`serve.adapted`) and flight-
-//!   recorded ([`Anomaly::Adaptation`]).
 //! * **Determinism** — serving changes *when* a VOP runs, never *what* it
-//!   computes: with adaptation off (the default), outputs are
+//!   computes: a plan depends only on its own request, so outputs are
 //!   bit-identical to a sequential `ShmtRuntime::execute` of the same
 //!   request.
 //!

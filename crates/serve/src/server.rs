@@ -1,6 +1,6 @@
 //! The serving core: bounded admission queue, executor team, tickets.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -8,8 +8,8 @@ use std::time::{Duration, Instant};
 
 use shmt::sched::TPU;
 use shmt::{
-    AdaptiveCalibration, AdaptiveConfig, DagConfig, FaultPlan, GuardConfig, NullSink, Platform,
-    RunReport, RuntimeConfig, ShmtError, ShmtRuntime, Tensor, Vop, VopDag,
+    DagConfig, FaultPlan, GuardConfig, NullSink, Platform, RunReport, RuntimeConfig, ShmtError,
+    ShmtRuntime, Tensor, Vop, VopDag,
 };
 use shmt_trace::{MetricsRegistry, Observatory};
 
@@ -85,9 +85,9 @@ pub enum Payload {
     /// `max_mape`, when set, additionally guards every stage. The
     /// request deadline applies to the whole pipeline: it is polled
     /// between stages, so a mid-flight DAG stops at the next stage
-    /// boundary once the deadline lapses. Fault plans and adaptive
-    /// per-opcode recalibration apply to single-VOP requests only —
-    /// a DAG submission with a non-empty fault plan fails typed.
+    /// boundary once the deadline lapses. Fault plans apply to
+    /// single-VOP requests only — a DAG submission with a non-empty
+    /// fault plan fails typed.
     Program {
         /// The validated DAG.
         dag: VopDag,
@@ -308,13 +308,6 @@ pub struct ServerConfig {
     /// Continuous-telemetry switches (observatory, flight recorder,
     /// gauge cap).
     pub telemetry: TelemetryConfig,
-    /// Adaptive scheduling: when enabled (and the observatory is on),
-    /// each executor recalibrates the request's planner from the live
-    /// observatory profiles before running it
-    /// ([`shmt::AdaptiveConfig::calibrate`]). Disabled by default —
-    /// served outputs then stay bit-identical to a sequential
-    /// [`shmt::ShmtRuntime::execute`] of the same request.
-    pub adapt: AdaptiveConfig,
 }
 
 impl Default for ServerConfig {
@@ -324,7 +317,6 @@ impl Default for ServerConfig {
             queue_capacity: 8,
             health: HealthConfig::default(),
             telemetry: TelemetryConfig::default(),
-            adapt: AdaptiveConfig::default(),
         }
     }
 }
@@ -502,13 +494,6 @@ struct Shared {
     observatory_enabled: bool,
     /// Per-request flight recorder. Only ever acquired alone.
     flight: Mutex<FlightRecorder>,
-    /// Adaptive-scheduling gates; executors recalibrate per request
-    /// when enabled.
-    adapt: AdaptiveConfig,
-    /// Last calibration applied per opcode, so adaptation *events*
-    /// (the calibration actually changing) can be counted and flight-
-    /// recorded. Only ever acquired alone.
-    calibrations: Mutex<BTreeMap<String, AdaptiveCalibration>>,
     started_at: Instant,
 }
 
@@ -568,8 +553,6 @@ impl Server {
             observatory: Mutex::new(Observatory::new()),
             observatory_enabled: config.telemetry.observatory,
             flight: Mutex::new(FlightRecorder::new(config.telemetry.flight)),
-            adapt: config.adapt,
-            calibrations: Mutex::new(BTreeMap::new()),
             started_at: Instant::now(),
         });
         let executors: Vec<JoinHandle<()>> = (0..config.executors.max(1))
@@ -948,47 +931,6 @@ fn executor_loop(shared: &Shared) {
             config.guard = GuardConfig::enforcing(max_mape);
         }
 
-        // Adaptive scheduling: resolve the live observatory profiles
-        // into a per-request calibration (observed speed factors + TPU
-        // admission). Pure function of the observation stream; the
-        // neutral calibration is the exact identity, so a cold or
-        // healthy observatory changes nothing. `observatory` and
-        // `calibrations` locks are each taken alone, per the lock notes
-        // on `Shared`.
-        // DAG programs skip adaptive recalibration: the per-opcode
-        // calibration cache keys single-VOP kernels, and each DAG stage
-        // already runs under the request's explicit configuration.
-        let mut adapted = false;
-        if shared.adapt.enabled && shared.observatory_enabled && queued.request.vop().is_some() {
-            let profiles = shared
-                .observatory
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .profiles()
-                .to_vec();
-            let work = queued
-                .request
-                .vop()
-                .map_or(1.0, |v| v.kernel().work_per_element());
-            let devices = queued.request.platform.device_profiles();
-            let modeled = [
-                devices[0].throughput / work,
-                devices[1].throughput / work,
-                devices[2].throughput / work,
-            ];
-            let cal = shared
-                .adapt
-                .calibrate(&profiles, modeled, &opcode, queued.request.max_mape);
-            config.adapt = cal;
-            let prev = shared
-                .calibrations
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(opcode.clone(), cal)
-                .unwrap_or_default();
-            adapted = prev != cal;
-        }
-
         let service_start = Instant::now();
         let mut dag_stats: Option<DagStats> = None;
         let outcome = match &queued.request.payload {
@@ -1080,8 +1022,7 @@ fn executor_loop(shared: &Shared) {
                 }
                 if report.quality.enabled && report.quality.checked_hlops > 0 {
                     // Feed the guard's *measured* post-verification error
-                    // (under a monitoring guard this equals the pre-repair
-                    // estimate) — the signal adaptive TPU admission keys on.
+                    // for telemetry (`Observatory` MAPE EWMA, OpenMetrics).
                     obs.observe_mape(TPU, report.quality.true_mape);
                 }
             }
@@ -1095,9 +1036,6 @@ fn executor_loop(shared: &Shared) {
         fr.quarantined = quarantined;
         if delta.quarantines > 0 {
             fr.anomalies.push(Anomaly::DeviceQuarantine);
-        }
-        if adapted {
-            fr.anomalies.push(Anomaly::Adaptation);
         }
         match &outcome {
             Ok(report) => {
@@ -1147,9 +1085,6 @@ fn executor_loop(shared: &Shared) {
         }
         if delta.reintegrations > 0 {
             metrics.add_counter("health.reintegrate", delta.reintegrations as f64);
-        }
-        if adapted {
-            metrics.add_counter("serve.adapted", 1.0);
         }
         if let Some(ds) = &dag_stats {
             metrics.add_counter("dag.requests", 1.0);

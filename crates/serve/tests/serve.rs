@@ -1,17 +1,13 @@
 //! Serving-layer contract tests: backpressure, deadlines, shutdown
 //! cancellation, sequential-vs-concurrent bit-identity, device-health
-//! quarantine, per-request quality SLOs, QoS priority classes, and the
-//! adaptive-calibration loop.
+//! quarantine, per-request quality SLOs and QoS priority classes.
 
 use std::time::Duration;
 
-use shmt::calibration::{bench_profile, Calibration};
-use shmt::sched::{GPU, TPU};
-use shmt::{AdaptiveConfig, FaultPlan, Platform, Policy, RuntimeConfig, ShmtRuntime, Vop};
+use shmt::sched::TPU;
+use shmt::{FaultPlan, Platform, Policy, RuntimeConfig, ShmtRuntime, Vop};
 use shmt_kernels::Benchmark;
-use shmt_serve::{
-    Anomaly, HealthConfig, Priority, Request, ServeError, Server, ServerConfig, SubmitError,
-};
+use shmt_serve::{HealthConfig, Priority, Request, ServeError, Server, ServerConfig, SubmitError};
 
 fn request(b: Benchmark, n: usize, seed: u64, policy: Policy) -> Request {
     let vop = Vop::from_benchmark(b, b.generate_inputs(n, n, seed)).expect("valid VOP");
@@ -377,53 +373,6 @@ fn priority_classes_order_queue_waits() {
         classes.iter().map(|c| c.queue_wait.count).sum::<usize>(),
         10,
         "nine backlog requests plus the blocker"
-    );
-}
-
-#[test]
-fn adaptive_loop_recalibrates_from_observed_slowdown() {
-    // Serve repeated Sobel requests under an injected 4x GPU slowdown
-    // with the adaptive loop on. Once the observatory's GPU EWMA clears
-    // the confidence gate, the per-opcode calibration must leave
-    // neutral — counted by `serve.adapted` and flight-recorded.
-    let platform = Platform::with_profiles(
-        // Slow GPU so per-partition compute dwarfs launch overhead and
-        // the slowdown is visible in elements-per-busy-second.
-        Calibration {
-            gpu_throughput: 1.0e6,
-            ..Calibration::default()
-        },
-        bench_profile(Benchmark::Sobel),
-    );
-    let server = Server::new(ServerConfig {
-        executors: 1,
-        queue_capacity: 4,
-        adapt: AdaptiveConfig::enabled(),
-        ..ServerConfig::default()
-    });
-    let slowdown = FaultPlan::none().with_slowdown(GPU, 0.0, 1.0e9, 4.0);
-    for i in 0..6 {
-        let b = Benchmark::Sobel;
-        let vop = Vop::from_benchmark(b, b.generate_inputs(96, 96, 80 + i)).expect("valid VOP");
-        let mut config = RuntimeConfig::new(Policy::WorkStealing);
-        config.partitions = 8;
-        let req = Request::new(vop, platform.clone(), config).with_faults(slowdown.clone());
-        server
-            .submit_blocking(req)
-            .expect("server running")
-            .wait()
-            .expect("slowed request completes");
-    }
-    assert!(
-        server.metrics().counter("serve.adapted") >= 1.0,
-        "a sustained 4x slowdown must produce at least one adaptation event"
-    );
-    assert!(
-        server
-            .flight_records()
-            .iter()
-            .any(|r| r.anomalies.contains(&Anomaly::Adaptation)),
-        "adaptation events are flight-recorded"
     );
 }
 

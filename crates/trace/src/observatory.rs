@@ -1,8 +1,7 @@
 //! Live, mergeable telemetry: streaming latency histograms plus
 //! per-device *online profiles*.
 //!
-//! The [`Observatory`] is the observation half of an adaptive scheduling
-//! loop: it is fed span completions (in virtual time), quality
+//! The [`Observatory`] is fed span completions (in virtual time), quality
 //! observations, and queue depths as requests finish, and answers
 //! "how fast is each device right now?" without ever storing raw
 //! samples. Latencies go into log-bucketed [`Histogram`]s (p50/p95/p99/

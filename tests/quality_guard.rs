@@ -186,7 +186,6 @@ fn disabled_guard_is_bit_identical_whatever_its_knobs_say() {
             budget: QualityBudget { max_mape: 0.0 },
             page_rows: 3,
             pages_per_hlop: 7,
-            repair: false,
         };
         let disabled = runtime(b, cfg).execute_with_faults(&vop, &plan).unwrap();
         assert_reports_identical(&plain, &disabled);

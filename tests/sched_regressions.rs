@@ -11,13 +11,17 @@
 //!    re-dispatch.
 //! 3. **Pipeline clone** — a multi-stage run cloned every stage's full
 //!    output tensor; the flowing tensor now moves between stages.
+//!
+//! Plus the static TPU admission input the planner reads.
 
 use hetsim::FaultPlan;
 use shmt::calibration::{bench_profile, Calibration};
 use shmt::dag::{DagConfig, VopDag};
 use shmt::quality::mape;
 use shmt::sampling::SamplingMethod;
-use shmt::{Platform, Policy, QawsAssignment, RuntimeConfig, ShmtRuntime, Vop};
+use shmt::{
+    AdaptiveCalibration, Platform, Policy, QawsAssignment, RuntimeConfig, ShmtRuntime, Vop,
+};
 use shmt_kernels::Benchmark;
 use shmt_tensor::tile::Tile;
 use shmt_tensor::Tensor;
@@ -239,4 +243,54 @@ fn pipeline_moves_stage_outputs_without_cloning() {
     // Moving instead of cloning must not change the result.
     let again = dag.run(&input, &cfg).unwrap();
     assert_eq!(report.output.as_slice(), again.output.as_slice());
+}
+
+/// The static TPU admission multiplier (`RuntimeConfig::adapt`) scales
+/// QAWS planner eligibility: 1.0 is the identity, 0.0 evicts the TPU.
+#[test]
+fn tpu_admission_scales_planner_eligibility() {
+    let b = Benchmark::Sobel;
+    // A compute-dominant platform (slow GPU), so fixed launch overheads
+    // do not decide the plan.
+    let platform = Platform::with_profiles(
+        Calibration {
+            gpu_throughput: 1.0e6,
+            ..Calibration::default()
+        },
+        bench_profile(b),
+    );
+    let v = Vop::from_benchmark(b, b.generate_inputs(128, 128, 40)).expect("valid VOP");
+    let policy = Policy::Qaws {
+        assignment: QawsAssignment::TopK,
+        sampling: SamplingMethod::Striding,
+    };
+    let config = |adapt: AdaptiveCalibration| {
+        let mut config = RuntimeConfig::new(policy);
+        config.partitions = 16;
+        config.adapt = adapt;
+        config
+    };
+    // Admission 1.0 is the identity on the planner.
+    let unit = AdaptiveCalibration { tpu_admission: 1.0 };
+    let static_report = ShmtRuntime::new(platform.clone(), config(AdaptiveCalibration::neutral()))
+        .execute(&v)
+        .expect("static run succeeds");
+    let unit_report = ShmtRuntime::new(platform.clone(), config(unit))
+        .execute(&v)
+        .expect("unit-admission run succeeds");
+    assert_eq!(
+        static_report.output.as_slice(),
+        unit_report.output.as_slice(),
+        "admission 1.0 must leave plans bit-identical"
+    );
+    // Admission 0.0 evicts the TPU: everything runs exactly.
+    let evict = AdaptiveCalibration { tpu_admission: 0.0 };
+    let evicted = ShmtRuntime::new(platform, config(evict))
+        .execute(&v)
+        .expect("evicted run succeeds");
+    assert_eq!(evicted.tpu_fraction, 0.0, "admission 0 evicts the TPU");
+    assert!(
+        static_report.tpu_fraction > 0.0,
+        "the static plan must have used the TPU for the eviction to mean anything"
+    );
 }
