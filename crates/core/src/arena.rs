@@ -45,8 +45,7 @@ pub(crate) static REPAIRS: VecPool<RepairRecord> = VecPool::new();
 /// runs ([`hetsim::QueuePair::reset`] clears state, not storage).
 pub(crate) static QUEUE_PAIRS: ObjPool<[QueuePair<Hlop>; 3]> = ObjPool::new();
 
-/// Output-slot arrays for the parallel executor's per-slot result
-/// collection.
+/// Output-slot arrays for the executor's per-task reduction partials.
 pub(crate) static SLOTS: VecPool<Option<Tensor>> = VecPool::new();
 
 /// QAWS sampling scratch: one reused value buffer per planning pass.
@@ -61,8 +60,8 @@ pub(crate) static CLASSES: VecPool<usize> = VecPool::new();
 /// Rank-ordering scratch for the windowed Top-K assignment.
 pub(crate) static ORDER: VecPool<usize> = VecPool::new();
 
-/// Per-claimant page stashes of the parallel executor (the spine; the
-/// pages themselves go back to the tensor arena after every run).
+/// Per-claimant stashes of NPU device buffers (the spine; the pages
+/// themselves go back to the tensor arena after every run).
 pub(crate) static STASHES: VecPool<Stash> = VecPool::new();
 
 /// Returns a consumed report's heap spines to the runtime pools: the

@@ -49,7 +49,6 @@ fn run_single_gpu(
     let kernel = vop.kernel();
     let inputs: Vec<&Tensor> = vop.inputs().iter().collect();
     let (rows, cols) = vop.partition_space();
-    let mut output = kernel.shape().allocate_output(rows, cols);
 
     let profiles = platform.device_profiles();
     let bench = platform.bench_profile();
@@ -82,11 +81,12 @@ fn run_single_gpu(
             npu: false,
         })
         .collect();
-    crate::exec::compute_tasks(
+    let mut output = crate::exec::compute_output(
         kernel,
         &inputs,
         &tasks,
-        &mut output,
+        rows,
+        cols,
         crate::exec::default_threads(),
     );
     kernel.finalize(&mut output);

@@ -61,7 +61,7 @@ use hetsim::{DeviceKind, DeviceTimeline, Interconnect, SimTime};
 use shmt_kernels::primitives::{BinaryOp, UnaryOp};
 use shmt_kernels::{Aggregation, Benchmark, Kernel, KernelShape};
 use shmt_tensor::tile::Tile;
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorViewMut};
 use shmt_trace::{NullSink, TraceSink};
 
 use crate::baseline::gpu_baseline;
@@ -1137,11 +1137,11 @@ impl Kernel for FusedElementwise {
         KernelShape::elementwise()
     }
 
-    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         for r in tile.row0..tile.row0 + tile.rows {
             let src = &input.row(r)[tile.col0..tile.col0 + tile.cols];
-            let dst = &mut out.row_mut(r)[tile.col0..tile.col0 + tile.cols];
+            let dst = out.span_mut(r, tile.col0..tile.col0 + tile.cols);
             for (d, &s) in dst.iter_mut().zip(src) {
                 *d = self.ops.iter().fold(s, |v, op| op.apply(v));
             }
@@ -1193,6 +1193,22 @@ mod tests {
             },
         ];
         assert!(matches!(VopDag::new(bad), Err(ShmtError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn fused_elementwise_assigns_its_destination() {
+        let input = gen::image8(40, 24, 3);
+        let fused = FusedElementwise {
+            ops: vec![UnaryOp::Relu, UnaryOp::Sqrt, UnaryOp::Tanh],
+        };
+        let tile = Tile {
+            index: 0,
+            row0: 8,
+            col0: 5,
+            rows: 20,
+            cols: 13,
+        };
+        crate::vop::tests::assert_assigns(&fused, &[&input], tile);
     }
 
     const VISION: [(Benchmark, u64); 2] = [(Benchmark::MeanFilter, 1), (Benchmark::Sobel, 2)];

@@ -8,15 +8,18 @@
 //! per-device monitor threads (§3.3.1) — while keeping results bit-exact
 //! and deterministic:
 //!
+//! * One claimant loop computes every task: claimants pull task indices
+//!   from a shared cursor and run the kernel on the shared inputs, in
+//!   place, straight into the task's destination. With more than one
+//!   claimant the loop runs on the pool's workers; with one it runs on the
+//!   caller's thread, and nothing else differs.
 //! * Tile-aggregated kernels write disjoint output tiles, checked in bounds
-//!   and pairwise disjoint before any task runs. Inline, each task writes
-//!   its tile straight into the output. On the pool, an exact task runs on
-//!   inputs localized to the tile's halo-extended footprint and an NPU task
-//!   casts that footprint itself (from the shared inputs, so the
-//!   quantization region is the one the inline path derives); either way
-//!   the claimant copies the finished tile from its own scratch into the
-//!   output, so aggregation is a gather done by the workers themselves
-//!   and the caller has nothing left to assemble after the barrier.
+//!   and pairwise disjoint before any task runs. A claimant's destination
+//!   is a view of its tile of the output and nothing more, so aggregation
+//!   is the kernels' own writes (paper §3.2.1) and the caller has nothing
+//!   left to assemble after the barrier. Tiles that cover the output
+//!   exactly also spare it the zero fill: every element is then written
+//!   once, by its tile.
 //! * Reduction kernels (Histogram, reduce_*) produce one partial buffer per
 //!   HLOP, folded in task order at every thread count — inline included —
 //!   so float accumulation order never depends on how many workers ran or
@@ -29,53 +32,21 @@ use std::sync::{Mutex, PoisonError};
 use shmt_kernels::{Aggregation, Kernel};
 use shmt_tensor::arena::Stash;
 use shmt_tensor::tile::Tile;
-use shmt_tensor::{Tensor, TensorView};
+use shmt_tensor::{Tensor, TensorViewMut};
 
 use crate::pool::ComputePool;
 
-/// Maximum kernel arity the executor supports — lets per-task input
+/// Maximum kernel arity the runtime supports — lets per-run input
 /// reference lists live in fixed stack arrays instead of heap vectors.
 /// Every benchmark kernel takes 1 or 2 inputs; 4 leaves headroom.
 pub const MAX_KERNEL_ARITY: usize = 4;
 
-/// Pre-sized per-slot collection of a reduction's per-task partials: each
-/// claimed task index is written by exactly one worker, so the slots need
-/// no lock.
-///
-/// Safety contract: index `i` is written at most once (claimants obtain
-/// indices from a shared `fetch_add` cursor, so claims are unique), the
-/// backing `Vec` is pre-sized and never reallocated while workers hold
-/// this pointer, and the pool's batch barrier orders every write before
-/// the submitting thread reads the slots back.
-struct SlotWriter {
-    ptr: *mut Option<Tensor>,
-    len: usize,
-}
-
-// SAFETY: concurrent `write` calls touch disjoint slots per the
-// contract above; the raw pointer itself is freely sendable.
-unsafe impl Sync for SlotWriter {}
-
-impl SlotWriter {
-    /// Deposits `value` into slot `i`.
-    ///
-    /// # Safety
-    ///
-    /// `i` must be a unique claim below `len` (see the struct contract).
-    unsafe fn write(&self, i: usize, value: Tensor) {
-        debug_assert!(i < self.len);
-        // The pre-sized slot holds `None` (trivial drop), so a plain
-        // store through the pointer is enough.
-        unsafe { *self.ptr.add(i) = Some(value) };
-    }
-}
-
 /// Shared write access to the tiles of one output tensor: every claimant
-/// copies each tile it finishes straight into its place in the output.
+/// gets a view of each tile it claims and computes straight into it.
 ///
-/// Safety contract: the tiles written are in bounds of the output and
+/// Safety contract: the tiles viewed are in bounds of the output and
 /// pairwise disjoint ([`check_tiles`] asserts both before any claimant
-/// starts); each is written only by the claimant that claimed its task
+/// starts); each is viewed only by the claimant that claimed its task
 /// (claims come from a shared `fetch_add` cursor, so they are unique); the
 /// writer mutably borrows the output, so nothing else reads or writes it
 /// while workers hold the pointer; and the pool's batch barrier orders
@@ -86,7 +57,7 @@ struct TileWriter<'a> {
     _output: PhantomData<&'a mut Tensor>,
 }
 
-// SAFETY: concurrent `write` calls touch disjoint elements per the
+// SAFETY: views of different tiles touch disjoint elements per the
 // contract above; the raw pointer itself is freely sendable.
 unsafe impl Sync for TileWriter<'_> {}
 
@@ -99,40 +70,38 @@ impl<'a> TileWriter<'a> {
         }
     }
 
-    /// Copies `src` to `tile`'s position in the output.
+    /// The destination of `tile`: its window of the output, in dataset
+    /// coordinates.
     ///
     /// # Safety
     ///
     /// `tile` must be one of the checked tiles, claimed by the caller
     /// alone (see the struct contract).
-    unsafe fn write(&self, tile: Tile, src: TensorView<'_>) {
-        assert_eq!(
-            (src.rows(), src.cols()),
-            (tile.rows, tile.cols),
-            "tile result shape"
-        );
-        for r in 0..tile.rows {
-            let row = src.row(r);
-            // SAFETY: the destination row segment lies inside `tile`, which
-            // is in bounds and nobody else's (the struct contract); `src`
-            // borrows a different buffer, so the ranges cannot overlap.
-            unsafe {
-                let dst = self.ptr.add((tile.row0 + r) * self.cols + tile.col0);
-                std::ptr::copy_nonoverlapping(row.as_ptr(), dst, row.len());
-            }
+    unsafe fn view(&self, tile: Tile) -> TensorViewMut<'_> {
+        // SAFETY: `tile` lies inside the output (checked), so its first
+        // element and every element of its window, `cols` apart row to
+        // row, are in the output's allocation; it is nobody else's tile,
+        // so the view is the only access to those elements while it lives.
+        unsafe {
+            TensorViewMut::from_raw(
+                self.ptr.add(tile.row0 * self.cols + tile.col0),
+                self.cols,
+                tile,
+            )
         }
     }
 }
 
 /// Asserts that the tasks' tiles lie inside a `rows x cols` output and that
 /// no two overlap — what lets a `Tile` aggregation write them in any order
-/// and from any thread.
+/// and from any thread — and returns whether they cover the output
+/// exactly.
 ///
 /// # Panics
 ///
 /// Panics naming the first tile out of bounds or the first overlapping
 /// pair.
-fn check_tiles(tasks: &[ComputeTask], rows: usize, cols: usize) {
+fn check_tiles(tasks: &[ComputeTask], rows: usize, cols: usize) -> bool {
     // Half-open ranges `[a0, a0 + an)` and `[b0, b0 + bn)` share nothing.
     let apart = |a0: usize, an: usize, b0: usize, bn: usize| a0.max(b0) >= (a0 + an).min(b0 + bn);
     for (i, task) in tasks.iter().enumerate() {
@@ -149,6 +118,9 @@ fn check_tiles(tasks: &[ComputeTask], rows: usize, cols: usize) {
             );
         }
     }
+    // Disjoint tiles inside the output cover it exactly when their areas
+    // add up to it.
+    tasks.iter().map(|t| t.tile.len()).sum::<usize>() == rows * cols
 }
 
 /// One unit of host compute: which partition, and through which path.
@@ -179,10 +151,10 @@ pub fn default_threads() -> usize {
 
 /// Computes every task and assembles the results into `output`.
 ///
-/// With `threads <= 1` the tasks run inline; otherwise up to `threads`
-/// claimant jobs are submitted to the shared [`ComputePool`] — concurrent
-/// runs interleave on the same persistent workers. The assembled output
-/// is identical either way, at any pool size.
+/// Up to `threads` claimants compute the tasks: one runs on the calling
+/// thread, more run as one batch on the shared [`ComputePool`] —
+/// concurrent runs interleave on the same persistent workers. The
+/// assembled output is identical either way, at any pool size.
 ///
 /// # Panics
 ///
@@ -196,20 +168,43 @@ pub fn compute_tasks(
     output: &mut Tensor,
     threads: usize,
 ) {
-    compute_tasks_on(
-        ComputePool::global(),
-        kernel,
-        inputs,
-        tasks,
-        output,
-        threads,
-    );
+    if kernel.shape().aggregation == Aggregation::Tile {
+        check_tiles(tasks, output.rows(), output.cols());
+    }
+    run_checked(kernel, inputs, tasks, output, threads);
 }
 
-/// [`compute_tasks`] on an explicit pool (dedicated pools are useful in
-/// tests and for callers that want isolated capacity).
-pub fn compute_tasks_on(
-    pool: &ComputePool,
+/// [`compute_tasks`] into a fresh `rows x cols` output, as
+/// [`shmt_kernels::KernelShape::allocate_output`] shapes it. When the
+/// tasks' tiles cover it exactly, the output's page comes from the arena
+/// unfilled ([`Tensor::stale`]): the tiles overwrite every element. Any
+/// other task list gets the aggregation's identity fill first.
+///
+/// # Panics
+///
+/// As [`compute_tasks`].
+pub(crate) fn compute_output(
+    kernel: &dyn Kernel,
+    inputs: &[&Tensor],
+    tasks: &[ComputeTask],
+    rows: usize,
+    cols: usize,
+    threads: usize,
+) -> Tensor {
+    let shape = kernel.shape();
+    let mut output = if shape.aggregation == Aggregation::Tile && check_tiles(tasks, rows, cols) {
+        Tensor::stale(rows, cols)
+    } else {
+        shape.allocate_output(rows, cols)
+    };
+    run_checked(kernel, inputs, tasks, &mut output, threads);
+    output
+}
+
+/// The claimant loop behind [`compute_tasks`] and [`compute_output`], for
+/// tasks whose tiles (for a `Tile` aggregation) passed [`check_tiles`]
+/// against `output`.
+fn run_checked(
     kernel: &dyn Kernel,
     inputs: &[&Tensor],
     tasks: &[ComputeTask],
@@ -220,195 +215,118 @@ pub fn compute_tasks_on(
         return;
     }
     let shape = kernel.shape();
-    let inline = threads <= 1 || tasks.len() == 1;
-    let (out_rows, out_cols) = output.shape();
-    if shape.aggregation == Aggregation::Tile {
-        check_tiles(tasks, out_rows, out_cols);
-    }
-    // One reduction partial per task, whoever computes it.
-    let partial = |task: &ComputeTask| {
-        let mut buf = shape.allocate_output(out_rows, out_cols);
-        run_one(kernel, inputs, *task, &mut buf);
-        buf
+    let claimants = threads.clamp(1, tasks.len());
+    // An NPU task casts its input footprints into device buffers in its
+    // claimant's stash. The stashes are taken here, before any claimant
+    // runs, sized for the largest footprint: what a run takes from the
+    // page arena is then the same whether its claimants overlap or take
+    // turns, which is what lets a warm run promise zero allocations rather
+    // than usually deliver them. Exact tasks need no buffers at all.
+    let footprint = |tile: Tile| {
+        let (rows, cols) = inputs[0].shape();
+        let ext = shmt_kernels::npu::extended_region(
+            tile,
+            shape.halo,
+            shape.block_align,
+            shape.full_rows,
+            rows,
+            cols,
+        );
+        ext.rows * ext.cols
     };
-    if inline {
-        match shape.aggregation {
-            Aggregation::Tile => {
-                for task in tasks {
-                    run_one(kernel, inputs, *task, output);
-                }
-            }
-            Aggregation::Reduce { op, .. } => {
-                for task in tasks {
-                    fold_partial(op, output, &partial(task));
-                }
-            }
-        }
-        return;
-    }
-
-    assert!(
-        inputs.len() <= MAX_KERNEL_ARITY,
-        "kernel arity {} exceeds executor maximum {MAX_KERNEL_ARITY}",
-        inputs.len()
-    );
-
-    // Claimant jobs pull task indices through a shared atomic cursor —
-    // the software analogue of pulling from a shared incoming queue — so
-    // each task is computed exactly once, by whichever worker claims it.
-    // All scratch comes from the arena, so a warm call allocates nothing.
+    let stash_len = tasks
+        .iter()
+        .filter(|t| t.npu)
+        .map(|t| footprint(t.tile))
+        .max();
+    let mut stashes: Vec<Stash> = crate::arena::STASHES.take();
+    stashes.resize_with(claimants, || {
+        stash_len.map_or_else(Stash::default, |len| Stash::with_pages(inputs.len(), len))
+    });
+    let stashes = Mutex::new(stashes);
     let next = AtomicUsize::new(0);
-    let n_claims = threads.min(tasks.len());
+    let run = |task: ComputeTask, dst: &mut TensorViewMut<'_>, stash: &mut Stash| {
+        if task.npu {
+            kernel.run_npu_into(inputs, task.tile, dst, stash);
+        } else {
+            kernel.run_exact_into(inputs, task.tile, dst);
+        }
+    };
     match shape.aggregation {
         Aggregation::Tile => {
-            // Scratch memory scales with the tile (plus halo), not the
-            // dataset: an exact task localizes its inputs to the tile's
-            // halo-extended footprint and runs in local coordinates; an
-            // NPU task extracts and casts that footprint from the shared
-            // inputs itself and publishes into a tile-sized page. Exact
-            // tasks of kernels that read far outside the footprint
-            // (`global_inputs`, e.g. GEMM) keep the full inputs and a
-            // per-claimant full-shape buffer. Wherever the tile was
-            // computed, its claimant copies it straight into the output:
-            // tiles are checked disjoint, so the writes commute and the
-            // result is exact at any thread count.
-            let (in_rows, in_cols) = inputs[0].shape();
-            let footprint = |tile: Tile| {
-                shmt_kernels::npu::extended_region(
-                    tile,
-                    shape.halo,
-                    shape.block_align,
-                    shape.full_rows,
-                    in_rows,
-                    in_cols,
-                )
-            };
-            // A task's buffers — one per input and one for its local
-            // output, exact and NPU alike, plus an NPU task's tile page —
-            // come from its claimant's stash. The stashes are taken here,
-            // before any claimant runs, sized for the largest footprint:
-            // what a run takes from the page arena is then the same
-            // whether its claimants overlap or take turns, which is what
-            // lets a warm run promise zero allocations rather than usually
-            // deliver them.
-            let footprint_pages = if shape.global_inputs {
-                0
-            } else {
-                inputs.len() + 1
-            };
-            let stash_pages = footprint_pages + usize::from(tasks.iter().any(|t| t.npu));
-            let stash_len = tasks
-                .iter()
-                .map(|task| {
-                    let ext = footprint(task.tile);
-                    ext.rows * ext.cols
-                })
-                .max()
-                .unwrap_or(0);
-            let mut stashes: Vec<Stash> = crate::arena::STASHES.take();
-            stashes.resize_with(n_claims, || Stash::with_pages(stash_pages, stash_len));
-            let stashes = Mutex::new(stashes);
-            let lock_stashes = || stashes.lock().unwrap_or_else(PoisonError::into_inner);
             let writer = TileWriter::new(output);
-            pool.scope_fn(n_claims, &|| {
-                let mut stash = lock_stashes().pop().expect("one stash per claimant");
-                let mut full_scratch: Option<Tensor> = None;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(task) = tasks.get(i) else { break };
-                    let tile = task.tile;
-                    // SAFETY: `tile` passed `check_tiles`, and `i` came from
-                    // the shared cursor, so this claim is ours alone.
-                    let publish = |src: TensorView<'_>| unsafe { writer.write(tile, src) };
-                    if task.npu {
-                        let page = stash.take(tile.len());
-                        let mut buf = Tensor::zeros_in(tile.rows, tile.cols, page);
-                        kernel.run_npu_at(inputs, tile, &mut buf, (0, 0), &mut stash);
-                        publish(buf.view(0, 0, tile.rows, tile.cols));
-                        stash.put(buf.into_vec());
-                    } else if shape.global_inputs {
-                        let scratch =
-                            full_scratch.get_or_insert_with(|| Tensor::zeros(out_rows, out_cols));
-                        kernel.run_exact(inputs, tile, scratch);
-                        publish(scratch.view(tile.row0, tile.col0, tile.rows, tile.cols));
-                    } else {
-                        let ext = footprint(tile);
-                        let len = ext.rows * ext.cols;
-                        let mut locals: [Option<Tensor>; MAX_KERNEL_ARITY] =
-                            [None, None, None, None];
-                        let mut local_refs: [&Tensor; MAX_KERNEL_ARITY] =
-                            [inputs[0]; MAX_KERNEL_ARITY];
-                        for ((local, slot), t) in locals.iter_mut().zip(&mut local_refs).zip(inputs)
-                        {
-                            let view = t.view(ext.row0, ext.col0, ext.rows, ext.cols);
-                            *slot = local.insert(view.to_tensor_in(stash.take(len)));
-                        }
-                        let local_tile = Tile {
-                            index: tile.index,
-                            row0: tile.row0 - ext.row0,
-                            col0: tile.col0 - ext.col0,
-                            rows: tile.rows,
-                            cols: tile.cols,
-                        };
-                        let mut scratch = Tensor::zeros_in(ext.rows, ext.cols, stash.take(len));
-                        kernel.run_exact(&local_refs[..inputs.len()], local_tile, &mut scratch);
-                        publish(scratch.view(
-                            local_tile.row0,
-                            local_tile.col0,
-                            tile.rows,
-                            tile.cols,
-                        ));
-                        stash.put(scratch.into_vec());
-                        for local in locals.into_iter().flatten() {
-                            stash.put(local.into_vec());
-                        }
-                    }
-                }
-                lock_stashes().push(stash);
+            on_claimants(claimants, &|| {
+                claim(tasks, &next, &stashes, |_, task, stash| {
+                    // SAFETY: `task.tile` passed `check_tiles`, and its index
+                    // came from the shared cursor, so this claim is ours alone.
+                    let mut dst = unsafe { writer.view(task.tile) };
+                    run(task, &mut dst, stash);
+                });
             });
-            crate::arena::STASHES.put(stashes.into_inner().unwrap_or_else(PoisonError::into_inner));
         }
         Aggregation::Reduce { op, .. } => {
             // Reduction buffers are tiny: claimants deposit one buffer per
             // *task* into its pre-sized slot, and the fold walks the slots
             // in ascending task order, whoever computed what.
+            let (rows, cols) = output.shape();
             let mut slots: Vec<Option<Tensor>> = crate::arena::SLOTS.take();
             slots.resize_with(tasks.len(), || None);
-            let writer = SlotWriter {
-                ptr: slots.as_mut_ptr(),
-                len: slots.len(),
-            };
-            pool.scope_fn(n_claims, &|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(task) = tasks.get(i) else { break };
-                // SAFETY: `i` came from the shared cursor, so this claim
-                // is unique and in bounds (`tasks.get` checked).
-                unsafe { writer.write(i, partial(task)) };
+            let slots = Mutex::new(slots);
+            on_claimants(claimants, &|| {
+                claim(tasks, &next, &stashes, |i, task, stash| {
+                    // The kernel assigns the whole partial: no fill needed.
+                    let mut partial = Tensor::stale(rows, cols);
+                    run(task, &mut partial.view_mut(0, 0, rows, cols), stash);
+                    lock(&slots)[i] = Some(partial);
+                });
             });
+            let mut slots = slots.into_inner().unwrap_or_else(PoisonError::into_inner);
             for slot in slots.iter_mut() {
-                let buf = slot.take().expect("claimed task deposited no result");
-                fold_partial(op, output, &buf);
+                let partial = slot.take().expect("claimed task deposited no result");
+                for (d, &s) in output.as_mut_slice().iter_mut().zip(partial.as_slice()) {
+                    *d = op.combine(*d, s);
+                }
             }
             crate::arena::SLOTS.put(slots);
         }
     }
+    crate::arena::STASHES.put(stashes.into_inner().unwrap_or_else(PoisonError::into_inner));
 }
 
-/// Folds one task's reduction partial into the output.
-fn fold_partial(op: shmt_kernels::ReduceOp, output: &mut Tensor, partial: &Tensor) {
-    for r in 0..output.rows() {
-        for (d, s) in output.row_mut(r).iter_mut().zip(partial.row(r)) {
-            *d = op.combine(*d, *s);
-        }
-    }
-}
-
-fn run_one(kernel: &dyn Kernel, inputs: &[&Tensor], task: ComputeTask, out: &mut Tensor) {
-    if task.npu {
-        kernel.run_npu(inputs, task.tile, out);
+/// Runs `claimant` `claimants` times: on the calling thread when that is
+/// once, otherwise as one batch on the shared [`ComputePool`].
+fn on_claimants(claimants: usize, claimant: &(dyn Fn() + Sync)) {
+    if claimants == 1 {
+        claimant();
     } else {
-        kernel.run_exact(inputs, task.tile, out);
+        ComputePool::global().scope_fn(claimants, claimant);
     }
+}
+
+/// Locks `m`. Every update under these locks leaves the data valid, so a
+/// claimant that panicked holding one poisons nothing.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One claimant: pulls task indices through the shared cursor `next` — the
+/// software analogue of pulling from a shared incoming queue, so each task
+/// is computed exactly once, by whichever claimant claims it — and hands
+/// each claimed task, with its index, to `each` along with this
+/// claimant's stash.
+fn claim(
+    tasks: &[ComputeTask],
+    next: &AtomicUsize,
+    stashes: &Mutex<Vec<Stash>>,
+    mut each: impl FnMut(usize, ComputeTask, &mut Stash),
+) {
+    let mut stash = lock(stashes).pop().expect("one stash per claimant");
+    loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&task) = tasks.get(i) else { break };
+        each(i, task, &mut stash);
+    }
+    lock(stashes).push(stash);
 }
 
 /// Computes the exact whole-dataset output in parallel row bands — the
@@ -421,14 +339,13 @@ pub fn compute_exact_parallel(
     threads: usize,
 ) -> Tensor {
     let shape = kernel.shape();
-    let mut output = shape.allocate_output(rows, cols);
     let bands = crate::partition::partition_tiles(rows, cols, threads.max(1) * 2, &shape);
     let mut tasks: Vec<ComputeTask> = crate::arena::COMPUTE.take();
     tasks.extend(bands.iter().map(|t| ComputeTask {
         tile: *t,
         npu: false,
     }));
-    compute_tasks(kernel, inputs, &tasks, &mut output, threads);
+    let mut output = compute_output(kernel, inputs, &tasks, rows, cols, threads);
     crate::arena::COMPUTE.put(tasks);
     kernel.finalize(&mut output);
     output
@@ -437,7 +354,7 @@ pub fn compute_exact_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shmt_kernels::Benchmark;
+    use shmt_kernels::{Benchmark, KernelShape};
 
     fn tasks_for(b: Benchmark, n: usize, npu_every: usize) -> (Vec<ComputeTask>, Vec<Tensor>) {
         let shape = b.kernel().shape();
@@ -579,10 +496,10 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_for_stencils_with_halo() {
-        // Multi-input (Hotspot) and halo-2 (SRAD) kernels exercise the
-        // localized input extraction; the NPU mix checks that the pool
-        // path quantizes over the same halo-extended, block-aligned region
-        // as the serial path.
+        // Multi-input (Hotspot) and halo-2 (SRAD) kernels read the shared
+        // inputs across tile edges; the NPU mix checks that the pool path
+        // quantizes over the same halo-extended, block-aligned region as
+        // the serial path.
         for b in [Benchmark::Hotspot, Benchmark::Srad, Benchmark::MeanFilter] {
             let kernel = b.kernel();
             let (tasks, inputs) = tasks_for(b, 96, 2);
@@ -597,9 +514,8 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_for_global_inputs_gemm() {
-        // GEMM reads all of `A`'s row band and all of `B`: `global_inputs`
-        // routes it around the localized-extract path onto per-worker
-        // full-shape scratch.
+        // GEMM reads all of `A`'s row band and all of `B`, and its NPU
+        // path quantizes both operands whole, whichever tile it computes.
         use shmt_kernels::gemm::Gemm;
         let n = 64;
         let a = Tensor::from_fn(n, n, |r, c| (((r * 7 + c * 3) % 11) as f32 - 5.0) * 0.5);
@@ -618,6 +534,44 @@ mod tests {
         let mut parallel = Gemm.shape().allocate_output(n, n);
         compute_tasks(&Gemm, &refs, &tasks, &mut parallel, 4);
         assert_eq!(serial.as_slice(), parallel.as_slice());
+    }
+
+    #[test]
+    fn exact_cover_alone_skips_the_output_fill() {
+        // Fed a kernel that writes nothing, the output shows what its page
+        // held: a NaN-poisoned page, put where a 320x320 take finds it (no
+        // other test here uses that arena bucket).
+        #[derive(Debug)]
+        struct WritesNothing;
+        impl Kernel for WritesNothing {
+            fn name(&self) -> &'static str {
+                "writes-nothing"
+            }
+            fn shape(&self) -> KernelShape {
+                KernelShape::elementwise()
+            }
+            fn run_exact_into(&self, _: &[&Tensor], _: Tile, _: &mut TensorViewMut<'_>) {}
+            fn work_per_element(&self) -> f64 {
+                1.0
+            }
+        }
+        let n = 320;
+        let (covering, _) = tasks_for(Benchmark::Blackscholes, n, 0);
+        let sparse: Vec<ComputeTask> = covering.iter().copied().step_by(2).collect();
+        for (tasks, covers, want) in [(&covering, true, f32::NAN), (&sparse, false, 0.0)] {
+            assert_eq!(check_tiles(tasks, n, n), covers);
+            for threads in [1, 4] {
+                let mut page = crate::arena::take_f32(n * n);
+                page.resize(n * n, f32::NAN);
+                crate::arena::put_f32(page);
+                let out = compute_output(&WritesNothing, &[], tasks, n, n, threads);
+                let bits = want.to_bits();
+                assert!(
+                    out.as_slice().iter().all(|v| v.to_bits() == bits),
+                    "cover {covers}, {threads} threads: want every element {want}"
+                );
+            }
+        }
     }
 
     #[test]

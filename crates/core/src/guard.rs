@@ -34,12 +34,12 @@
 use hetsim::{DeviceTimeline, SimTime};
 use shmt_kernels::{Aggregation, Kernel};
 use shmt_tensor::tile::Tile;
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorView, TensorViewMut};
 use shmt_trace::{EventKind, TraceSink};
 
 use crate::error::{Result, ShmtError};
 use crate::exec::ComputeTask;
-use crate::quality::mape;
+use crate::quality::mape_views;
 use crate::sched::{CPU, GPU};
 
 /// The quality contract a guarded run must honour.
@@ -205,6 +205,28 @@ fn sample_pages(pages: &[Tile], k: usize) -> Vec<Tile> {
     (0..k).map(|j| pages[j * n / k]).collect()
 }
 
+/// `tile` computed exactly into a buffer of its own size.
+fn exact_tile(kernel: &dyn Kernel, inputs: &[&Tensor], tile: Tile) -> Tensor {
+    // The kernel assigns every element of its destination: no fill needed.
+    let mut exact = Tensor::stale(tile.rows, tile.cols);
+    kernel.run_exact_into(
+        inputs,
+        tile,
+        &mut TensorViewMut::over(exact.as_mut_slice(), tile),
+    );
+    exact
+}
+
+/// All of `t`.
+fn whole(t: &Tensor) -> TensorView<'_> {
+    t.view(0, 0, t.rows(), t.cols())
+}
+
+/// `tile`'s window of `t`.
+fn window(t: &Tensor, tile: Tile) -> TensorView<'_> {
+    t.view(tile.row0, tile.col0, tile.rows, tile.cols)
+}
+
 /// The earliest-free alive exact (fp32) device, ties to the lowest index.
 fn earliest_exact(timelines: &[DeviceTimeline], alive: &[bool; 3]) -> Option<usize> {
     [GPU, CPU]
@@ -268,8 +290,6 @@ pub(crate) fn run_guard(
     }
 
     let work_per_elem = kernel.work_per_element();
-    let (rows, cols) = output.shape();
-    let mut scratch = Tensor::zeros(rows, cols);
     let (mut est_weighted, mut true_weighted, mut elems_weighed) = (0.0f64, 0.0f64, 0.0f64);
 
     for tile in approx {
@@ -308,14 +328,8 @@ pub(crate) fn run_guard(
         let mut page_weighted = 0.0f64;
         let mut page_elems = 0.0f64;
         for page in &pages {
-            kernel.run_exact(inputs, *page, &mut scratch);
-            let exact = scratch
-                .view(page.row0, page.col0, page.rows, page.cols)
-                .to_tensor();
-            let got = output
-                .view(page.row0, page.col0, page.rows, page.cols)
-                .to_tensor();
-            let e = mape(&exact, &got);
+            let exact = exact_tile(kernel, inputs, *page);
+            let e = mape_views(whole(&exact), window(output, *page));
             page_weighted += e * page.len() as f64;
             page_elems += page.len() as f64;
         }
@@ -330,19 +344,12 @@ pub(crate) fn run_guard(
             let rd = earliest_exact(timelines, alive).ok_or_else(|| {
                 ShmtError::Internal("exact device set changed during guarding".into())
             })?;
-            kernel.run_exact(inputs, tile, &mut scratch);
-            let exact_tile = scratch
-                .view(tile.row0, tile.col0, tile.rows, tile.cols)
-                .to_tensor();
-            let got_tile = output
-                .view(tile.row0, tile.col0, tile.rows, tile.cols)
-                .to_tensor();
-            let true_pre = mape(&exact_tile, &got_tile);
-            for r in 0..tile.rows {
-                let src = &scratch.row(tile.row0 + r)[tile.col0..tile.col0 + tile.cols];
-                output.row_mut(tile.row0 + r)[tile.col0..tile.col0 + tile.cols]
-                    .copy_from_slice(src);
-            }
+            let exact = exact_tile(kernel, inputs, tile);
+            let true_pre = mape_views(whole(&exact), window(output, tile));
+            output
+                .view_mut(tile.row0, tile.col0, tile.rows, tile.cols)
+                .copy_from(&whole(&exact))
+                .expect("a tile-sized result");
             let repair_begin = timelines[rd].free_at().max(start);
             let repair_end = timelines[rd].occupy(start, tile.len() as f64 * work_per_elem);
             if sink.enabled() {

@@ -1,7 +1,7 @@
 //! Result-quality metrics (paper §5.3): Mean Absolute Percentage Error and
 //! the Structural Similarity Index Measure.
 
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorView};
 
 /// Mean Absolute Percentage Error between a reference and an approximation,
 /// as a fraction (0.05 = 5%).
@@ -36,19 +36,48 @@ pub fn mape(reference: &Tensor, approx: &Tensor) -> f64 {
         approx.shape(),
         "MAPE requires equal shapes"
     );
-    let mean_abs = |t: &Tensor| -> f64 {
-        t.as_slice().iter().map(|v| v.abs() as f64).sum::<f64>() / t.len() as f64
+    let (rows, cols) = reference.shape();
+    mape_views(
+        reference.view(0, 0, rows, cols),
+        approx.view(0, 0, rows, cols),
+    )
+}
+
+/// [`mape`] between two equal-shaped windows, read in place.
+///
+/// # Panics
+///
+/// Panics if the shapes differ.
+pub(crate) fn mape_views(reference: TensorView<'_>, approx: TensorView<'_>) -> f64 {
+    assert_eq!(
+        (reference.rows(), reference.cols()),
+        (approx.rows(), approx.cols()),
+        "MAPE requires equal shapes"
+    );
+    // Row by row, but one running sum each: the same additions in the
+    // same order as over one flat slice.
+    let rows = 0..reference.rows();
+    let mean_abs = |t: &TensorView<'_>| -> f64 {
+        let mut sum = 0.0f64;
+        for r in rows.clone() {
+            for &v in t.row(r) {
+                sum += v.abs() as f64;
+            }
+        }
+        sum / t.len() as f64
     };
-    let ref_mean = mean_abs(reference);
+    let ref_mean = mean_abs(&reference);
     let floor = if ref_mean > 0.0 {
         (ref_mean * 1e-2).max(1e-12)
     } else {
-        mean_abs(approx).max(1e-6)
+        mean_abs(&approx).max(1e-6)
     };
     let mut acc = 0.0f64;
-    for (&r, &a) in reference.as_slice().iter().zip(approx.as_slice()) {
-        let denom = (r.abs() as f64).max(floor);
-        acc += ((r - a).abs() as f64) / denom;
+    for r in rows {
+        for (&x, &a) in reference.row(r).iter().zip(approx.row(r)) {
+            let denom = (x.abs() as f64).max(floor);
+            acc += ((x - a).abs() as f64) / denom;
+        }
     }
     acc / reference.len() as f64
 }

@@ -321,7 +321,6 @@ impl ShmtRuntime {
         }
         let inputs = &input_refs[..input_tensors.len()];
         let (rows, cols) = vop.partition_space();
-        let mut output = shape.allocate_output(rows, cols);
 
         let cal = *self.platform.calibration();
         let bench = *self.platform.bench_profile();
@@ -761,12 +760,14 @@ impl ShmtRuntime {
         }
 
         // Real computation: exact fp32 for CPU/GPU partitions, the int8
-        // NPU path for Edge TPU partitions, fanned out over host threads.
-        crate::exec::compute_tasks(
+        // NPU path for Edge TPU partitions, fanned out over host threads,
+        // each tile written in place in the output.
+        let mut output = crate::exec::compute_output(
             kernel,
             inputs,
             &compute,
-            &mut output,
+            rows,
+            cols,
             self.config.compute_threads,
         );
 

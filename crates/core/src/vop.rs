@@ -6,7 +6,7 @@ use std::fmt;
 use shmt_kernels::primitives::{BinaryOp, UnaryOp};
 use shmt_kernels::{Benchmark, Kernel, KernelShape};
 use shmt_tensor::tile::Tile;
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorViewMut};
 
 use crate::error::{Result, ShmtError};
 
@@ -326,11 +326,11 @@ impl Kernel for UnaryKernel {
         KernelShape::elementwise()
     }
 
-    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         for r in tile.row0..tile.row0 + tile.rows {
             let src = &input.row(r)[tile.col0..tile.col0 + tile.cols];
-            let dst = &mut out.row_mut(r)[tile.col0..tile.col0 + tile.cols];
+            let dst = out.span_mut(r, tile.col0..tile.col0 + tile.cols);
             for (d, &s) in dst.iter_mut().zip(src) {
                 *d = self.0.apply(s);
             }
@@ -364,12 +364,12 @@ impl Kernel for BinaryKernel {
         }
     }
 
-    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let (a, b) = (inputs[0], inputs[1]);
         for r in tile.row0..tile.row0 + tile.rows {
             let sa = &a.row(r)[tile.col0..tile.col0 + tile.cols];
             let sb = &b.row(r)[tile.col0..tile.col0 + tile.cols];
-            let dst = &mut out.row_mut(r)[tile.col0..tile.col0 + tile.cols];
+            let dst = out.span_mut(r, tile.col0..tile.col0 + tile.cols);
             for ((d, &x), &y) in dst.iter_mut().zip(sa).zip(sb) {
                 *d = self.0.apply(x, y);
             }
@@ -382,8 +382,65 @@ impl Kernel for BinaryKernel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use shmt_tensor::arena::Stash;
+
+    /// Runs both paths of a tile-aggregated `kernel` on `tile` into two
+    /// destinations prefilled with NaN — the whole output and a buffer of
+    /// the tile's own size — and asserts each equals the run into a
+    /// zero-filled output bit for bit: the kernel assigns its destination
+    /// and never accumulates into it, which the unfilled runtime output
+    /// depends on.
+    pub(crate) fn assert_assigns(kernel: &dyn Kernel, inputs: &[&Tensor], tile: Tile) {
+        let (rows, cols) = inputs[0].shape();
+        let run = |npu: bool, dst: &mut TensorViewMut<'_>| {
+            if npu {
+                kernel.run_npu_into(inputs, tile, dst, &mut Stash::default());
+            } else {
+                kernel.run_exact_into(inputs, tile, dst);
+            }
+        };
+        for npu in [false, true] {
+            let into_whole = |fill: f32| {
+                let mut out = Tensor::filled(rows, cols, fill);
+                run(
+                    npu,
+                    &mut out.view_mut(tile.row0, tile.col0, tile.rows, tile.cols),
+                );
+                out.view(tile.row0, tile.col0, tile.rows, tile.cols)
+                    .to_tensor()
+            };
+            let mut own = Tensor::filled(tile.rows, tile.cols, f32::NAN);
+            run(npu, &mut TensorViewMut::over(own.as_mut_slice(), tile));
+            let zeroed = into_whole(0.0);
+            for got in [into_whole(f32::NAN), own] {
+                let bits =
+                    |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&zeroed), bits(&got), "{} npu={npu}", kernel.name());
+            }
+        }
+    }
+
+    #[test]
+    fn element_wise_adapters_assign_their_destination() {
+        let a = shmt_tensor::gen::image8(40, 24, 1);
+        let b = shmt_tensor::gen::image8(40, 24, 2);
+        let tile = Tile {
+            index: 0,
+            row0: 8,
+            col0: 5,
+            rows: 20,
+            cols: 13,
+        };
+        for op in [UnaryOp::Log, UnaryOp::Relu, UnaryOp::Sqrt, UnaryOp::Tanh] {
+            assert_assigns(Vop::unary(op, a.clone()).unwrap().kernel(), &[&a], tile);
+        }
+        for op in [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Max] {
+            let vop = Vop::binary(op, a.clone(), b.clone()).unwrap();
+            assert_assigns(vop.kernel(), &[&a, &b], tile);
+        }
+    }
 
     #[test]
     fn every_opcode_has_a_model() {

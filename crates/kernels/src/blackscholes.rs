@@ -5,7 +5,7 @@
 //! from fixed ranges). The output is the call option price.
 
 use shmt_tensor::tile::Tile;
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorViewMut};
 
 use crate::{Kernel, KernelShape};
 
@@ -96,12 +96,12 @@ impl Kernel for Blackscholes {
         KernelShape::elementwise()
     }
 
-    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         let pc = self.consts();
         for r in tile.row0..tile.row0 + tile.rows {
             let src = &input.row(r)[tile.col0..tile.col0 + tile.cols];
-            let dst = &mut out.row_mut(r)[tile.col0..tile.col0 + tile.cols];
+            let dst = out.span_mut(r, tile.col0..tile.col0 + tile.cols);
             for (d, &s) in dst.iter_mut().zip(src) {
                 *d = self.price_with(&pc, s);
             }

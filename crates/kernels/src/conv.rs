@@ -5,7 +5,7 @@
 //! specialized for one filter).
 
 use shmt_tensor::tile::Tile;
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorViewMut};
 
 use crate::{Kernel, KernelShape};
 
@@ -48,7 +48,7 @@ impl Kernel for Conv2d {
         KernelShape::stencil(self.filter.rows() / 2)
     }
 
-    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         let (rows, cols) = input.shape();
         let (fr, fc) = self.filter.shape();
@@ -74,7 +74,7 @@ impl Kernel for Conv2d {
             let src_rows: Vec<&[f32]> = (0..fr)
                 .map(|i| &input.row(r + i - hr)[it.c0 - hc..])
                 .collect();
-            let dst = &mut out.row_mut(r)[it.c0..it.c1];
+            let dst = out.span_mut(r, it.c0..it.c1);
             for (x, d) in dst.iter_mut().enumerate() {
                 let mut acc = 0.0f32;
                 for (src, fil) in src_rows.iter().zip(&filter_rows) {

@@ -6,7 +6,7 @@
 //! straddle the dataset edge are padded by clamping.
 
 use shmt_tensor::tile::Tile;
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorViewMut};
 
 use crate::{Kernel, KernelShape};
 
@@ -45,7 +45,7 @@ fn transform_block(
     br: usize,
     bc: usize,
     tile: Tile,
-    out: &mut Tensor,
+    out: &mut TensorViewMut<'_>,
     tbl: &[[f32; N]; N],
 ) {
     let (rows, cols) = input.shape();
@@ -92,7 +92,7 @@ impl Kernel for Dct8x8 {
         KernelShape::blocked(N)
     }
 
-    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         let tbl = basis_table();
         let br0 = (tile.row0 / N) * N;

@@ -7,7 +7,7 @@
 //! the 32-element block edge.
 
 use shmt_tensor::tile::Tile;
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorViewMut};
 
 use crate::{Kernel, KernelShape};
 
@@ -148,7 +148,7 @@ fn transform_block(
     br: usize,
     bc: usize,
     tile: Tile,
-    out: &mut Tensor,
+    out: &mut TensorViewMut<'_>,
     s: &mut Scratch,
 ) {
     let (rows, cols) = input.shape();
@@ -182,7 +182,8 @@ fn transform_block(
         if or < tile.row0 || or >= tile.row0 + tile.rows {
             continue;
         }
-        out.row_mut(or)[lo..hi].copy_from_slice(&chunk[lo - bc..hi - bc]);
+        out.span_mut(or, lo..hi)
+            .copy_from_slice(&chunk[lo - bc..hi - bc]);
     }
 }
 
@@ -195,7 +196,7 @@ impl Kernel for Dwt97 {
         KernelShape::blocked(BLOCK)
     }
 
-    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         let mut scratch = Scratch::new();
         let br0 = (tile.row0 / BLOCK) * BLOCK;

@@ -7,7 +7,7 @@
 //! by small tests).
 
 use shmt_tensor::tile::Tile;
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorViewMut};
 
 use crate::{Kernel, KernelShape};
 
@@ -115,7 +115,7 @@ impl Kernel for RowFft {
         }
     }
 
-    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         assert_eq!(tile.col0, 0, "FFT partitions must span full rows");
         assert_eq!(
@@ -133,7 +133,7 @@ impl Kernel for RowFft {
                 re.copy_from_slice(input.row(r));
                 im.fill(0.0);
                 fft_radix2(&mut re, &mut im);
-                let dst = out.row_mut(r);
+                let dst = out.span_mut(r, 0..n);
                 for ((d, &rr), &ii) in dst.iter_mut().zip(&re).zip(&im) {
                     *d = (rr * rr + ii * ii).sqrt();
                 }
@@ -141,7 +141,7 @@ impl Kernel for RowFft {
         } else {
             for r in tile.row0..tile.row0 + tile.rows {
                 let mag = fft_magnitude(input.row(r));
-                out.row_mut(r).copy_from_slice(&mag);
+                out.span_mut(r, 0..n).copy_from_slice(&mag);
             }
         }
     }

@@ -7,9 +7,9 @@
 //! single-shape partitioning (`C = A * B`, all `n x n`).
 
 use shmt_tensor::arena::Stash;
-use shmt_tensor::quant::QuantParams;
+use shmt_tensor::quant::{QuantParams, RangeScan};
 use shmt_tensor::tile::Tile;
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorViewMut};
 
 use crate::{Kernel, KernelShape};
 
@@ -23,34 +23,28 @@ pub struct Gemm;
 const KB: usize = 128;
 
 /// Blocked i-k-j matrix multiply of `a * b` restricted to the output
-/// elements of `tile`, overwriting the tile-sized span of `out` whose
-/// top-left corner is `origin`.
+/// elements of `tile`, overwriting them in `out`.
 ///
 /// Per output element the products accumulate in globally ascending `k`
 /// order with the same zero-skip as a naive i-k-j loop, so results are
 /// bit-identical to the unblocked form.
-pub(crate) fn gemm_into(
-    a: &Tensor,
-    b: &Tensor,
-    tile: Tile,
-    out: &mut Tensor,
-    origin: (usize, usize),
-) {
+pub(crate) fn gemm_into(a: &Tensor, b: &Tensor, tile: Tile, out: &mut TensorViewMut<'_>) {
     let depth = a.cols();
-    for r in 0..tile.rows {
-        out.row_mut(origin.0 + r)[origin.1..][..tile.cols].fill(0.0);
+    let cols = tile.col0..tile.col0 + tile.cols;
+    for r in tile.row0..tile.row0 + tile.rows {
+        out.span_mut(r, cols.clone()).fill(0.0);
     }
     let mut kb = 0;
     while kb < depth {
         let kend = (kb + KB).min(depth);
-        for r in 0..tile.rows {
-            let apanel = &a.row(tile.row0 + r)[kb..kend];
-            let dst = &mut out.row_mut(origin.0 + r)[origin.1..][..tile.cols];
+        for r in tile.row0..tile.row0 + tile.rows {
+            let apanel = &a.row(r)[kb..kend];
+            let dst = out.span_mut(r, cols.clone());
             for (k, &av) in apanel.iter().enumerate() {
                 if av == 0.0 {
                     continue;
                 }
-                let brow = &b.row(kb + k)[tile.col0..tile.col0 + tile.cols];
+                let brow = &b.row(kb + k)[cols.clone()];
                 for (d, &bv) in dst.iter_mut().zip(brow) {
                     *d += av * bv;
                 }
@@ -84,21 +78,20 @@ impl Kernel for Gemm {
         }
     }
 
-    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         check_operands(inputs);
-        gemm_into(inputs[0], inputs[1], tile, out, (tile.row0, tile.col0));
+        gemm_into(inputs[0], inputs[1], tile, out);
     }
 
     /// The Edge TPU is literally a matrix engine: its int8 GEMM quantizes
     /// both operands globally (weights-and-activations style) rather than
     /// per partition, because every output tile reads all of `A`'s row
     /// band and all of `B`.
-    fn run_npu_at(
+    fn run_npu_into(
         &self,
         inputs: &[&Tensor],
         tile: Tile,
-        out: &mut Tensor,
-        origin: (usize, usize),
+        out: &mut TensorViewMut<'_>,
         _stash: &mut Stash,
     ) {
         check_operands(inputs);
@@ -106,15 +99,18 @@ impl Kernel for Gemm {
         let qb = QuantParams::from_slice(inputs[1].as_slice());
         let a = inputs[0].map(|v| qa.snap(v));
         let b = inputs[1].map(|v| qb.snap(v));
-        gemm_into(&a, &b, tile, out, origin);
+        gemm_into(&a, &b, tile, out);
         // Output through the int8 accumulator-rescale grid.
-        let view = out.view(origin.0, origin.1, tile.rows, tile.cols);
-        let (lo, hi) = view.min_max();
+        let rows = tile.row0..tile.row0 + tile.rows;
+        let cols = tile.col0..tile.col0 + tile.cols;
+        let mut range = RangeScan::new();
+        for r in rows.clone() {
+            range.scan(out.span(r, cols.clone()));
+        }
+        let (lo, hi) = range.finish().unwrap_or((0.0, 0.0));
         let q = QuantParams::from_range(lo, hi);
-        for r in origin.0..origin.0 + tile.rows {
-            for v in &mut out.row_mut(r)[origin.1..origin.1 + tile.cols] {
-                *v = q.snap(*v);
-            }
+        for r in rows {
+            q.snap_in_place(out.span_mut(r, cols.clone()));
         }
     }
 

@@ -6,7 +6,7 @@
 
 use shmt_tensor::arena::Stash;
 use shmt_tensor::tile::Tile;
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorViewMut};
 
 use crate::{Aggregation, Kernel, KernelShape, ReduceOp};
 
@@ -33,39 +33,41 @@ impl Kernel for Histogram256 {
         }
     }
 
-    /// Accumulates counts for the tile's elements *into* `out` (reduction
-    /// kernels add rather than overwrite, so independent HLOP buffers can
-    /// be summed by the runtime).
-    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    /// Writes the counts of the tile's elements into `out`, the HLOP's
+    /// private 1x256 buffer; the runtime sums the buffers.
+    fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
-        assert_eq!(out.shape(), (1, BINS), "histogram output is 1x256");
-        // A fixed-size array reference lets the count update compile
-        // without a per-element bounds check.
-        let counts: &mut [f32; BINS] = out.row_mut(0).try_into().expect("1x256 output");
+        assert_eq!(
+            (out.rows(), out.cols()),
+            (1, BINS),
+            "histogram output is 1x256"
+        );
+        // A fixed-size array lets the count update compile without a
+        // per-element bounds check.
+        let mut counts = [0.0f32; BINS];
         for r in tile.row0..tile.row0 + tile.rows {
             for &v in &input.row(r)[tile.col0..tile.col0 + tile.cols] {
                 let bin = (v.clamp(0.0, (BINS - 1) as f32)) as usize;
                 counts[bin & (BINS - 1)] += 1.0;
             }
         }
+        out.row_mut(0).copy_from_slice(&counts);
     }
 
-    fn run_npu_at(
+    fn run_npu_into(
         &self,
         inputs: &[&Tensor],
         tile: Tile,
-        out: &mut Tensor,
-        _origin: (usize, usize),
+        out: &mut TensorViewMut<'_>,
         _stash: &mut Stash,
     ) {
         // The NPU histogram regresses the 256 bin counts through an int8
         // output layer: per-HLOP counts are exact in aggregate but each
         // bin is reported on an int8 grid spanning the HLOP's count range.
-        let mut local = Tensor::zeros(1, BINS);
-        self.run_exact(inputs, tile, &mut local);
-        let params = shmt_tensor::quant::QuantParams::from_slice(local.as_slice());
-        for (d, &s) in out.row_mut(0).iter_mut().zip(local.row(0)) {
-            *d += params.snap(s).max(0.0);
+        self.run_exact_into(inputs, tile, out);
+        let params = shmt_tensor::quant::QuantParams::from_slice(out.row(0));
+        for v in out.row_mut(0) {
+            *v = params.snap(*v).max(0.0);
         }
     }
 

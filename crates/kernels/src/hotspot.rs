@@ -7,7 +7,7 @@
 //! and power grid.
 
 use shmt_tensor::tile::Tile;
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorViewMut};
 
 use crate::{Kernel, KernelShape};
 
@@ -50,7 +50,7 @@ impl Kernel for Hotspot {
         }
     }
 
-    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let temp = inputs[0];
         let power = inputs[1];
         assert_eq!(
@@ -80,7 +80,7 @@ impl Kernel for Hotspot {
             let mid = &temp.row(r)[i.c0 - 1..i.c1 + 1];
             let dn = &temp.row(r + 1)[i.c0 - 1..i.c1 + 1];
             let pw = &power.row(r)[i.c0..i.c1];
-            let dst = &mut out.row_mut(r)[i.c0..i.c1];
+            let dst = out.span_mut(r, i.c0..i.c1);
             for ((((d, &p), u), m), l) in dst
                 .iter_mut()
                 .zip(pw)

@@ -2,7 +2,7 @@ use std::fmt;
 
 use shmt_tensor::arena::Stash;
 use shmt_tensor::tile::Tile;
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorViewMut};
 
 use crate::npu::OutputQuant;
 
@@ -121,13 +121,24 @@ impl KernelShape {
 /// A benchmark compute kernel with an exact (fp32) path and an NPU (int8
 /// Edge TPU) path.
 ///
-/// `run_exact` writes the output elements covered by `tile`; stencil and
-/// block kernels may *read* outside the tile (their HLOP input partitions
-/// include the halo). `run_npu_at` produces the degraded result the Edge TPU
-/// device delivers; the default implementation routes through
-/// [`crate::npu::run_via_npu_at`] with the kernel's fidelity, input model
-/// and output grid. A kernel with an NPU path of its own overrides
-/// `run_npu_at` — never `run_npu`, which only forwards to it.
+/// Both paths read the shared, dataset-sized inputs in place and write
+/// through a [`TensorViewMut`] destination. For a [`Aggregation::Tile`]
+/// kernel the destination covers the tile, in dataset coordinates; for a
+/// [`Aggregation::Reduce`] kernel it covers the whole partial buffer.
+/// Either way a kernel **assigns every element of its destination and
+/// reads none of them before writing it**, so the destination may start
+/// with any values at all, and where its elements live — a whole output,
+/// a tile-sized buffer, one tile of an output other workers fill at once
+/// — is invisible to the kernel. Stencil and block kernels may *read*
+/// inputs outside the tile (their HLOP input partitions include the
+/// halo).
+///
+/// A kernel implements [`Kernel::run_exact_into`]; the default
+/// [`Kernel::run_npu_into`] routes through [`crate::npu::run_via_npu_into`]
+/// with the kernel's fidelity, input model and output grid, and a kernel
+/// with an NPU path of its own overrides it. [`Kernel::run_exact`] and
+/// [`Kernel::run_npu`] are forwarders for callers holding a whole output
+/// tensor.
 pub trait Kernel: Send + Sync + fmt::Debug {
     /// Stable kernel name (matches the paper's benchmark naming).
     fn name(&self) -> &'static str;
@@ -135,45 +146,50 @@ pub trait Kernel: Send + Sync + fmt::Debug {
     /// Partitioning facts.
     fn shape(&self) -> KernelShape;
 
-    /// Computes the output tile exactly in `f32`.
+    /// Computes the output tile exactly in `f32` into `out`.
     ///
     /// # Panics
     ///
     /// Implementations panic if `inputs` does not match
-    /// [`KernelShape::num_inputs`] or shapes disagree.
-    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor);
+    /// [`KernelShape::num_inputs`] or shapes disagree, and `out` panics on
+    /// a write outside its window.
+    fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>);
 
-    /// Computes the output tile through the int8 NPU path, in place: the
-    /// tile lands at its dataset position in `out`.
-    fn run_npu(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
-        let origin = (tile.row0, tile.col0);
-        self.run_npu_at(inputs, tile, out, origin, &mut Stash::default());
-    }
-
-    /// Computes the output tile through the int8 NPU path and publishes it
-    /// with its top-left corner at `origin` of `out` — its dataset position
-    /// for an in-place result, `(0, 0)` of a tile-sized buffer for an
-    /// executor that stitches tiles afterwards. Reduction kernels fold into
-    /// all of `out` and ignore `origin`. Buffers the size of the tile's
-    /// input footprint are built in `stash`.
-    fn run_npu_at(
+    /// Computes the output tile through the int8 NPU path into `out`. The
+    /// device buffers (one per input, the size of the tile's input
+    /// footprint) are built in `stash`.
+    fn run_npu_into(
         &self,
         inputs: &[&Tensor],
         tile: Tile,
-        out: &mut Tensor,
-        origin: (usize, usize),
+        out: &mut TensorViewMut<'_>,
         stash: &mut Stash,
     ) {
-        crate::npu::run_via_npu_at(
+        crate::npu::run_via_npu_into(
             self,
             inputs,
             tile,
             out,
-            origin,
             self.npu_fidelity(),
             self.npu_output_quant(),
             stash,
         );
+    }
+
+    /// [`Kernel::run_exact_into`] with `out` a whole output: the tile lands
+    /// at its dataset position; a reduction's partial folds into `out`.
+    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+        write_into(self.shape(), tile, out, |dst| {
+            self.run_exact_into(inputs, tile, dst);
+        });
+    }
+
+    /// [`Kernel::run_npu_into`] with `out` a whole output, as
+    /// [`Kernel::run_exact`].
+    fn run_npu(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+        write_into(self.shape(), tile, out, |dst| {
+            self.run_npu_into(inputs, tile, dst, &mut Stash::default());
+        });
     }
 
     /// Residual NN-approximation coarseness: a multiplier on the int8
@@ -204,6 +220,29 @@ pub trait Kernel: Send + Sync + fmt::Debug {
     /// Relative arithmetic work per output element, used by the platform
     /// cost model (normalized so a 3x3 stencil is ~9).
     fn work_per_element(&self) -> f64;
+}
+
+/// Runs `run` on the destination of `tile` in the whole output `out`: the
+/// tile's window for a tile-aggregated kernel; for a reduction, a partial
+/// buffer of `out`'s shape that is then folded into `out`.
+fn write_into(
+    shape: KernelShape,
+    tile: Tile,
+    out: &mut Tensor,
+    run: impl FnOnce(&mut TensorViewMut<'_>),
+) {
+    match shape.aggregation {
+        Aggregation::Tile => run(&mut out.view_mut(tile.row0, tile.col0, tile.rows, tile.cols)),
+        Aggregation::Reduce { op, .. } => {
+            let (rows, cols) = out.shape();
+            // The kernel assigns every element, so the page needs no fill.
+            let mut partial = Tensor::stale(rows, cols);
+            run(&mut partial.view_mut(0, 0, rows, cols));
+            for (d, &s) in out.as_mut_slice().iter_mut().zip(partial.as_slice()) {
+                *d = op.combine(*d, s);
+            }
+        }
+    }
 }
 
 /// The paper's ten benchmark applications (Table 2).

@@ -18,7 +18,8 @@
 //!   QAWS's criticality sampling exploits (§3.5).
 //!
 //! Kernels compute one *output tile* at a time given access to the whole
-//! input tensor(s); stencil kernels therefore read their halos from the
+//! input tensor(s), writing it in place through a destination view of
+//! that tile alone; stencil kernels therefore read their halos from the
 //! global input with clamped boundaries, matching an HLOP whose input
 //! partition includes the halo (§3.3.2).
 //!

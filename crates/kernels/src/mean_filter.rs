@@ -1,7 +1,7 @@
 //! 3x3 mean (box) filter (OpenCV baseline; the `Mean_Filter` VOP).
 
 use shmt_tensor::tile::Tile;
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorViewMut};
 
 use crate::{Kernel, KernelShape};
 
@@ -18,7 +18,7 @@ impl Kernel for MeanFilter {
         KernelShape::stencil(1)
     }
 
-    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         let (rows, cols) = input.shape();
         let at = |r: isize, c: isize| -> f32 {
@@ -42,7 +42,7 @@ impl Kernel for MeanFilter {
             let up = &input.row(r - 1)[i.c0 - 1..i.c1 + 1];
             let mid = &input.row(r)[i.c0 - 1..i.c1 + 1];
             let dn = &input.row(r + 1)[i.c0 - 1..i.c1 + 1];
-            let dst = &mut out.row_mut(r)[i.c0..i.c1];
+            let dst = out.span_mut(r, i.c0..i.c1);
             for (((d, u), m), l) in dst
                 .iter_mut()
                 .zip(up.windows(3))

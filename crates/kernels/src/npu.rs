@@ -18,10 +18,12 @@
 //! criticality sampling (range + standard deviation, §3.5) is designed to
 //! detect and route away from the NPU.
 
+use std::ops::Range;
+
 use shmt_tensor::arena::Stash;
 use shmt_tensor::quant::{self, QuantParams, RangeScan};
 use shmt_tensor::tile::Tile;
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorViewMut};
 
 use crate::{Aggregation, Kernel};
 
@@ -49,60 +51,24 @@ pub enum OutputQuant {
 }
 
 /// Runs `kernel` on `tile` through the modeled NPU path, writing the
-/// degraded result into `out`.
+/// degraded result into `out` (see [`Kernel::run_npu_into`]).
 ///
 /// `fidelity` coarsens the output grid: `1.0` is pure int8; larger values
-/// model an NN whose approximation error exceeds a quantization step.
+/// model an NN whose approximation error exceeds a quantization step;
+/// `quant` organizes the grid. The device buffers — one per input, each
+/// the size of the tile's [`extended_region`] — are built in `stash` and
+/// given back to it. The kernel computes on them straight into `out`, and
+/// the output grid then snaps the tile where it was written.
 ///
 /// # Panics
 ///
 /// Panics if `inputs` does not match the kernel's arity, if the tile is out
 /// of bounds, or if `fidelity < 1.0`.
-pub fn run_via_npu<K: Kernel + ?Sized>(
+pub fn run_via_npu_into<K: Kernel + ?Sized>(
     kernel: &K,
     inputs: &[&Tensor],
     tile: Tile,
-    out: &mut Tensor,
-    fidelity: f32,
-) {
-    run_via_npu_quant(kernel, inputs, tile, out, fidelity, OutputQuant::PerTile);
-}
-
-/// [`run_via_npu`] with an explicit output-grid organization.
-///
-/// # Panics
-///
-/// As [`run_via_npu`].
-pub fn run_via_npu_quant<K: Kernel + ?Sized>(
-    kernel: &K,
-    inputs: &[&Tensor],
-    tile: Tile,
-    out: &mut Tensor,
-    fidelity: f32,
-    quant: OutputQuant,
-) {
-    let origin = (tile.row0, tile.col0);
-    let stash = &mut Stash::default();
-    run_via_npu_at(kernel, inputs, tile, out, origin, fidelity, quant, stash);
-}
-
-/// [`run_via_npu_quant`] publishing the tile with its top-left corner at
-/// `origin` of `out` instead of at the tile's dataset position, so an
-/// executor can collect a tile in a tile-sized buffer. Reduction kernels
-/// fold into all of `out` and ignore `origin`. The device buffers — one
-/// per input and one for the output, each the size of the tile's
-/// [`extended_region`] — are built in `stash` and given back to it.
-///
-/// # Panics
-///
-/// As [`run_via_npu`], or if the tile does not fit `out` at `origin`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_via_npu_at<K: Kernel + ?Sized>(
-    kernel: &K,
-    inputs: &[&Tensor],
-    tile: Tile,
-    out: &mut Tensor,
-    origin: (usize, usize),
+    out: &mut TensorViewMut<'_>,
     fidelity: f32,
     quant: OutputQuant,
     stash: &mut Stash,
@@ -158,7 +124,7 @@ pub fn run_via_npu_at<K: Kernel + ?Sized>(
     }
     let snapped_refs = &snapped_refs[..inputs.len()];
 
-    // Run the exact kernel on the snapped local data.
+    // Run the exact kernel on the snapped local data, in local coordinates.
     let local_tile = Tile {
         index: tile.index,
         row0: tile.row0 - ext.row0,
@@ -168,42 +134,25 @@ pub fn run_via_npu_at<K: Kernel + ?Sized>(
     };
     match shape.aggregation {
         Aggregation::Tile => {
-            let page = stash.take(ext.rows * ext.cols);
-            let mut local_out = Tensor::zeros_in(ext.rows, ext.cols, page);
-            kernel.run_exact(snapped_refs, local_tile, &mut local_out);
-            // Re-quantize the produced tile through the (possibly coarsened)
-            // int8 output grid *while publishing* it: each produced value is
-            // read once more after the range scan and the snapped result
-            // goes straight to its final location.
+            // The tile lands where it belongs: the destination, rebased
+            // onto the extract's origin, is addressed in the same local
+            // coordinates. The (possibly coarsened) int8 output grid then
+            // snaps it in place, one more read and write per element.
+            kernel.run_exact_into(
+                snapped_refs,
+                local_tile,
+                &mut out.rebased(ext.row0, ext.col0),
+            );
             match quant {
-                OutputQuant::PerTile => {
-                    publish_snapped_tile(&local_out, local_tile, out, origin, fidelity);
-                }
+                OutputQuant::PerTile => snap_tile(out, tile, fidelity),
                 OutputQuant::BlockChannels { edge } => {
-                    publish_block_channels(&local_out, local_tile, out, origin, fidelity, edge);
+                    snap_block_channels(out, tile, fidelity, edge);
                 }
-                OutputQuant::Subbands { edge } => {
-                    publish_subbands(&local_out, local_tile, out, origin, fidelity, edge);
-                }
-            }
-            stash.put(local_out.into_vec());
-        }
-        Aggregation::Reduce {
-            rows: srows,
-            cols: scols,
-            op,
-        } => {
-            // Reduction kernels accumulate into the shared buffer; partial
-            // buffers fold with the reduction's own operation.
-            let mut local_out = shape.allocate_output(srows, scols);
-            kernel.run_exact(snapped_refs, local_tile, &mut local_out);
-            for r in 0..srows {
-                let dst = out.row_mut(r);
-                for (d, s) in dst.iter_mut().zip(local_out.row(r)) {
-                    *d = op.combine(*d, *s);
-                }
+                OutputQuant::Subbands { edge } => snap_subbands(out, tile, fidelity, edge),
             }
         }
+        // A reduction writes its whole partial buffer, unsnapped.
+        Aggregation::Reduce { .. } => kernel.run_exact_into(snapped_refs, local_tile, out),
     }
     for local in snapped.into_iter().flatten() {
         stash.put(local.into_vec());
@@ -232,8 +181,8 @@ pub struct Region {
 /// widens it to full rows, and clamps it to the `rows x cols` dataset.
 ///
 /// This is the exact input footprint a (non-`global_inputs`) kernel may
-/// read while computing `tile`; executors use it to hand workers tile-local
-/// extracts instead of whole tensors.
+/// read while computing `tile`, and the region the NPU path casts into its
+/// device buffers.
 ///
 /// # Panics
 ///
@@ -287,39 +236,25 @@ fn output_grid(range: Option<(f32, f32)>, fidelity: f32) -> QuantParams {
     }
 }
 
-/// The tile's row `r` in `local`, and where it is published in `out`.
-fn publish_rows<'a>(
-    local: &'a Tensor,
-    local_tile: Tile,
-    out: &'a mut Tensor,
-    origin: (usize, usize),
-    r: usize,
-) -> (&'a [f32], &'a mut [f32]) {
-    let src = &local.row(local_tile.row0 + r)[local_tile.col0..][..local_tile.cols];
-    let dst = &mut out.row_mut(origin.0 + r)[origin.1..][..local_tile.cols];
-    (src, dst)
+/// The dataset rows and columns of `tile`.
+fn tile_ranges(tile: Tile) -> (Range<usize>, Range<usize>) {
+    (
+        tile.row0..tile.row0 + tile.rows,
+        tile.col0..tile.col0 + tile.cols,
+    )
 }
 
-/// Snaps the `local_tile` region of `local` to an int8 grid derived from
-/// that region's range (step coarsened by `fidelity`) and writes the
-/// result into `out` at `origin` in one pass.
-fn publish_snapped_tile(
-    local: &Tensor,
-    local_tile: Tile,
-    out: &mut Tensor,
-    origin: (usize, usize),
-    fidelity: f32,
-) {
-    let view = local.view(
-        local_tile.row0,
-        local_tile.col0,
-        local_tile.rows,
-        local_tile.cols,
-    );
-    let params = output_grid(Some(view.min_max()), fidelity);
-    for r in 0..local_tile.rows {
-        let (src, dst) = publish_rows(local, local_tile, out, origin, r);
-        params.snap_into(src, dst);
+/// Snaps `tile` of `out` in place to an int8 grid derived from the
+/// tile's own range (step coarsened by `fidelity`).
+fn snap_tile(out: &mut TensorViewMut<'_>, tile: Tile, fidelity: f32) {
+    let (rows, cols) = tile_ranges(tile);
+    let mut range = RangeScan::new();
+    for r in rows.clone() {
+        range.scan(out.span(r, cols.clone()));
+    }
+    let params = output_grid(Some(range.finish().unwrap_or((0.0, 0.0))), fidelity);
+    for r in rows {
+        params.snap_in_place(out.span_mut(r, cols.clone()));
     }
 }
 
@@ -337,28 +272,21 @@ fn for_each_run(tile: Tile, edge: usize, split: usize, mut f: impl FnMut(usize, 
     }
 }
 
-/// [`publish_snapped_tile`] with one grid per position within an
-/// `edge x edge` block, each derived from that position's range within
-/// the tile. Positions come from *local* coordinates, which share the
-/// global block phase because the extraction region is block-aligned. A
-/// block row's positions are adjacent channels, so ranges and snaps run
+/// [`snap_tile`] with one grid per position within an `edge x edge`
+/// block, each derived from that position's range within the tile.
+/// Positions come from dataset coordinates, where the blocks are. A block
+/// row's positions are adjacent channels, so ranges and snaps run
 /// lane-wise over each block row.
-fn publish_block_channels(
-    local: &Tensor,
-    local_tile: Tile,
-    out: &mut Tensor,
-    origin: (usize, usize),
-    fidelity: f32,
-    edge: usize,
-) {
+fn snap_block_channels(out: &mut TensorViewMut<'_>, tile: Tile, fidelity: f32, edge: usize) {
     let channels = edge * edge;
     assert!(channels <= MAX_CHANNELS, "too many quantization channels");
+    let (rows, cols) = tile_ranges(tile);
     let mut lo = [f32::INFINITY; MAX_CHANNELS];
     let mut hi = [f32::NEG_INFINITY; MAX_CHANNELS];
-    for r in 0..local_tile.rows {
-        let base = ((local_tile.row0 + r) % edge) * edge;
-        let row = &local.row(local_tile.row0 + r)[local_tile.col0..][..local_tile.cols];
-        for_each_run(local_tile, edge, 0, |j, len, phase| {
+    for r in rows.clone() {
+        let base = (r % edge) * edge;
+        let row = out.span(r, cols.clone());
+        for_each_run(tile, edge, 0, |j, len, phase| {
             let ch = base + phase;
             quant::fold_lanes(
                 &mut lo[ch..ch + len],
@@ -371,48 +299,35 @@ fn publish_block_channels(
     for ((p, &lo), &hi) in params.iter_mut().zip(&lo).zip(&hi).take(channels) {
         *p = output_grid((lo <= hi).then_some((lo, hi)), fidelity);
     }
-    for r in 0..local_tile.rows {
-        let base = ((local_tile.row0 + r) % edge) * edge;
-        let (src, dst) = publish_rows(local, local_tile, out, origin, r);
-        for_each_run(local_tile, edge, 0, |j, len, phase| {
+    for r in rows {
+        let base = (r % edge) * edge;
+        let row = out.span_mut(r, cols.clone());
+        for_each_run(tile, edge, 0, |j, len, phase| {
             let ch = base + phase;
-            quant::snap_lanes_into(
-                &params[ch..ch + len],
-                &src[j..j + len],
-                &mut dst[j..j + len],
-            );
+            quant::snap_lanes(&params[ch..ch + len], &mut row[j..j + len]);
         });
     }
 }
 
-/// [`publish_snapped_tile`] with one grid per quadrant subband of an
-/// `edge x edge` block: a row crosses two subbands in alternating runs of
-/// half a block.
-fn publish_subbands(
-    local: &Tensor,
-    local_tile: Tile,
-    out: &mut Tensor,
-    origin: (usize, usize),
-    fidelity: f32,
-    edge: usize,
-) {
+/// [`snap_tile`] with one grid per quadrant subband of an `edge x edge`
+/// block: a row crosses two subbands in alternating runs of half a block.
+fn snap_subbands(out: &mut TensorViewMut<'_>, tile: Tile, fidelity: f32, edge: usize) {
     let half = edge / 2;
     let band =
         |r: usize, phase: usize| usize::from(r % edge >= half) * 2 + usize::from(phase >= half);
+    let (rows, cols) = tile_ranges(tile);
     let mut ranges = [RangeScan::new(); 4];
-    for r in 0..local_tile.rows {
-        let lr = local_tile.row0 + r;
-        let row = &local.row(lr)[local_tile.col0..][..local_tile.cols];
-        for_each_run(local_tile, edge, half, |j, len, phase| {
-            ranges[band(lr, phase)].scan(&row[j..j + len]);
+    for r in rows.clone() {
+        let row = out.span(r, cols.clone());
+        for_each_run(tile, edge, half, |j, len, phase| {
+            ranges[band(r, phase)].scan(&row[j..j + len]);
         });
     }
     let params = ranges.map(|range| output_grid(range.finish(), fidelity));
-    for r in 0..local_tile.rows {
-        let lr = local_tile.row0 + r;
-        let (src, dst) = publish_rows(local, local_tile, out, origin, r);
-        for_each_run(local_tile, edge, half, |j, len, phase| {
-            params[band(lr, phase)].snap_into(&src[j..j + len], &mut dst[j..j + len]);
+    for r in rows {
+        let row = out.span_mut(r, cols.clone());
+        for_each_run(tile, edge, half, |j, len, phase| {
+            params[band(r, phase)].snap_in_place(&mut row[j..j + len]);
         });
     }
 }
@@ -725,6 +640,17 @@ mod tests {
         }
     }
 
+    /// The whole `rows x cols` dataset as one tile.
+    fn full(rows: usize, cols: usize) -> Tile {
+        Tile {
+            index: 0,
+            row0: 0,
+            col0: 0,
+            rows,
+            cols,
+        }
+    }
+
     /// First row band, last row band and an off-origin interior tile of a
     /// `rows x cols` dataset, on the kernel's alignment.
     fn probe_tiles(shape: crate::KernelShape, rows: usize, cols: usize) -> Vec<Tile> {
@@ -763,8 +689,8 @@ mod tests {
         // NaNs in the tile and in its halo. Exact equality of the bits.
         for bench in crate::ALL_BENCHMARKS {
             // The production kernel for its NPU facts; the generic path
-            // under test is `run_via_npu_quant` itself, which Histogram's
-            // own `run_npu` does not use.
+            // under test is `run_via_npu_into` itself, which Histogram's
+            // own `run_npu_into` does not use.
             let kernel = bench.kernel();
             let shape = kernel.shape();
             let (fidelity, quant) = (kernel.npu_fidelity(), kernel.npu_output_quant());
@@ -792,18 +718,21 @@ mod tests {
                 ] {
                     let refs: Vec<&Tensor> = inputs.iter().collect();
                     for tile in probe_tiles(shape, rows, cols) {
-                        let (or, oc) = match shape.aggregation {
-                            Aggregation::Tile => (rows, cols),
-                            Aggregation::Reduce { rows, cols, .. } => (rows, cols),
+                        let (or, oc, dst) = match shape.aggregation {
+                            Aggregation::Tile => (rows, cols, tile),
+                            Aggregation::Reduce { rows, cols, .. } => {
+                                (rows, cols, full(rows, cols))
+                            }
                         };
                         let mut fused = shape.allocate_output(or, oc);
-                        run_via_npu_quant(
+                        run_via_npu_into(
                             kernel.as_ref(),
                             &refs,
                             tile,
-                            &mut fused,
+                            &mut fused.view_mut(dst.row0, dst.col0, dst.rows, dst.cols),
                             fidelity,
                             quant,
+                            &mut Stash::default(),
                         );
                         let mut reference = shape.allocate_output(or, oc);
                         two_pass_reference(
@@ -831,11 +760,12 @@ mod tests {
     }
 
     #[test]
-    fn publishing_at_an_origin_moves_the_tile_and_nothing_else() {
-        // What the pool executor relies on: the tile published into a
-        // tile-sized buffer, with the device buffers built in a stash that
-        // already holds pages, is the tile `run_npu` writes in place —
-        // for the default path and for a kernel with a path of its own.
+    fn tile_sized_destination_gets_the_in_place_tile() {
+        // What a claimant relies on: the tile computed into a destination
+        // of its own size, prefilled with NaN, with the device buffers
+        // built in a stash that already holds pages, is the tile `run_npu`
+        // writes in place — for the default path and for a kernel with a
+        // path of its own.
         let mut cases: Vec<(Box<dyn Kernel>, Vec<Tensor>)> =
             [Benchmark::Hotspot, Benchmark::Dct8x8, Benchmark::Dwt]
                 .map(|b| (b.kernel(), b.generate_inputs(96, 96, 5)))
@@ -852,21 +782,16 @@ mod tests {
             let tile = probe_tiles(kernel.shape(), 96, 96)[2];
             let mut in_place = Tensor::zeros(96, 96);
             kernel.run_npu(&refs, tile, &mut in_place);
-            let mut moved = Tensor::filled(tile.rows + 1, tile.cols + 1, -7.0);
+            let mut own = Tensor::filled(tile.rows, tile.cols, f32::NAN);
             let mut stash = Stash::with_pages(3, 96 * 96);
-            kernel.run_npu_at(&refs, tile, &mut moved, (1, 1), &mut stash);
+            let mut dst = TensorViewMut::over(own.as_mut_slice(), tile);
+            kernel.run_npu_into(&refs, tile, &mut dst, &mut stash);
             assert_eq!(
-                moved.view(1, 1, tile.rows, tile.cols).to_tensor(),
+                own,
                 in_place
                     .view(tile.row0, tile.col0, tile.rows, tile.cols)
                     .to_tensor(),
                 "{}",
-                kernel.name()
-            );
-            assert!(
-                moved.row(0).iter().all(|&v| v == -7.0)
-                    && (0..moved.rows()).all(|r| moved.row(r)[0] == -7.0),
-                "{}: wrote outside the tile",
                 kernel.name()
             );
         }
@@ -880,13 +805,14 @@ mod tests {
         let inputs = bench.generate_inputs(16, 16, 1);
         let refs: Vec<_> = inputs.iter().collect();
         let mut out = Tensor::zeros(16, 16);
-        let tile = Tile {
-            index: 0,
-            row0: 0,
-            col0: 0,
-            rows: 16,
-            cols: 16,
-        };
-        run_via_npu(kernel.as_ref(), &refs, tile, &mut out, 0.5);
+        run_via_npu_into(
+            kernel.as_ref(),
+            &refs,
+            full(16, 16),
+            &mut out.view_mut(0, 0, 16, 16),
+            0.5,
+            OutputQuant::PerTile,
+            &mut Stash::default(),
+        );
     }
 }

@@ -124,7 +124,7 @@ pub fn gemm(a: &Tensor, b: &Tensor) -> Tensor {
         rows: m,
         cols: n,
     };
-    crate::gemm::gemm_into(a, b, all, &mut out, (0, 0));
+    crate::gemm::gemm_into(a, b, all, &mut out.view_mut(0, 0, m, n));
     out
 }
 

@@ -6,7 +6,7 @@
 //! carries `(sum, count)` partials and divides in [`Kernel::finalize`].
 
 use shmt_tensor::tile::Tile;
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorViewMut};
 
 use crate::{Aggregation, Kernel, KernelShape, ReduceOp};
 
@@ -40,8 +40,8 @@ impl Kernel for ReduceSum {
         reduce_shape(1, ReduceOp::Sum)
     }
 
-    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
-        out[(0, 0)] += fold_tile(inputs[0], tile, 0.0, |a, v| a + v);
+    fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
+        out[(0, 0)] = fold_tile(inputs[0], tile, 0.0, |a, v| a + v);
     }
 
     fn work_per_element(&self) -> f64 {
@@ -62,9 +62,8 @@ impl Kernel for ReduceMax {
         reduce_shape(1, ReduceOp::Max)
     }
 
-    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
-        let m = fold_tile(inputs[0], tile, f32::NEG_INFINITY, f32::max);
-        out[(0, 0)] = out[(0, 0)].max(m);
+    fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
+        out[(0, 0)] = fold_tile(inputs[0], tile, f32::NEG_INFINITY, f32::max);
     }
 
     fn work_per_element(&self) -> f64 {
@@ -85,9 +84,8 @@ impl Kernel for ReduceMin {
         reduce_shape(1, ReduceOp::Min)
     }
 
-    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
-        let m = fold_tile(inputs[0], tile, f32::INFINITY, f32::min);
-        out[(0, 0)] = out[(0, 0)].min(m);
+    fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
+        out[(0, 0)] = fold_tile(inputs[0], tile, f32::INFINITY, f32::min);
     }
 
     fn work_per_element(&self) -> f64 {
@@ -109,9 +107,9 @@ impl Kernel for ReduceAverage {
         reduce_shape(2, ReduceOp::Sum)
     }
 
-    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
-        out[(0, 0)] += fold_tile(inputs[0], tile, 0.0, |a, v| a + v);
-        out[(0, 1)] += tile.len() as f32;
+    fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
+        out[(0, 0)] = fold_tile(inputs[0], tile, 0.0, |a, v| a + v);
+        out[(0, 1)] = tile.len() as f32;
     }
 
     fn finalize(&self, out: &mut Tensor) {

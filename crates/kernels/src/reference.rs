@@ -5,7 +5,7 @@
 //! the contract that outputs stay **bit-identical** to the original
 //! straight-line loops. This module keeps those original loops alive as
 //! golden references: [`Naive`] wraps a production kernel and swaps in the
-//! naive `run_exact` while delegating every other trait method (shape,
+//! naive `run_exact_into` while delegating every other trait method (shape,
 //! fidelity, native-u8 flag, NPU wiring, work estimate) to the wrapped
 //! kernel, so the NPU path also exercises the naive exact core.
 //!
@@ -17,7 +17,7 @@
 use shmt_tensor::arena::Stash;
 use shmt_tensor::quant::QuantParams;
 use shmt_tensor::tile::Tile;
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorViewMut};
 
 use crate::blackscholes::{cnd, Blackscholes};
 use crate::conv::Conv2d;
@@ -35,16 +35,12 @@ use crate::srad::Srad;
 use crate::{Benchmark, Kernel, KernelShape};
 
 /// The signature of a naive kernel core: same arguments as
-/// [`Kernel::run_exact`], with the wrapped kernel passed explicitly.
-type NaiveRun<K> = fn(&K, &[&Tensor], Tile, &mut Tensor);
+/// [`Kernel::run_exact_into`], with the wrapped kernel passed explicitly.
+type NaiveRun<K> = fn(&K, &[&Tensor], Tile, &mut TensorViewMut<'_>);
 
-/// The signature of a naive NPU path: [`NaiveRun`] plus where in `out` the
-/// tile is published (see [`Kernel::run_npu_at`]).
-type NaiveNpu<K> = fn(&K, &[&Tensor], Tile, &mut Tensor, (usize, usize));
-
-/// A reference kernel: the production kernel `K` with its `run_exact`
+/// A reference kernel: the production kernel `K` with its `run_exact_into`
 /// replaced by the original naive loop (and, where the production kernel
-/// customizes `run_npu_at`, an equivalent override that routes through
+/// customizes `run_npu_into`, an equivalent override that routes through
 /// the naive exact core).
 #[derive(Debug)]
 pub struct Naive<K: Kernel> {
@@ -53,7 +49,7 @@ pub struct Naive<K: Kernel> {
     /// Fully custom NPU path (Histogram's per-HLOP snap, GEMM's global
     /// operand quantization) — mirrors the production override but calls
     /// the naive exact core.
-    custom_npu: Option<NaiveNpu<Naive<K>>>,
+    custom_npu: Option<NaiveRun<Naive<K>>>,
 }
 
 impl<K: Kernel> Kernel for Naive<K> {
@@ -65,26 +61,24 @@ impl<K: Kernel> Kernel for Naive<K> {
         self.inner.shape()
     }
 
-    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         (self.run)(&self.inner, inputs, tile, out)
     }
 
-    fn run_npu_at(
+    fn run_npu_into(
         &self,
         inputs: &[&Tensor],
         tile: Tile,
-        out: &mut Tensor,
-        origin: (usize, usize),
+        out: &mut TensorViewMut<'_>,
         stash: &mut Stash,
     ) {
         match self.custom_npu {
-            Some(f) => f(self, inputs, tile, out, origin),
-            None => crate::npu::run_via_npu_at(
+            Some(f) => f(self, inputs, tile, out),
+            None => crate::npu::run_via_npu_into(
                 self,
                 inputs,
                 tile,
                 out,
-                origin,
                 self.npu_fidelity(),
                 self.npu_output_quant(),
                 stash,
@@ -139,7 +133,7 @@ fn clamped(input: &Tensor, r: isize, c: isize) -> f32 {
 
 /// Naive 3x3 mean filter reference.
 pub fn mean_filter() -> Naive<MeanFilter> {
-    fn run(_: &MeanFilter, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run(_: &MeanFilter, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         for r in tile.row0..tile.row0 + tile.rows {
             for c in tile.col0..tile.col0 + tile.cols {
@@ -163,7 +157,7 @@ pub fn mean_filter() -> Naive<MeanFilter> {
 
 /// Naive Sobel gradient-magnitude reference.
 pub fn sobel() -> Naive<Sobel> {
-    fn run(_: &Sobel, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run(_: &Sobel, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         let at = |r, c| clamped(input, r, c);
         for r in tile.row0..tile.row0 + tile.rows {
@@ -190,7 +184,7 @@ pub fn sobel() -> Naive<Sobel> {
 
 /// Naive 3x3 Laplacian reference.
 pub fn laplacian() -> Naive<Laplacian> {
-    fn run(_: &Laplacian, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run(_: &Laplacian, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         let at = |r, c| clamped(input, r, c);
         for r in tile.row0..tile.row0 + tile.rows {
@@ -210,7 +204,7 @@ pub fn laplacian() -> Naive<Laplacian> {
 
 /// Naive Hotspot time-step reference.
 pub fn hotspot(k: Hotspot) -> Naive<Hotspot> {
-    fn run(k: &Hotspot, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run(k: &Hotspot, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let temp = inputs[0];
         let power = inputs[1];
         assert_eq!(
@@ -257,7 +251,7 @@ fn srad_coefficient(k: &Srad, input: &Tensor, r: isize, c: isize) -> f32 {
 
 /// Naive SRAD iteration reference.
 pub fn srad(k: Srad) -> Naive<Srad> {
-    fn run(k: &Srad, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run(k: &Srad, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         let at = |r, c| clamped(input, r, c);
         for r in tile.row0..tile.row0 + tile.rows {
@@ -284,7 +278,7 @@ pub fn srad(k: Srad) -> Naive<Srad> {
 
 /// Naive same-size convolution reference (clamped boundaries).
 pub fn conv2d(k: Conv2d) -> Naive<Conv2d> {
-    fn run(k: &Conv2d, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run(k: &Conv2d, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         let (rows, cols) = input.shape();
         let filter = k.filter();
@@ -318,7 +312,7 @@ const N8: usize = 8;
 /// Naive 8x8 DCT reference: per-coefficient basis evaluation with clamped
 /// per-term reads, exactly as the seed implementation.
 pub fn dct8x8() -> Naive<Dct8x8> {
-    fn block(input: &Tensor, br: usize, bc: usize, tile: Tile, out: &mut Tensor) {
+    fn block(input: &Tensor, br: usize, bc: usize, tile: Tile, out: &mut TensorViewMut<'_>) {
         let (rows, cols) = input.shape();
         let read = |r: usize, c: usize| -> f32 { input[(r.min(rows - 1), c.min(cols - 1))] };
         for u in 0..N8 {
@@ -342,7 +336,7 @@ pub fn dct8x8() -> Naive<Dct8x8> {
             }
         }
     }
-    fn run(_: &Dct8x8, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run(_: &Dct8x8, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         let br0 = (tile.row0 / N8) * N8;
         let bc0 = (tile.col0 / N8) * N8;
@@ -366,7 +360,7 @@ pub fn dct8x8() -> Naive<Dct8x8> {
 /// Naive blocked DWT 9/7 reference: nested-`Vec` block copy, row lifts,
 /// strided column lifts through a scratch column.
 pub fn dwt97() -> Naive<Dwt97> {
-    fn block(input: &Tensor, br: usize, bc: usize, tile: Tile, out: &mut Tensor) {
+    fn block(input: &Tensor, br: usize, bc: usize, tile: Tile, out: &mut TensorViewMut<'_>) {
         let (rows, cols) = input.shape();
         let brows = BLOCK.min(rows - br);
         let bcols = BLOCK.min(cols - bc);
@@ -401,7 +395,7 @@ pub fn dwt97() -> Naive<Dwt97> {
             }
         }
     }
-    fn run(_: &Dwt97, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run(_: &Dwt97, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         let br0 = (tile.row0 / BLOCK) * BLOCK;
         let bc0 = (tile.col0 / BLOCK) * BLOCK;
@@ -424,7 +418,7 @@ pub fn dwt97() -> Naive<Dwt97> {
 
 /// Naive row-FFT reference: fresh scratch per row via [`fft_magnitude`].
 pub fn row_fft() -> Naive<RowFft> {
-    fn run(_: &RowFft, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run(_: &RowFft, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         assert_eq!(tile.col0, 0, "FFT partitions must span full rows");
         assert_eq!(
@@ -434,7 +428,7 @@ pub fn row_fft() -> Naive<RowFft> {
         );
         for r in tile.row0..tile.row0 + tile.rows {
             let mag = fft_magnitude(input.row(r));
-            out.row_mut(r).copy_from_slice(&mag);
+            out.span_mut(r, 0..tile.cols).copy_from_slice(&mag);
         }
     }
     Naive {
@@ -446,9 +440,14 @@ pub fn row_fft() -> Naive<RowFft> {
 
 /// Naive histogram reference with the production per-HLOP NPU snap.
 pub fn histogram256() -> Naive<Histogram256> {
-    fn run(_: &Histogram256, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run(_: &Histogram256, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
-        assert_eq!(out.shape(), (1, BINS), "histogram output is 1x256");
+        assert_eq!(
+            (out.rows(), out.cols()),
+            (1, BINS),
+            "histogram output is 1x256"
+        );
+        out.row_mut(0).fill(0.0);
         for r in tile.row0..tile.row0 + tile.rows {
             for &v in &input.row(r)[tile.col0..tile.col0 + tile.cols] {
                 let bin = (v.clamp(0.0, (BINS - 1) as f32)) as usize;
@@ -460,14 +459,13 @@ pub fn histogram256() -> Naive<Histogram256> {
         this: &Naive<Histogram256>,
         inputs: &[&Tensor],
         tile: Tile,
-        out: &mut Tensor,
-        _origin: (usize, usize),
+        out: &mut TensorViewMut<'_>,
     ) {
         let mut local = Tensor::zeros(1, BINS);
         this.run_exact(inputs, tile, &mut local);
         let params = QuantParams::from_slice(local.as_slice());
         for (d, &s) in out.row_mut(0).iter_mut().zip(local.row(0)) {
-            *d += params.snap(s).max(0.0);
+            *d = params.snap(s).max(0.0);
         }
     }
     Naive {
@@ -480,7 +478,7 @@ pub fn histogram256() -> Naive<Histogram256> {
 /// Naive GEMM reference (unblocked i-k-j) with the production global
 /// operand quantization on the NPU path.
 pub fn gemm() -> Naive<Gemm> {
-    fn run(_: &Gemm, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run(_: &Gemm, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let (a, b) = (inputs[0], inputs[1]);
         assert_eq!(
             a.shape(),
@@ -491,8 +489,7 @@ pub fn gemm() -> Naive<Gemm> {
         assert_eq!(n, m, "GEMM VOP requires square inputs");
         for r in tile.row0..tile.row0 + tile.rows {
             let arow = a.row(r);
-            let or = out.row_mut(r);
-            let dst = &mut or[tile.col0..tile.col0 + tile.cols];
+            let dst = out.span_mut(r, tile.col0..tile.col0 + tile.cols);
             dst.fill(0.0);
             for (k, &av) in arow.iter().enumerate() {
                 if av == 0.0 {
@@ -505,13 +502,7 @@ pub fn gemm() -> Naive<Gemm> {
             }
         }
     }
-    fn npu(
-        this: &Naive<Gemm>,
-        inputs: &[&Tensor],
-        tile: Tile,
-        out: &mut Tensor,
-        origin: (usize, usize),
-    ) {
+    fn npu(this: &Naive<Gemm>, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let qa = QuantParams::from_slice(inputs[0].as_slice());
         let qb = QuantParams::from_slice(inputs[1].as_slice());
         let a = inputs[0].map(|v| qa.snap(v));
@@ -524,7 +515,7 @@ pub fn gemm() -> Naive<Gemm> {
         let (lo, hi) = view.min_max();
         let q = QuantParams::from_range(lo, hi);
         for r in 0..tile.rows {
-            let dst = &mut out.row_mut(origin.0 + r)[origin.1..][..tile.cols];
+            let dst = out.span_mut(tile.row0 + r, tile.col0..tile.col0 + tile.cols);
             for (d, &s) in dst.iter_mut().zip(view.row(r)) {
                 *d = q.snap(s);
             }
@@ -540,11 +531,11 @@ pub fn gemm() -> Naive<Gemm> {
 /// Naive Black-Scholes reference: the full pricing formula re-evaluated
 /// per element, nothing hoisted.
 pub fn blackscholes() -> Naive<Blackscholes> {
-    fn run(k: &Blackscholes, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run(k: &Blackscholes, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         for r in tile.row0..tile.row0 + tile.rows {
             let src = &input.row(r)[tile.col0..tile.col0 + tile.cols];
-            let dst = &mut out.row_mut(r)[tile.col0..tile.col0 + tile.cols];
+            let dst = out.span_mut(r, tile.col0..tile.col0 + tile.cols);
             for (d, &spot) in dst.iter_mut().zip(src) {
                 let s = spot.max(1e-6);
                 let strike = s * k.strike_ratio;

@@ -5,7 +5,7 @@
 //! flat image regions produce near-zero outputs.
 
 use shmt_tensor::tile::Tile;
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorViewMut};
 
 use crate::{Kernel, KernelShape};
 
@@ -22,7 +22,7 @@ impl Kernel for Sobel {
         KernelShape::stencil(1)
     }
 
-    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         let (rows, cols) = input.shape();
         let at = |r: isize, c: isize| -> f32 {
@@ -48,7 +48,7 @@ impl Kernel for Sobel {
             let up = &input.row(r - 1)[i.c0 - 1..i.c1 + 1];
             let mid = &input.row(r)[i.c0 - 1..i.c1 + 1];
             let dn = &input.row(r + 1)[i.c0 - 1..i.c1 + 1];
-            let dst = &mut out.row_mut(r)[i.c0..i.c1];
+            let dst = out.span_mut(r, i.c0..i.c1);
             for (((d, u), m), l) in dst
                 .iter_mut()
                 .zip(up.windows(3))

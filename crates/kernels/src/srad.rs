@@ -12,7 +12,7 @@
 //! paper's partitioning implicitly requires as well.
 
 use shmt_tensor::tile::Tile;
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorViewMut};
 
 use crate::{Kernel, KernelShape};
 
@@ -81,7 +81,7 @@ impl Kernel for Srad {
         KernelShape::stencil(2)
     }
 
-    fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
+    fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         let (rows, cols) = input.shape();
         let at = |r: isize, c: isize| -> f32 {
@@ -112,7 +112,7 @@ impl Kernel for Srad {
             let r0 = &input.row(r)[i.c0 - 1..i.c1 + 2];
             let rp1 = &input.row(r + 1)[i.c0 - 1..i.c1 + 2];
             let rp2 = &input.row(r + 2)[i.c0 - 1..i.c1 + 2];
-            let dst = &mut out.row_mut(r)[i.c0..i.c1];
+            let dst = out.span_mut(r, i.c0..i.c1);
             for ((((d, um), m), dm), d2) in dst
                 .iter_mut()
                 .zip(rm1.windows(4))

@@ -5,14 +5,18 @@
 //!   execute on different devices and be stitched back together).
 //! * **NPU error physics** — the int8 path's error grows with a
 //!   partition's value range and never corrupts elements outside its tile.
+//! * **Assignment** — a kernel overwrites every element of its
+//!   destination and never reads one first, so the runtime may hand it
+//!   an unfilled output.
 //!
 //! Cases are drawn from a seeded [`Pcg32`] stream, so every run explores
 //! the same inputs and failures reproduce exactly.
 
-use shmt_kernels::{Aggregation, Benchmark, ALL_BENCHMARKS};
+use shmt_kernels::{Aggregation, Benchmark, Kernel, ALL_BENCHMARKS};
+use shmt_tensor::arena::Stash;
 use shmt_tensor::rng::Pcg32;
 use shmt_tensor::tile::Tile;
-use shmt_tensor::Tensor;
+use shmt_tensor::{Tensor, TensorViewMut};
 
 fn full_tile(rows: usize, cols: usize) -> Tile {
     Tile {
@@ -203,4 +207,142 @@ fn sum_kernels_accumulate_across_tiles() {
         kernel.run_exact(&refs, t, &mut split);
     }
     assert_eq!(whole.as_slice(), split.as_slice());
+}
+
+/// Where `tile`'s result goes in a `n x n` run: the whole output's shape
+/// and the window the kernel writes — the tile itself for a
+/// tile-aggregated kernel, the whole partial buffer for a reduction.
+fn destination(kernel: &dyn Kernel, n: usize, tile: Tile) -> ((usize, usize), Tile) {
+    match kernel.shape().aggregation {
+        Aggregation::Tile => ((n, n), tile),
+        Aggregation::Reduce { rows, cols, .. } => ((rows, cols), full_tile(rows, cols)),
+    }
+}
+
+/// Runs `kernel` on `tile` into `dst` through the exact or NPU path.
+fn run_into(
+    kernel: &dyn Kernel,
+    inputs: &[&Tensor],
+    tile: Tile,
+    npu: bool,
+    dst: &mut TensorViewMut<'_>,
+) {
+    if npu {
+        kernel.run_npu_into(inputs, tile, dst, &mut Stash::default());
+    } else {
+        kernel.run_exact_into(inputs, tile, dst);
+    }
+}
+
+/// Runs both paths of `kernel` on `tile` into two destinations prefilled
+/// with NaN — a whole output and a buffer of the window's own size — and
+/// asserts each equals the run into a zero-filled output bit for bit.
+fn assert_assigns(kernel: &dyn Kernel, inputs: &[&Tensor], n: usize, tile: Tile) {
+    let ((rows, cols), win) = destination(kernel, n, tile);
+    for npu in [false, true] {
+        let into_whole = |fill: f32| {
+            let mut out = Tensor::filled(rows, cols, fill);
+            let mut dst = out.view_mut(win.row0, win.col0, win.rows, win.cols);
+            run_into(kernel, inputs, tile, npu, &mut dst);
+            out.view(win.row0, win.col0, win.rows, win.cols).to_tensor()
+        };
+        let zeroed = into_whole(0.0);
+        let mut own = Tensor::filled(win.rows, win.cols, f32::NAN);
+        run_into(
+            kernel,
+            inputs,
+            tile,
+            npu,
+            &mut TensorViewMut::over(own.as_mut_slice(), win),
+        );
+        let path = if npu { "NPU" } else { "exact" };
+        for (label, got) in [
+            ("whole output", into_whole(f32::NAN)),
+            ("tile-sized buffer", own),
+        ] {
+            let same = zeroed
+                .as_slice()
+                .iter()
+                .zip(got.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(
+                same,
+                "{} {path} path, tile {tile:?}, into a NaN-filled {label}: \
+                 must assign its destination, not accumulate into it",
+                kernel.name()
+            );
+        }
+    }
+}
+
+/// The unfilled runtime output depends on it: every kernel assigns each
+/// element of its destination and reads none before writing it — the ten
+/// benchmarks, their naive references, GEMM, convolution and the
+/// reductions, on both paths, into either kind of destination.
+#[test]
+fn kernels_assign_their_destination_never_accumulate() {
+    use shmt_kernels::conv::Conv2d;
+    use shmt_kernels::gemm::Gemm;
+    use shmt_kernels::reductions::{ReduceAverage, ReduceMax, ReduceMin, ReduceSum};
+    use shmt_kernels::reference;
+
+    let n = 96;
+    let tiles_for = |kernel: &dyn Kernel| {
+        let shape = kernel.shape();
+        let cut = (40 / shape.block_align).max(1) * shape.block_align;
+        if shape.full_rows {
+            vec![
+                Tile {
+                    index: 0,
+                    row0: 0,
+                    col0: 0,
+                    rows: cut,
+                    cols: n,
+                },
+                Tile {
+                    index: 1,
+                    row0: cut,
+                    col0: 0,
+                    rows: n - cut,
+                    cols: n,
+                },
+            ]
+        } else {
+            quad_split(n, cut, cut)
+        }
+    };
+    let mut cases: Vec<(Box<dyn Kernel>, Vec<Tensor>)> = Vec::new();
+    for b in ALL_BENCHMARKS {
+        cases.push((b.kernel(), b.generate_inputs(n, n, 4)));
+        cases.push((reference::naive_kernel(b), b.generate_inputs(n, n, 4)));
+    }
+    let operands = || {
+        vec![
+            shmt_tensor::gen::image8(n, n, 5),
+            shmt_tensor::gen::image8(n, n, 6),
+        ]
+    };
+    cases.push((Box::new(Gemm), operands()));
+    cases.push((Box::new(reference::gemm()), operands()));
+    let image = || vec![shmt_tensor::gen::image8(n, n, 7)];
+    let wide = Tensor::from_fn(5, 3, |r, c| ((r * 3 + c) as f32 - 7.0) * 0.125);
+    for filter in [Conv2d::gaussian3x3().filter().clone(), wide] {
+        cases.push((Box::new(Conv2d::new(filter.clone())), image()));
+        cases.push((Box::new(reference::conv2d(Conv2d::new(filter))), image()));
+    }
+    let reductions: [Box<dyn Kernel>; 4] = [
+        Box::new(ReduceSum),
+        Box::new(ReduceMax),
+        Box::new(ReduceMin),
+        Box::new(ReduceAverage),
+    ];
+    for k in reductions {
+        cases.push((k, image()));
+    }
+    for (kernel, inputs) in &cases {
+        let refs: Vec<&Tensor> = inputs.iter().collect();
+        for tile in tiles_for(kernel.as_ref()) {
+            assert_assigns(kernel.as_ref(), &refs, n, tile);
+        }
+    }
 }

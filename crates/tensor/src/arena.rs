@@ -11,9 +11,9 @@
 //!   tensor takes its backing storage from the pool and returns it on
 //!   drop — so *all* tensor traffic (HLOP input/output pages, quantize
 //!   scratch, kernel locals) recycles without any call-site changes.
-//! * [`Stash`], the pages one executor worker holds for the length of a
-//!   run, so what a run takes from the pool does not depend on how its
-//!   workers overlap.
+//! * [`Stash`], the NPU device-buffer pages one executor worker holds for
+//!   the length of a run, so what a run takes from the pool does not
+//!   depend on how its workers overlap.
 //! * [`VecPool`], a typed pool of `Vec<T>` spines for the runtime's
 //!   per-run bookkeeping vectors (HLOP records, compute tasks, …).
 //! * [`ObjPool`], a pool of whole reusable objects (queue pairs, slot
@@ -22,11 +22,15 @@
 //! # Ownership and lifetime rules
 //!
 //! Pages are plain `Vec`s: taking one transfers ownership to the caller
-//! and putting one back transfers it to the pool. Returned `f32` pages
-//! are always *empty* (`len == 0`) with at least the requested capacity;
-//! callers fill them. The pool never hands out aliased storage and never
-//! holds borrows — everything is by-value, so the usual Rust ownership
-//! rules are the whole safety story.
+//! and putting one back transfers it to the pool. A put page keeps its
+//! length, so its elements stay initialised. [`take_f32`] clears the page
+//! it returns (`len == 0`, at least the requested capacity; O(1) for
+//! `f32`) and callers fill it; [`take_f32_stale`] returns exactly the
+//! requested number of initialised elements holding whatever the page
+//! held last, and writes only the part that was never initialised — for
+//! a caller that overwrites every element anyway. The pool never hands
+//! out aliased storage and never holds borrows — everything is by-value,
+//! so the usual Rust ownership rules are the whole safety story.
 //!
 //! Page capacities are rounded up to powers of two so a page recycles
 //! into the same bucket it was served from regardless of the exact
@@ -113,6 +117,22 @@ fn put_bucket(capacity: usize) -> usize {
 /// Takes an empty `f32` page with capacity for at least `len` elements,
 /// recycled from the pool when one is available.
 pub fn take_f32(len: usize) -> Vec<f32> {
+    let mut page = take_page(len);
+    page.clear();
+    page
+}
+
+/// Takes a page of exactly `len` initialised elements without clearing
+/// it: a recycled page keeps whatever it held, and only elements it never
+/// held are zeroed (all of them on a fresh page).
+pub fn take_f32_stale(len: usize) -> Vec<f32> {
+    let mut page = take_page(len);
+    page.resize(len, 0.0);
+    page
+}
+
+/// A page with capacity for at least `len` elements, as the pool holds it.
+fn take_page(len: usize) -> Vec<f32> {
     if len == 0 {
         return Vec::new();
     }
@@ -136,14 +156,13 @@ pub fn take_f32(len: usize) -> Vec<f32> {
 }
 
 /// Returns a page to the pool (or frees it when the byte cap is reached
-/// or pooling is disabled). The page is cleared; its capacity is kept.
-pub fn put_f32(mut page: Vec<f32>) {
+/// or pooling is disabled). Its length and capacity are kept.
+pub fn put_f32(page: Vec<f32>) {
     let cap = page.capacity();
     if cap == 0 {
         return;
     }
     if enabled() {
-        page.clear();
         let bytes = cap * std::mem::size_of::<f32>();
         if let Ok(mut pool) = PAGE_POOL.lock() {
             if pool.cached_bytes + bytes <= byte_cap() {
@@ -183,12 +202,12 @@ pub fn clear() {
 
 /// Pages one worker keeps to itself while it computes a run's tasks.
 ///
-/// A task's footprint buffers — its localized or cast inputs, its local
-/// output — live only while the task is computed. Drawn from the global
-/// pool one task at a time, the number a run needs at once depends on how
-/// many workers happen to compute at the same moment, so a warm pool can
-/// still come up short on a later, more overlapped run. An executor
-/// instead takes one stash per worker *before* the workers start
+/// An NPU task's device buffers — its int8-snapped input footprints —
+/// live only while the task is computed. Drawn from the global pool one
+/// task at a time, the number a run needs at once depends on how many
+/// workers happen to compute at the same moment, so a warm pool can still
+/// come up short on a later, more overlapped run. An executor instead
+/// takes one stash per worker *before* the workers start
 /// ([`Stash::with_pages`]: the same pages every run, whatever the overlap)
 /// and every task builds its buffers in its worker's stash.
 ///
@@ -385,6 +404,21 @@ mod tests {
         // Same bucket: the recycled page satisfies a same-class request.
         assert!(again.capacity() >= 100);
         assert!(again.is_empty());
+    }
+
+    #[test]
+    fn stale_take_keeps_what_a_recycled_page_held() {
+        // A bucket (2^19 elements) no other test in this binary uses; a
+        // plain take of a page put back with elements in it is covered
+        // above, a stash take by the stash test.
+        let cap = 1 << 19;
+        let mut page = take_f32(cap);
+        page.resize(300_000, 7.0);
+        put_f32(page);
+        let stale = take_f32_stale(cap);
+        assert_eq!(stale.len(), cap);
+        assert!(stale[..300_000].iter().all(|&v| v == 7.0), "not refilled");
+        assert!(stale[300_000..].iter().all(|&v| v == 0.0), "never held");
     }
 
     #[test]

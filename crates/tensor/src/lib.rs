@@ -8,7 +8,8 @@
 //! simulator all share:
 //!
 //! * [`Tensor`] — an owned, row-major 2-D `f32` array with checked views.
-//! * [`TensorView`]/[`TensorViewMut`] — borrowed rectangular windows.
+//! * [`TensorView`]/[`TensorViewMut`] — borrowed rectangular windows; the
+//!   mutable one is the tile destination every kernel writes through.
 //! * [`copy2d`] — a `cudaMemcpy2D`-style strided rectangle copy
 //!   (paper §3.3.2 builds its data-distribution memory operations on
 //!   exactly this primitive).

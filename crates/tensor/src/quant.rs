@@ -254,17 +254,13 @@ impl QuantParams {
         }
     }
 
-    /// Snaps every element of `src` to this grid into `dst` — the bulk
+    /// Snaps every element of a slice to this grid in place — the bulk
     /// form of [`QuantParams::snap`], bit-identical to the per-element
-    /// calls; the Edge TPU output side (re-quantize while publishing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` and `dst` have different lengths.
-    pub fn snap_into(&self, src: &[f32], dst: &mut [f32]) {
-        assert_eq!(src.len(), dst.len(), "snap_into length mismatch");
-        for (d, &x) in dst.iter_mut().zip(src) {
-            *d = self.snap(x);
+    /// calls; the Edge TPU output side (re-quantize the tile where the
+    /// kernel wrote it).
+    pub fn snap_in_place(&self, values: &mut [f32]) {
+        for v in values.iter_mut() {
+            *v = self.snap(*v);
         }
     }
 
@@ -280,20 +276,17 @@ impl QuantParams {
     }
 }
 
-/// Snaps `src[i]` with `params[i]` into `dst[i]` — [`QuantParams::snap`]
+/// Snaps `values[i]` with `params[i]` in place — [`QuantParams::snap`]
 /// across per-channel grids whose channels are adjacent lanes (the 64
 /// coefficient positions of a DCT block row by row).
 ///
 /// # Panics
 ///
-/// Panics if the three slices differ in length.
-pub fn snap_lanes_into(params: &[QuantParams], src: &[f32], dst: &mut [f32]) {
-    assert!(
-        params.len() == src.len() && src.len() == dst.len(),
-        "snap_lanes_into length mismatch"
-    );
-    for ((d, &x), p) in dst.iter_mut().zip(src).zip(params) {
-        *d = p.snap(x);
+/// Panics if the two slices differ in length.
+pub fn snap_lanes(params: &[QuantParams], values: &mut [f32]) {
+    assert_eq!(params.len(), values.len(), "snap_lanes length mismatch");
+    for (v, p) in values.iter_mut().zip(params) {
+        *v = p.snap(*v);
     }
 }
 
@@ -641,17 +634,17 @@ mod tests {
             let back_per_elem: Vec<f32> = codes.iter().map(|&c| qp.dequantize(c)).collect();
             assert_eq!(back, back_per_elem);
 
-            // Output side: `snap_into` == `snap` == the trip through i8.
-            let mut published = vec![0f32; src.len()];
-            qp.snap_into(&src, &mut published);
+            // Output side: `snap_in_place` == `snap` == the trip through i8.
+            let mut published = src.clone();
+            qp.snap_in_place(&mut published);
             let lanes = vec![qp; src.len()];
-            let mut by_lane = vec![0f32; src.len()];
-            snap_lanes_into(&lanes, &src, &mut by_lane);
+            let mut by_lane = src.clone();
+            snap_lanes(&lanes, &mut by_lane);
             for (i, &x) in src.iter().enumerate() {
                 let want = snap_reference(&qp, x);
                 assert_eq!(want.to_bits(), qp.dequantize(qp.quantize(x)).to_bits());
                 assert_eq!(qp.snap(x).to_bits(), want.to_bits(), "snap({x})");
-                assert_eq!(published[i].to_bits(), want.to_bits(), "snap_into({x})");
+                assert_eq!(published[i].to_bits(), want.to_bits(), "snap_in_place({x})");
                 assert_eq!(by_lane[i].to_bits(), want.to_bits(), "snap_lanes({x})");
             }
 

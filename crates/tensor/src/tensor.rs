@@ -1,4 +1,8 @@
+use std::marker::PhantomData;
+use std::ops::Range;
+
 use crate::quant::RangeScan;
+use crate::tile::Tile;
 use crate::{Result, TensorError};
 
 /// An owned, row-major, dense 2-D array of `f32`.
@@ -77,21 +81,20 @@ impl Tensor {
         Ok(Tensor { rows, cols, data })
     }
 
-    /// [`Tensor::zeros`] built in `page` (cleared first) instead of a page
-    /// from the arena — see [`crate::arena::Stash`]; [`Tensor::into_vec`]
-    /// hands the page back.
+    /// Creates a `rows x cols` tensor on an arena page that is not cleared
+    /// first: every element is initialised, but holds whatever the page
+    /// held last (see [`crate::arena::take_f32_stale`]). For a caller that
+    /// overwrites every element, it saves the fill.
     ///
     /// # Panics
     ///
     /// As [`Tensor::zeros`].
-    pub fn zeros_in(rows: usize, cols: usize, mut page: Vec<f32>) -> Self {
+    pub fn stale(rows: usize, cols: usize) -> Self {
         let len = Self::checked_len(rows, cols).expect("valid tensor shape");
-        page.clear();
-        page.resize(len, 0.0);
         Tensor {
             rows,
             cols,
-            data: page,
+            data: crate::arena::take_f32_stale(len),
         }
     }
 
@@ -251,7 +254,25 @@ impl Tensor {
         })
     }
 
-    /// Mutably borrows a rectangular window.
+    /// Mutably borrows a rectangular window, addressed in this tensor's
+    /// coordinates (see [`TensorViewMut`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window exceeds the tensor bounds; use
+    /// [`Tensor::try_view_mut`] for a checked variant.
+    pub fn view_mut(
+        &mut self,
+        row0: usize,
+        col0: usize,
+        rows: usize,
+        cols: usize,
+    ) -> TensorViewMut<'_> {
+        self.try_view_mut(row0, col0, rows, cols)
+            .expect("view within bounds")
+    }
+
+    /// Checked variant of [`Tensor::view_mut`].
     ///
     /// # Errors
     ///
@@ -265,12 +286,13 @@ impl Tensor {
     ) -> Result<TensorViewMut<'_>> {
         self.check_window(row0, col0, rows, cols)?;
         Ok(TensorViewMut {
+            origin: self.data.as_mut_ptr().wrapping_add(row0 * self.cols + col0),
             stride: self.cols,
-            data: &mut self.data,
             row0,
             col0,
             rows,
             cols,
+            _data: PhantomData,
         })
     }
 
@@ -414,13 +436,7 @@ impl<'a> TensorView<'a> {
 
     /// Copies the window into a new owned [`Tensor`].
     pub fn to_tensor(&self) -> Tensor {
-        self.to_tensor_in(crate::arena::take_f32(self.len()))
-    }
-
-    /// [`TensorView::to_tensor`] built in `page` (cleared first) instead
-    /// of a page from the arena — see [`crate::arena::Stash`].
-    pub fn to_tensor_in(&self, mut page: Vec<f32>) -> Tensor {
-        page.clear();
+        let mut page = crate::arena::take_f32(self.len());
         for r in 0..self.rows {
             page.extend_from_slice(self.row(r));
         }
@@ -477,18 +493,92 @@ impl<'a> TensorView<'a> {
     }
 }
 
-/// A mutably borrowed rectangular window over a [`Tensor`].
+/// A mutable window over one tile of a dataset, addressed in *dataset*
+/// coordinates: element `(r, c)` of the view is dataset element `(r, c)`,
+/// for `r` in `row0..row0 + rows` and `c` in `col0..col0 + cols`. Any
+/// access outside the window panics.
+///
+/// Where the window's elements live is the constructor's business, and a
+/// kernel writing through the view cannot tell the three apart:
+/// - a window of a tensor holding the whole dataset ([`Tensor::view_mut`]);
+/// - a buffer of the window's own size ([`TensorViewMut::over`]);
+/// - one tile of an output that several workers write at once
+///   ([`TensorViewMut::from_raw`]).
+///
+/// Bounds are checked once per row or span, so row loops over the slices
+/// the view hands out carry no per-element checks.
+///
+/// # Examples
+///
+/// ```
+/// use shmt_tensor::tile::Tile;
+/// use shmt_tensor::{Tensor, TensorViewMut};
+///
+/// let tile = Tile { index: 0, row0: 2, col0: 3, rows: 2, cols: 2 };
+/// let mut buf = [0.0f32; 4];
+/// let mut view = TensorViewMut::over(&mut buf, tile);
+/// view[(3, 4)] = 1.5;
+/// view.row_mut(2).fill(9.0);
+/// assert_eq!(buf, [9.0, 9.0, 0.0, 1.5]);
+///
+/// let mut whole = Tensor::zeros(4, 5);
+/// whole.view_mut(2, 3, 2, 2).span_mut(3, 4..5)[0] = 1.5;
+/// assert_eq!(whole[(3, 4)], 1.5);
+/// ```
 #[derive(Debug)]
 pub struct TensorViewMut<'a> {
-    data: &'a mut [f32],
+    /// Where dataset element `(row0, col0)` lives.
+    origin: *mut f32,
+    /// Elements from one window row to the next.
     stride: usize,
     row0: usize,
     col0: usize,
     rows: usize,
     cols: usize,
+    _data: PhantomData<&'a mut [f32]>,
 }
 
 impl<'a> TensorViewMut<'a> {
+    /// The window `tile` over a buffer of exactly its size, row-major.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf.len() != tile.len()`.
+    pub fn over(buf: &'a mut [f32], tile: Tile) -> Self {
+        assert_eq!(buf.len(), tile.len(), "buffer size of {tile:?}");
+        TensorViewMut {
+            origin: buf.as_mut_ptr(),
+            stride: tile.cols,
+            row0: tile.row0,
+            col0: tile.col0,
+            rows: tile.rows,
+            cols: tile.cols,
+            _data: PhantomData,
+        }
+    }
+
+    /// The window `tile` of a dataset whose element `(tile.row0,
+    /// tile.col0)` is at `origin`, with `stride` elements from one row to
+    /// the next — one tile of an output that other views write at once.
+    ///
+    /// # Safety
+    ///
+    /// For `'a`, every element of the window (`origin + r * stride + c`
+    /// for `r < tile.rows`, `c < tile.cols`) must be valid for reads and
+    /// writes, lie in one allocation, and be accessed through this view
+    /// alone.
+    pub unsafe fn from_raw(origin: *mut f32, stride: usize, tile: Tile) -> Self {
+        TensorViewMut {
+            origin,
+            stride,
+            row0: tile.row0,
+            col0: tile.col0,
+            rows: tile.rows,
+            cols: tile.cols,
+            _data: PhantomData,
+        }
+    }
+
     /// Number of rows in the window.
     pub fn rows(&self) -> usize {
         self.rows
@@ -499,15 +589,86 @@ impl<'a> TensorViewMut<'a> {
         self.cols
     }
 
-    /// Mutably borrows one window row as a contiguous slice.
+    /// The same window addressed relative to dataset element `(row0,
+    /// col0)`: for a kernel that runs on an extract of the dataset whose
+    /// first element is that one.
     ///
     /// # Panics
     ///
-    /// Panics if `row >= self.rows()`.
+    /// Panics if `(row0, col0)` lies below or right of the window's first
+    /// element.
+    pub fn rebased(&mut self, row0: usize, col0: usize) -> TensorViewMut<'_> {
+        TensorViewMut {
+            row0: self
+                .row0
+                .checked_sub(row0)
+                .expect("rebase below the window"),
+            col0: self
+                .col0
+                .checked_sub(col0)
+                .expect("rebase right of the window"),
+            _data: PhantomData,
+            ..*self
+        }
+    }
+
+    /// The offset from `origin` of dataset row `row`, columns `cols`.
+    fn offset(&self, row: usize, cols: &Range<usize>) -> usize {
+        assert!(
+            (self.row0..self.row0 + self.rows).contains(&row)
+                && self.col0 <= cols.start
+                && cols.start <= cols.end
+                && cols.end <= self.col0 + self.cols,
+            "row {row}, columns {cols:?} lie outside the {}x{} window at ({}, {})",
+            self.rows,
+            self.cols,
+            self.row0,
+            self.col0
+        );
+        (row - self.row0) * self.stride + (cols.start - self.col0)
+    }
+
+    /// Borrows dataset row `row`, columns `cols`, of the window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span leaves the window.
+    pub fn span(&self, row: usize, cols: Range<usize>) -> &[f32] {
+        let at = self.offset(row, &cols);
+        // SAFETY: `offset` checked that the span lies inside the window,
+        // whose elements every constructor guarantees valid for `'a`;
+        // `&self` shares them with readers only.
+        unsafe { std::slice::from_raw_parts(self.origin.add(at), cols.len()) }
+    }
+
+    /// Mutably borrows dataset row `row`, columns `cols`, of the window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span leaves the window.
+    pub fn span_mut(&mut self, row: usize, cols: Range<usize>) -> &mut [f32] {
+        let at = self.offset(row, &cols);
+        // SAFETY: as in `span`; `&mut self` makes this borrow the only
+        // access to the window while it lives.
+        unsafe { std::slice::from_raw_parts_mut(self.origin.add(at), cols.len()) }
+    }
+
+    /// Borrows the window's part of dataset row `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not a row of the window.
+    pub fn row(&self, row: usize) -> &[f32] {
+        self.span(row, self.col0..self.col0 + self.cols)
+    }
+
+    /// Mutably borrows the window's part of dataset row `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not a row of the window.
     pub fn row_mut(&mut self, row: usize) -> &mut [f32] {
-        assert!(row < self.rows, "row {row} out of window");
-        let start = (self.row0 + row) * self.stride + self.col0;
-        &mut self.data[start..start + self.cols]
+        self.span_mut(row, self.col0..self.col0 + self.cols)
     }
 
     /// Overwrites the window with the contents of `src`.
@@ -523,9 +684,24 @@ impl<'a> TensorViewMut<'a> {
             });
         }
         for r in 0..self.rows {
-            self.row_mut(r).copy_from_slice(src.row(r));
+            self.row_mut(self.row0 + r).copy_from_slice(src.row(r));
         }
         Ok(())
+    }
+}
+
+impl std::ops::Index<(usize, usize)> for TensorViewMut<'_> {
+    type Output = f32;
+
+    /// Dataset element `(row, col)`; panics outside the window.
+    fn index(&self, (row, col): (usize, usize)) -> &f32 {
+        &self.span(row, col..col + 1)[0]
+    }
+}
+
+impl std::ops::IndexMut<(usize, usize)> for TensorViewMut<'_> {
+    fn index_mut(&mut self, (row, col): (usize, usize)) -> &mut f32 {
+        &mut self.span_mut(row, col..col + 1)[0]
     }
 }
 
@@ -600,6 +776,51 @@ mod tests {
         assert_eq!(dst[(2, 2)], 9.0);
         assert_eq!(dst[(0, 0)], 0.0);
         assert_eq!(dst[(3, 3)], 0.0);
+    }
+
+    #[test]
+    fn view_mut_addresses_the_tile_in_dataset_coordinates() {
+        let tile = Tile {
+            index: 0,
+            row0: 2,
+            col0: 1,
+            rows: 2,
+            cols: 3,
+        };
+        let mut whole = Tensor::zeros(5, 5);
+        let mut buf = Tensor::zeros(2, 3);
+        for mut view in [
+            whole.view_mut(2, 1, 2, 3),
+            TensorViewMut::over(buf.as_mut_slice(), tile),
+        ] {
+            view[(2, 1)] = 1.0;
+            view.span_mut(3, 2..4).copy_from_slice(&[2.0, 3.0]);
+            // An extract starting at dataset (1, 1) sees the same element
+            // as its own (1, 0).
+            view.rebased(1, 1)[(1, 0)] += 10.0;
+            assert_eq!(view.row(2), &[11.0, 0.0, 0.0]);
+        }
+        assert_eq!(buf.as_slice(), &[11.0, 0.0, 0.0, 0.0, 2.0, 3.0]);
+        assert_eq!(whole.view(2, 1, 2, 3).to_tensor(), buf);
+        assert_eq!(whole.as_slice().iter().filter(|&&v| v != 0.0).count(), 3);
+    }
+
+    #[test]
+    fn view_mut_writes_outside_the_tile_panic() {
+        let panics = |f: &dyn Fn(&mut TensorViewMut<'_>)| {
+            let mut t = Tensor::zeros(6, 6);
+            let mut view = t.view_mut(2, 2, 2, 2);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut view))).is_err()
+        };
+        assert!(!panics(&|v| v[(3, 3)] = 1.0), "inside is fine");
+        // A row above and below, a column left and right.
+        assert!(panics(&|v| v[(1, 2)] = 1.0));
+        assert!(panics(&|v| v.row_mut(4).fill(1.0)));
+        assert!(panics(&|v| v[(2, 1)] = 1.0));
+        assert!(panics(&|v| v[(2, 4)] = 1.0));
+        // A span that starts inside and runs past the tile's edge.
+        assert!(panics(&|v| v.span_mut(2, 3..5).fill(1.0)));
+        assert!(panics(&|v| v.span_mut(2, 1..3).fill(1.0)));
     }
 
     #[test]

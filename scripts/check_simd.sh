@@ -86,8 +86,8 @@ require() {
 echo "quant/range loops, per function ($tasm):"
 require RangeScan::scan 9RangeScan4scan minps maxps
 require QuantParams::snap_slice 11QuantParams10snap_slice divps minps maxps
-require QuantParams::snap_into 11QuantParams9snap_into divps minps maxps 'cmp[a-z]*ps'
-require snap_lanes_into 15snap_lanes_into divps minps maxps 'cmp[a-z]*ps'
+require QuantParams::snap_in_place 11QuantParams13snap_in_place divps minps maxps 'cmp[a-z]*ps'
+require snap_lanes 10snap_lanes divps minps maxps 'cmp[a-z]*ps'
 require QuantParams::quantize_slice 11QuantParams14quantize_slice divps minps maxps
 require QuantParams::dequantize_slice 11QuantParams16dequantize_slice cvtdq2ps
 for f in "$tasm" "$asm"; do
