@@ -3,6 +3,14 @@
 //! Element-wise: each input element is a spot price; the strike, expiry,
 //! rate, and volatility are kernel parameters (the CUDA sample draws them
 //! from fixed ranges). The output is the call option price.
+//!
+//! With the strike a fixed multiple of the spot, `d1` and `d2` depend on
+//! the spot only through the rounded ratio `s / k`, and a tile's spots
+//! round to a handful of ratios. The kernel therefore evaluates `ln`,
+//! `exp` and the normal CDF once per distinct ratio (a small memo keyed on
+//! its bits) and per element only `s * c1 - (k * discount) * c2`, in the
+//! scalar order — bit for bit the per-element formula that
+//! `reference::blackscholes` keeps as the oracle.
 
 use shmt_tensor::tile::Tile;
 use shmt_tensor::{Tensor, TensorViewMut};
@@ -45,7 +53,8 @@ struct PriceConsts {
 impl Blackscholes {
     /// Prices a single call option at spot `s`.
     pub fn price(&self, s: f32) -> f32 {
-        self.price_with(&self.consts(), s)
+        let pc = self.consts();
+        self.price_with(&pc, s, |ratio| pc.cnds(ratio))
     }
 
     fn consts(&self) -> PriceConsts {
@@ -57,14 +66,58 @@ impl Blackscholes {
         }
     }
 
-    fn price_with(&self, pc: &PriceConsts, s: f32) -> f32 {
+    /// The call price at spot `s`, with `cnds` giving `(cnd(d1), cnd(d2))`
+    /// for the rounded ratio `s / k` — the only way `d1` and `d2` depend
+    /// on the spot.
+    fn price_with(&self, pc: &PriceConsts, s: f32, cnds: impl FnOnce(f32) -> (f32, f32)) -> f32 {
         let s = s.max(1e-6);
         let k = s * self.strike_ratio;
-        // `(s / k).ln()` stays per-element: k is proportional to s, but
-        // folding the ratio to a constant would change the float result.
-        let d1 = ((s / k).ln() + pc.drift) / pc.vol_sqrt_t;
-        let d2 = d1 - pc.vol_sqrt_t;
-        s * cnd(d1) - k * pc.discount * cnd(d2)
+        let (c1, c2) = cnds(s / k);
+        s * c1 - k * pc.discount * c2
+    }
+}
+
+impl PriceConsts {
+    /// `(cnd(d1), cnd(d2))` for the rounded spot-to-strike ratio.
+    fn cnds(&self, ratio: f32) -> (f32, f32) {
+        let d1 = (ratio.ln() + self.drift) / self.vol_sqrt_t;
+        let d2 = d1 - self.vol_sqrt_t;
+        (cnd(d1), cnd(d2))
+    }
+}
+
+/// Slots in the per-call memo of [`PriceConsts::cnds`].
+const MEMO: usize = 8;
+
+/// A direct-mapped memo of [`PriceConsts::cnds`], keyed on the ratio's
+/// bits (so exact for every input, NaN and infinities included) and
+/// indexed by their low bits: the few ratios a tile's spots round to are
+/// neighbouring floats, which land in different slots. A miss evaluates
+/// the formula and takes the slot.
+struct CndMemo<'a> {
+    pc: &'a PriceConsts,
+    slots: [Option<(u32, (f32, f32))>; MEMO],
+}
+
+impl<'a> CndMemo<'a> {
+    fn new(pc: &'a PriceConsts) -> Self {
+        CndMemo {
+            pc,
+            slots: [None; MEMO],
+        }
+    }
+
+    fn get(&mut self, ratio: f32) -> (f32, f32) {
+        let bits = ratio.to_bits();
+        let slot = &mut self.slots[bits as usize % MEMO];
+        match *slot {
+            Some((key, cnds)) if key == bits => cnds,
+            _ => {
+                let cnds = self.pc.cnds(ratio);
+                *slot = Some((bits, cnds));
+                cnds
+            }
+        }
     }
 }
 
@@ -99,11 +152,12 @@ impl Kernel for Blackscholes {
     fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         let pc = self.consts();
+        let mut memo = CndMemo::new(&pc);
         for r in tile.row0..tile.row0 + tile.rows {
             let src = &input.row(r)[tile.col0..tile.col0 + tile.cols];
             let dst = out.span_mut(r, tile.col0..tile.col0 + tile.cols);
             for (d, &s) in dst.iter_mut().zip(src) {
-                *d = self.price_with(&pc, s);
+                *d = self.price_with(&pc, s, |ratio| memo.get(ratio));
             }
         }
     }
@@ -146,6 +200,26 @@ mod tests {
         let k = Blackscholes::default();
         // With strike proportional to spot, the price scales with the spot.
         assert!(k.price(200.0) > k.price(100.0));
+    }
+
+    #[test]
+    fn memo_is_exact_through_evictions() {
+        let pc = Blackscholes::default().consts();
+        let mut memo = CndMemo::new(&pc);
+        // Three ratios per slot, then values whose bits are special;
+        // visited twice, so every slot is hit, evicted and refilled.
+        let base = 0.95f32.to_bits();
+        let ratios: Vec<f32> = (0..3 * MEMO as u32)
+            .map(|i| f32::from_bits(base + i))
+            .chain([f32::NAN, f32::INFINITY, 0.0, -0.0, f32::from_bits(1)])
+            .collect();
+        for _ in 0..2 {
+            for &r in &ratios {
+                let (got, want) = (memo.get(r), pc.cnds(r));
+                assert_eq!(got.0.to_bits(), want.0.to_bits(), "cnd(d1) at {r}");
+                assert_eq!(got.1.to_bits(), want.1.to_bits(), "cnd(d2) at {r}");
+            }
+        }
     }
 
     #[test]

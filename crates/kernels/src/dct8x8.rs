@@ -4,6 +4,11 @@
 //! the image. Blocks are addressed in *dataset* coordinates, so tiles must
 //! start on multiples of 8 ([`KernelShape::block_align`]); blocks that
 //! straddle the dataset edge are padded by clamping.
+//!
+//! Each coefficient is the seed's 64-term sum, added in the seed's order,
+//! but the eight coefficients of a block row are computed together on
+//! vector lanes (see `transform_block`), so the output is bit for bit the
+//! scalar loop's (`reference::dct8x8` keeps that loop as the oracle).
 
 use shmt_tensor::tile::Tile;
 use shmt_tensor::{Tensor, TensorViewMut};
@@ -11,6 +16,11 @@ use shmt_tensor::{Tensor, TensorViewMut};
 use crate::{Kernel, KernelShape};
 
 const N: usize = 8;
+
+/// Output rows of a block accumulated together: each row's eight lanes form
+/// one dependent chain of 64 adds, so several rows in flight keep the adder
+/// busy instead of waiting on one chain.
+const ROWS_AT_ONCE: usize = 4;
 
 /// 8x8 blockwise 2-D DCT-II with orthonormal scaling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -38,15 +48,53 @@ fn basis_table() -> [[f32; N]; N] {
     tbl
 }
 
+/// The basis table and its transpose, `tt[y][v] == tbl[v][y]`: a row of
+/// the transpose holds one term's factor for all eight output columns.
+struct Bases {
+    tbl: [[f32; N]; N],
+    tt: [[f32; N]; N],
+}
+
+impl Bases {
+    fn new() -> Self {
+        let tbl = basis_table();
+        let mut tt = [[0.0f32; N]; N];
+        for (y, row) in tt.iter_mut().enumerate() {
+            for (v, t) in row.iter_mut().enumerate() {
+                *t = tbl[v][y];
+            }
+        }
+        Bases { tbl, tt }
+    }
+}
+
+/// The part of `[start, start + N)` inside `[lo, hi)`, as offsets from
+/// `start`.
+fn clip(start: usize, lo: usize, hi: usize) -> std::ops::Range<usize> {
+    let a = lo.saturating_sub(start).min(N);
+    let b = hi.saturating_sub(start).min(N);
+    a..b.max(a)
+}
+
 /// Transforms one 8x8 block anchored at `(br, bc)` in dataset coordinates,
 /// reading clamped input and writing only coordinates inside `tile`.
+///
+/// Coefficient `(u, v)` is `sum_x sum_y (blk[x][y] * tbl[u][x]) *
+/// tbl[v][y]`, summed from `0.0` with `x` outer and `y` inner. The left
+/// factor does not depend on `v`, so the loops run over lanes: for each
+/// `(u, x, y)` it is broadcast against row `y` of the transposed table and
+/// added into all eight columns of output row `u` at once. Every lane adds
+/// its 64 terms in the scalar order (Rust never fuses the multiply and
+/// add), so each coefficient is bit for bit the scalar one. Rows and
+/// columns outside `tile` are clipped once per block, not per element.
+#[inline(never)]
 fn transform_block(
     input: &Tensor,
     br: usize,
     bc: usize,
     tile: Tile,
     out: &mut TensorViewMut<'_>,
-    tbl: &[[f32; N]; N],
+    bases: &Bases,
 ) {
     let (rows, cols) = input.shape();
     // Gather the (edge-clamped) block once; the coefficient loops then
@@ -59,26 +107,26 @@ fn transform_block(
             *v = src[(bc + y).min(cols - 1)];
         }
     }
-    for u in 0..N {
-        let or = br + u;
-        if or < tile.row0 || or >= tile.row0 + tile.rows || or >= rows {
-            continue;
-        }
-        for v in 0..N {
-            let oc = bc + v;
-            if oc < tile.col0 || oc >= tile.col0 + tile.cols || oc >= cols {
-                continue;
-            }
-            let mut acc = 0.0f32;
-            for x in 0..N {
-                let bu = tbl[u][x];
-                let bv = &tbl[v];
-                for y in 0..N {
-                    // Same product and sum order as the naive form.
-                    acc += blk[x][y] * bu * bv[y];
+    let us = clip(br, tile.row0, (tile.row0 + tile.rows).min(rows));
+    let vs = clip(bc, tile.col0, (tile.col0 + tile.cols).min(cols));
+    for u0 in (0..N).step_by(ROWS_AT_ONCE) {
+        let mut acc = [[0.0f32; N]; ROWS_AT_ONCE];
+        for (x, brow) in blk.iter().enumerate() {
+            let bu: [f32; ROWS_AT_ONCE] = std::array::from_fn(|k| bases.tbl[u0 + k][x]);
+            for (&b, tt) in brow.iter().zip(&bases.tt) {
+                for (row, &bu) in acc.iter_mut().zip(&bu) {
+                    let t = b * bu;
+                    for (a, &bv) in row.iter_mut().zip(tt) {
+                        *a += t * bv;
+                    }
                 }
             }
-            out[(or, oc)] = acc;
+        }
+        for (u, row) in (u0..).zip(&acc) {
+            if us.contains(&u) {
+                out.span_mut(br + u, bc + vs.start..bc + vs.end)
+                    .copy_from_slice(&row[vs.clone()]);
+            }
         }
     }
 }
@@ -94,14 +142,14 @@ impl Kernel for Dct8x8 {
 
     fn run_exact_into(&self, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
-        let tbl = basis_table();
+        let bases = Bases::new();
         let br0 = (tile.row0 / N) * N;
         let bc0 = (tile.col0 / N) * N;
         let mut br = br0;
         while br < tile.row0 + tile.rows {
             let mut bc = bc0;
             while bc < tile.col0 + tile.cols {
-                transform_block(input, br, bc, tile, out, &tbl);
+                transform_block(input, br, bc, tile, out, &bases);
                 bc += N;
             }
             br += N;

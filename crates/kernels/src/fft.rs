@@ -5,7 +5,26 @@
 //! of full rows ([`KernelShape::full_rows`]). Power-of-two rows use an
 //! iterative radix-2 FFT; other lengths fall back to a naive DFT (only used
 //! by small tests).
+//!
+//! The radix-2 path is the textbook scalar loop — a bit-reversal swap pass,
+//! then each stage's butterfly groups with the twiddle `(cr, ci)` advanced
+//! by one complex multiply per butterfly — rearranged so the butterflies
+//! run on vector lanes with every value bit for bit unchanged
+//! (`reference::row_fft` keeps the scalar loop as the oracle):
+//!
+//! * the twiddle restarts at `(1, 0)` in every group and follows the same
+//!   recurrence, so its values depend only on the stage and the position
+//!   in the group; they are computed by the same f32 operations into a
+//!   table, once per row length for the life of the process;
+//! * with the twiddles read from that table, a group's butterflies are
+//!   independent of each other, and the group's two halves are disjoint
+//!   slices;
+//! * the imaginary part is all zero before the permutation, so swapping it
+//!   does nothing: the row is instead loaded through a bit-reversed gather.
 
+use std::sync::{Mutex, PoisonError};
+
+use shmt_tensor::arena;
 use shmt_tensor::tile::Tile;
 use shmt_tensor::{Tensor, TensorViewMut};
 
@@ -15,92 +34,131 @@ use crate::{Kernel, KernelShape};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RowFft;
 
-/// Computes the DFT magnitude of a real signal.
-pub fn fft_magnitude(signal: &[f32]) -> Vec<f32> {
-    let n = signal.len();
-    if n == 0 {
-        return Vec::new();
+/// Longest row whose complex scratch (`2 n` floats) lives on the stack, so
+/// a warm call allocates nothing whichever thread runs it; longer rows take
+/// an arena page.
+const STACK_LEN: usize = 2048;
+
+/// The tables of the radix-2 path for one row length `n`.
+struct Plan {
+    /// `rev[i]` is the input element that lands at position `i`: `i` with
+    /// its `log2 n` bits reversed.
+    rev: Box<[usize]>,
+    /// Every stage's twiddles (`n - 1` each): stage `len` (2, 4, .., n)
+    /// occupies `[len/2 - 1, len - 1)`, entry `k` of it the `k`-th value of
+    /// the recurrence the scalar butterfly loop runs.
+    cr: Box<[f32]>,
+    ci: Box<[f32]>,
+}
+
+impl Plan {
+    fn new(n: usize) -> Self {
+        let shift = usize::BITS - n.trailing_zeros();
+        let rev = (0..n).map(|i| i.reverse_bits() >> shift).collect();
+        let (mut cr, mut ci) = (vec![0.0f32; n - 1], vec![0.0f32; n - 1]);
+        let mut len = 2;
+        while len <= n {
+            let ang = -2.0 * std::f64::consts::PI / len as f64;
+            let (wr, wi) = (ang.cos() as f32, ang.sin() as f32);
+            let (mut c, mut s) = (1.0f32, 0.0f32);
+            let stage = len / 2 - 1..len - 1;
+            for (tr, ti) in cr[stage.clone()].iter_mut().zip(&mut ci[stage]) {
+                (*tr, *ti) = (c, s);
+                let nc = c * wr - s * wi;
+                s = c * wi + s * wr;
+                c = nc;
+            }
+            len <<= 1;
+        }
+        Plan {
+            rev,
+            cr: cr.into(),
+            ci: ci.into(),
+        }
     }
-    if n.is_power_of_two() && n >= 2 {
-        let mut re: Vec<f32> = signal.to_vec();
-        let mut im = vec![0.0f32; n];
-        fft_radix2(&mut re, &mut im);
-        re.iter()
-            .zip(&im)
-            .map(|(r, i)| (r * r + i * i).sqrt())
-            .collect()
-    } else {
-        naive_dft_magnitude(signal)
+
+    /// The plan for power-of-two length `n`, built on first use and kept
+    /// for the life of the process (one per length: at most one per bit of
+    /// `usize`).
+    fn get(n: usize) -> &'static Plan {
+        static PLANS: Mutex<Vec<&'static Plan>> = Mutex::new(Vec::new());
+        let mut plans = PLANS.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(plan) = plans.iter().find(|p| p.rev.len() == n) {
+            return plan;
+        }
+        let plan: &'static Plan = Box::leak(Box::new(Plan::new(n)));
+        plans.push(plan);
+        plan
     }
 }
 
-/// In-place iterative radix-2 Cooley–Tukey FFT.
-///
-/// # Panics
-///
-/// Panics if the length is not a power of two.
-pub fn fft_radix2(re: &mut [f32], im: &mut [f32]) {
+/// Every radix-2 stage over a bit-reversed complex row, twiddles from the
+/// [`Plan`] table. Within a group the butterflies run lane-wise over the
+/// group's two halves.
+#[inline(never)]
+fn radix2_stages(re: &mut [f32], im: &mut [f32], cr: &[f32], ci: &[f32]) {
     let n = re.len();
-    assert!(
-        n.is_power_of_two(),
-        "radix-2 FFT requires power-of-two length"
-    );
-    assert_eq!(n, im.len(), "real and imaginary parts must match");
-    // Bit-reversal permutation.
-    let mut j = 0usize;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
+    let mut half = 1;
+    while half < n {
+        let stage = half - 1..2 * half - 1;
+        let (wr, wi) = (&cr[stage.clone()], &ci[stage]);
+        match half {
+            1 => stage_of::<1>(re, im, wr, wi),
+            2 => stage_of::<2>(re, im, wr, wi),
+            4 => stage_of::<4>(re, im, wr, wi),
+            _ => butterfly_stage(re, im, wr, wi),
         }
-        j |= bit;
-        if i < j {
-            re.swap(i, j);
-            im.swap(i, j);
-        }
-    }
-    let mut len = 2;
-    while len <= n {
-        let ang = -2.0 * std::f64::consts::PI / len as f64;
-        let (wr, wi) = (ang.cos() as f32, ang.sin() as f32);
-        let mut i = 0;
-        while i < n {
-            let (mut cr, mut ci) = (1.0f32, 0.0f32);
-            for k in 0..len / 2 {
-                let (ur, ui) = (re[i + k], im[i + k]);
-                let (vr, vi) = (
-                    re[i + k + len / 2] * cr - im[i + k + len / 2] * ci,
-                    re[i + k + len / 2] * ci + im[i + k + len / 2] * cr,
-                );
-                re[i + k] = ur + vr;
-                im[i + k] = ui + vi;
-                re[i + k + len / 2] = ur - vr;
-                im[i + k + len / 2] = ui - vi;
-                let ncr = cr * wr - ci * wi;
-                ci = cr * wi + ci * wr;
-                cr = ncr;
-            }
-            i += len;
-        }
-        len <<= 1;
+        half <<= 1;
     }
 }
 
-fn naive_dft_magnitude(signal: &[f32]) -> Vec<f32> {
+/// [`butterfly_stage`] for groups of a fixed `2 * H` elements: the first
+/// stages' groups are shorter than a vector, and a constant length lets
+/// them be unrolled and vectorised across groups.
+fn stage_of<const H: usize>(re: &mut [f32], im: &mut [f32], wr: &[f32], wi: &[f32]) {
+    let wr: &[f32; H] = wr.try_into().expect("stage twiddles");
+    let wi: &[f32; H] = wi.try_into().expect("stage twiddles");
+    butterfly_stage(re, im, wr, wi);
+}
+
+/// One stage: the groups of `2 * wr.len()` elements, each a lane-wise
+/// butterfly of its two halves.
+#[inline(always)]
+fn butterfly_stage(re: &mut [f32], im: &mut [f32], wr: &[f32], wi: &[f32]) {
+    let half = wr.len();
+    for (gre, gim) in re
+        .chunks_exact_mut(2 * half)
+        .zip(im.chunks_exact_mut(2 * half))
+    {
+        let (are, bre) = gre.split_at_mut(half);
+        let (aim, bim) = gim.split_at_mut(half);
+        for (((((ar, br), ai), bi), &c), &s) in
+            are.iter_mut().zip(bre).zip(aim).zip(bim).zip(wr).zip(wi)
+        {
+            let (ur, ui) = (*ar, *ai);
+            let vr = *br * c - *bi * s;
+            let vi = *br * s + *bi * c;
+            *ar = ur + vr;
+            *ai = ui + vi;
+            *br = ur - vr;
+            *bi = ui - vi;
+        }
+    }
+}
+
+/// Writes the DFT magnitude of `signal` into `out` by the naive sum.
+pub(crate) fn dft_magnitude(signal: &[f32], out: &mut [f32]) {
     let n = signal.len();
-    (0..n)
-        .map(|k| {
-            let mut re = 0.0f64;
-            let mut im = 0.0f64;
-            for (t, &x) in signal.iter().enumerate() {
-                let ang = -2.0 * std::f64::consts::PI * (k * t) as f64 / n as f64;
-                re += x as f64 * ang.cos();
-                im += x as f64 * ang.sin();
-            }
-            ((re * re + im * im).sqrt()) as f32
-        })
-        .collect()
+    for (k, o) in out.iter_mut().enumerate() {
+        let mut re = 0.0f64;
+        let mut im = 0.0f64;
+        for (t, &x) in signal.iter().enumerate() {
+            let ang = -2.0 * std::f64::consts::PI * (k * t) as f64 / n as f64;
+            re += x as f64 * ang.cos();
+            im += x as f64 * ang.sin();
+        }
+        *o = ((re * re + im * im).sqrt()) as f32;
+    }
 }
 
 impl Kernel for RowFft {
@@ -124,26 +182,37 @@ impl Kernel for RowFft {
             "FFT partitions must span full rows"
         );
         let n = input.cols();
-        if n.is_power_of_two() && n >= 2 {
-            // Reuse one complex scratch pair across all rows and write the
-            // magnitudes straight into the output row.
-            let mut re = vec![0.0f32; n];
-            let mut im = vec![0.0f32; n];
-            for r in tile.row0..tile.row0 + tile.rows {
-                re.copy_from_slice(input.row(r));
-                im.fill(0.0);
-                fft_radix2(&mut re, &mut im);
-                let dst = out.span_mut(r, 0..n);
-                for ((d, &rr), &ii) in dst.iter_mut().zip(&re).zip(&im) {
-                    *d = (rr * rr + ii * ii).sqrt();
-                }
+        let rows = tile.row0..tile.row0 + tile.rows;
+        if !(n.is_power_of_two() && n >= 2) {
+            for r in rows {
+                dft_magnitude(input.row(r), out.span_mut(r, 0..n));
             }
+            return;
+        }
+        let plan = Plan::get(n);
+        // One complex scratch row, reused across every row of the tile.
+        let mut stack = [0.0f32; 2 * STACK_LEN];
+        let mut page = Vec::new();
+        let buf = if n <= STACK_LEN {
+            &mut stack[..2 * n]
         } else {
-            for r in tile.row0..tile.row0 + tile.rows {
-                let mag = fft_magnitude(input.row(r));
-                out.span_mut(r, 0..n).copy_from_slice(&mag);
+            page = arena::take_f32_stale(2 * n);
+            &mut page[..]
+        };
+        let (re, im) = buf.split_at_mut(n);
+        for r in rows {
+            let src = input.row(r);
+            for (v, &j) in re.iter_mut().zip(&*plan.rev) {
+                *v = src[j];
+            }
+            im.fill(0.0);
+            radix2_stages(re, im, &plan.cr, &plan.ci);
+            let dst = out.span_mut(r, 0..n);
+            for ((d, &rr), &ii) in dst.iter_mut().zip(&*re).zip(&*im) {
+                *d = (rr * rr + ii * ii).sqrt();
             }
         }
+        arena::put_f32(page);
     }
 
     fn npu_fidelity(&self) -> f32 {
@@ -162,11 +231,27 @@ impl Kernel for RowFft {
 mod tests {
     use super::*;
 
+    /// The kernel's magnitude spectrum of one signal.
+    fn magnitude(signal: &[f32]) -> Vec<f32> {
+        let n = signal.len();
+        let input = Tensor::from_vec(1, n, signal.to_vec()).unwrap();
+        let mut out = Tensor::zeros(1, n);
+        let tile = Tile {
+            index: 0,
+            row0: 0,
+            col0: 0,
+            rows: 1,
+            cols: n,
+        };
+        RowFft.run_exact(&[&input], tile, &mut out);
+        out.into_vec()
+    }
+
     #[test]
     fn impulse_has_flat_spectrum() {
         let mut signal = vec![0.0f32; 16];
         signal[0] = 1.0;
-        let mag = fft_magnitude(&signal);
+        let mag = magnitude(&signal);
         for m in mag {
             assert!((m - 1.0).abs() < 1e-4);
         }
@@ -178,7 +263,7 @@ mod tests {
         let signal: Vec<f32> = (0..n)
             .map(|t| (2.0 * std::f32::consts::PI * 4.0 * t as f32 / n as f32).cos())
             .collect();
-        let mag = fft_magnitude(&signal);
+        let mag = magnitude(&signal);
         assert!((mag[4] - n as f32 / 2.0).abs() < 1e-2, "bin4 = {}", mag[4]);
         assert!(mag[5] < 1e-2);
     }
@@ -186,8 +271,9 @@ mod tests {
     #[test]
     fn radix2_matches_naive_dft() {
         let signal: Vec<f32> = (0..32).map(|i| ((i * 7) % 5) as f32 - 2.0).collect();
-        let fast = fft_magnitude(&signal);
-        let slow = naive_dft_magnitude(&signal);
+        let fast = magnitude(&signal);
+        let mut slow = vec![0.0; 32];
+        dft_magnitude(&signal, &mut slow);
         for (a, b) in fast.iter().zip(&slow) {
             assert!((a - b).abs() < 1e-2, "{a} vs {b}");
         }
@@ -196,7 +282,7 @@ mod tests {
     #[test]
     fn non_power_of_two_falls_back() {
         let signal = vec![1.0f32; 12];
-        let mag = fft_magnitude(&signal);
+        let mag = magnitude(&signal);
         assert!((mag[0] - 12.0).abs() < 1e-3);
         assert!(mag[1].abs() < 1e-3);
     }

@@ -1,7 +1,8 @@
 //! Naive reference implementations of every benchmark kernel.
 //!
 //! The optimized kernels split tiles into an interior fast path and a
-//! clamped halo, block loops for cache, and hoist invariants — all under
+//! clamped halo, block loops for cache, hoist or memoise invariants and
+//! run the dense transforms on vector lanes — all under
 //! the contract that outputs stay **bit-identical** to the original
 //! straight-line loops. This module keeps those original loops alive as
 //! golden references: [`Naive`] wraps a production kernel and swaps in the
@@ -23,7 +24,7 @@ use crate::blackscholes::{cnd, Blackscholes};
 use crate::conv::Conv2d;
 use crate::dct8x8::{basis, Dct8x8};
 use crate::dwt::{forward_lift97, Dwt97, BLOCK};
-use crate::fft::{fft_magnitude, RowFft};
+use crate::fft::{dft_magnitude, RowFft};
 use crate::gemm::Gemm;
 use crate::histogram::{Histogram256, BINS};
 use crate::hotspot::Hotspot;
@@ -110,7 +111,7 @@ impl<K: Kernel> Kernel for Naive<K> {
 /// The naive reference for a benchmark, mirroring [`Benchmark::kernel`].
 pub fn naive_kernel(benchmark: Benchmark) -> Box<dyn Kernel> {
     match benchmark {
-        Benchmark::Blackscholes => Box::new(blackscholes()),
+        Benchmark::Blackscholes => Box::new(blackscholes(Blackscholes::default())),
         Benchmark::Dct8x8 => Box::new(dct8x8()),
         Benchmark::Dwt => Box::new(dwt97()),
         Benchmark::Fft => Box::new(row_fft()),
@@ -416,7 +417,61 @@ pub fn dwt97() -> Naive<Dwt97> {
     }
 }
 
-/// Naive row-FFT reference: fresh scratch per row via [`fft_magnitude`].
+/// In-place iterative radix-2 Cooley–Tukey FFT, exactly as the seed
+/// implementation: a bit-reversal swap pass, then per butterfly group a
+/// twiddle restarted at `(1, 0)` and advanced by one complex multiply per
+/// butterfly.
+fn fft_radix2(re: &mut [f32], im: &mut [f32]) {
+    let n = re.len();
+    assert!(
+        n.is_power_of_two(),
+        "radix-2 FFT requires power-of-two length"
+    );
+    assert_eq!(n, im.len(), "real and imaginary parts must match");
+    // Bit-reversal permutation.
+    let mut j = 0usize;
+    for i in 1..n {
+        let mut bit = n >> 1;
+        while j & bit != 0 {
+            j ^= bit;
+            bit >>= 1;
+        }
+        j |= bit;
+        if i < j {
+            re.swap(i, j);
+            im.swap(i, j);
+        }
+    }
+    let mut len = 2;
+    while len <= n {
+        let ang = -2.0 * std::f64::consts::PI / len as f64;
+        let (wr, wi) = (ang.cos() as f32, ang.sin() as f32);
+        let mut i = 0;
+        while i < n {
+            let (mut cr, mut ci) = (1.0f32, 0.0f32);
+            for k in 0..len / 2 {
+                let (ur, ui) = (re[i + k], im[i + k]);
+                let (vr, vi) = (
+                    re[i + k + len / 2] * cr - im[i + k + len / 2] * ci,
+                    re[i + k + len / 2] * ci + im[i + k + len / 2] * cr,
+                );
+                re[i + k] = ur + vr;
+                im[i + k] = ui + vi;
+                re[i + k + len / 2] = ur - vr;
+                im[i + k + len / 2] = ui - vi;
+                let ncr = cr * wr - ci * wi;
+                ci = cr * wi + ci * wr;
+                cr = ncr;
+            }
+            i += len;
+        }
+        len <<= 1;
+    }
+}
+
+/// Naive row-FFT reference: fresh scratch per row, the seed's scalar
+/// radix-2 loop (`fft_radix2`) for power-of-two rows, the naive DFT
+/// otherwise.
 pub fn row_fft() -> Naive<RowFft> {
     fn run(_: &RowFft, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
@@ -426,9 +481,20 @@ pub fn row_fft() -> Naive<RowFft> {
             input.cols(),
             "FFT partitions must span full rows"
         );
+        let n = tile.cols;
         for r in tile.row0..tile.row0 + tile.rows {
-            let mag = fft_magnitude(input.row(r));
-            out.span_mut(r, 0..tile.cols).copy_from_slice(&mag);
+            let signal = input.row(r);
+            let dst = out.span_mut(r, 0..n);
+            if n.is_power_of_two() && n >= 2 {
+                let mut re: Vec<f32> = signal.to_vec();
+                let mut im = vec![0.0f32; n];
+                fft_radix2(&mut re, &mut im);
+                for ((d, r), i) in dst.iter_mut().zip(&re).zip(&im) {
+                    *d = (r * r + i * i).sqrt();
+                }
+            } else {
+                dft_magnitude(signal, dst);
+            }
         }
     }
     Naive {
@@ -529,8 +595,8 @@ pub fn gemm() -> Naive<Gemm> {
 }
 
 /// Naive Black-Scholes reference: the full pricing formula re-evaluated
-/// per element, nothing hoisted.
-pub fn blackscholes() -> Naive<Blackscholes> {
+/// per element, nothing hoisted or memoised.
+pub fn blackscholes(k: Blackscholes) -> Naive<Blackscholes> {
     fn run(k: &Blackscholes, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         for r in tile.row0..tile.row0 + tile.rows {
@@ -549,7 +615,7 @@ pub fn blackscholes() -> Naive<Blackscholes> {
         }
     }
     Naive {
-        inner: Blackscholes::default(),
+        inner: k,
         run,
         custom_npu: None,
     }

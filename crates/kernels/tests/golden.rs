@@ -1,16 +1,22 @@
 //! Golden bit-exactness suite.
 //!
 //! The optimized kernels (interior/halo stencil split, blocked GEMM,
-//! hoisted constants, table-driven DCT, scratch-reusing DWT/FFT) promise
+//! hoisted constants, the DCT accumulated across a block row's output
+//! columns, the FFT's table-twiddle butterflies on vector lanes, the
+//! Black-Scholes per-ratio memo, scratch-reusing DWT) promise
 //! **bit-identical** outputs to the original naive loops preserved in
 //! `shmt_kernels::reference`. This suite enforces that promise with exact
-//! `as_slice()` equality — no epsilon — for every benchmark on both the
-//! exact and NPU paths, over a full-dataset tile and a multi-tile split
-//! that exercises the interior fast path and the clamped halo separately.
+//! equality — no epsilon — for every benchmark on both the exact and NPU
+//! paths, over a full-dataset tile and a multi-tile split that exercises
+//! the interior fast path and the clamped halo separately.
 //!
 //! The dataset shape is deliberately awkward: non-square and not a
 //! multiple of the 8/32 block edges, so block kernels hit their clamped
-//! partial blocks and stencil tiles end mid-row.
+//! partial blocks and stencil tiles end mid-row. Further cases pin what a
+//! rewrite could get wrong away from the generated data: DCT tiles that end
+//! mid-block, FFT rows too long for the kernel's stack scratch, and
+//! Black-Scholes spots and strike ratios that reach NaN, infinities, signed
+//! zeros and subnormals (compared bit for bit, NaN payloads included).
 
 use shmt_kernels::reference::naive_kernel;
 use shmt_kernels::{Benchmark, Kernel, KernelShape, ALL_BENCHMARKS};
@@ -128,6 +134,152 @@ fn fft_non_power_of_two_matches_reference() {
         let want = run_plan(naive.as_ref(), &refs, &plan, false);
         assert!(got.as_slice() == want.as_slice(), "fft fallback diverges");
     }
+}
+
+/// Runs `optimized` and `naive` over each plan on both paths and asserts
+/// the outputs equal bit for bit (so NaN results must match too).
+fn assert_same_bits(
+    optimized: &dyn Kernel,
+    naive: &dyn Kernel,
+    inputs: &[&Tensor],
+    plans: &[Vec<Tile>],
+    label: &str,
+) {
+    for plan in plans {
+        for npu in [false, true] {
+            let got = run_plan(optimized, inputs, plan, npu);
+            let want = run_plan(naive, inputs, plan, npu);
+            let same = got
+                .as_slice()
+                .iter()
+                .zip(want.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            let path = if npu { "npu" } else { "exact" };
+            assert!(
+                same,
+                "{label} {path} {plan:?}: diverges from naive reference"
+            );
+        }
+    }
+}
+
+#[test]
+fn dct_clips_tiles_that_end_mid_block() {
+    // Block-aligned tiles whose last block row and column are cut by the
+    // tile inside the dataset, and one whose blocks straddle both dataset
+    // edges (67 = 8*8 + 3 rows, 101 = 12*8 + 5 columns).
+    let b = Benchmark::Dct8x8;
+    let inputs = b.generate_inputs(ROWS, COLS, 5);
+    let refs: Vec<&Tensor> = inputs.iter().collect();
+    let plans = [
+        vec![tile(0, 16, 8, 5, 13)],
+        vec![tile(0, 8, 0, 1, 1), tile(1, 24, 40, 9, 7)],
+        vec![tile(0, 56, 88, ROWS - 56, COLS - 88)],
+    ];
+    assert_same_bits(
+        b.kernel().as_ref(),
+        naive_kernel(b).as_ref(),
+        &refs,
+        &plans,
+        "DCT8x8",
+    );
+}
+
+#[test]
+fn fft_long_rows_match_reference() {
+    // Rows longer than the 2048 elements the kernel keeps on its stack:
+    // the complex scratch comes from an arena page instead.
+    let b = Benchmark::Fft;
+    let (rows, cols) = (5, 4096);
+    let inputs = b.generate_inputs(rows, cols, 13);
+    let refs: Vec<&Tensor> = inputs.iter().collect();
+    let optimized = b.kernel();
+    let plans = [
+        full_plan(rows, cols),
+        split_plan(optimized.shape(), rows, cols),
+    ];
+    assert_same_bits(
+        optimized.as_ref(),
+        naive_kernel(b).as_ref(),
+        &refs,
+        &plans,
+        "FFT",
+    );
+}
+
+#[test]
+fn blackscholes_matches_reference_on_adversarial_spots() {
+    use shmt_kernels::blackscholes::Blackscholes;
+    // Spots the pricing formula has to survive, sprinkled over generated
+    // prices: NaN, signed zeros, negatives, infinities, subnormals, and
+    // values far below and above the 1e-6 floor.
+    let odd = [
+        f32::NAN,
+        0.0,
+        -0.0,
+        -3.5,
+        -1e30,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::from_bits(1),
+        f32::MIN_POSITIVE / 3.0,
+        1e-7,
+        1e-6,
+        1e30,
+        f32::MAX,
+    ];
+    let mut input = Benchmark::Blackscholes
+        .generate_inputs(ROWS, COLS, 9)
+        .remove(0);
+    for (i, v) in input.as_mut_slice().iter_mut().enumerate() {
+        if i % 5 == 0 {
+            *v = odd[(i / 5) % odd.len()];
+        }
+    }
+    let refs = [&input];
+    for strike_ratio in [Blackscholes::default().strike_ratio, 1.0, 0.8, 1.3] {
+        let k = Blackscholes {
+            strike_ratio,
+            ..Blackscholes::default()
+        };
+        let plans = [full_plan(ROWS, COLS), split_plan(k.shape(), ROWS, COLS)];
+        let naive = shmt_kernels::reference::blackscholes(k);
+        assert_same_bits(&k, &naive, &refs, &plans, &format!("strike {strike_ratio}"));
+    }
+}
+
+#[test]
+fn blackscholes_memo_evicts_without_changing_a_bit() {
+    use shmt_kernels::blackscholes::Blackscholes;
+    use std::collections::HashSet;
+    // A strike ratio that drives the strike into the subnormals, where
+    // `s * ratio` keeps only a few bits: the spot-to-strike ratio then
+    // takes far more values in one tile than the kernel's 8-slot memo
+    // holds, so slots are evicted and refilled throughout. The ratio is
+    // about 1e36; a rate that cancels its log (ln 1e36 ≈ 82.9) keeps `d1`
+    // near zero, where neighbouring ratios give different CDF values — so
+    // a memo answering for the wrong ratio changes the output.
+    let k = Blackscholes {
+        strike_ratio: 1e-36,
+        rate: -83.5,
+        volatility: 1.0,
+        expiry: 1.0,
+    };
+    let input = Tensor::from_fn(ROWS, COLS, |r, c| {
+        1e-6 * (1.0 + (r * COLS + c) as f32 * 0.37)
+    });
+    let ratios: HashSet<u32> = input
+        .as_slice()
+        .iter()
+        .map(|&s| {
+            let s = s.max(1e-6);
+            (s / (s * k.strike_ratio)).to_bits()
+        })
+        .collect();
+    assert!(ratios.len() >= 64, "only {} distinct ratios", ratios.len());
+    let naive = shmt_kernels::reference::blackscholes(k);
+    let plans = [full_plan(ROWS, COLS), split_plan(k.shape(), ROWS, COLS)];
+    assert_same_bits(&k, &naive, &[&input], &plans, "subnormal strike");
 }
 
 #[test]

@@ -153,6 +153,32 @@ fn warm_execute_performs_zero_heap_allocations() {
     );
 }
 
+/// Same claim for the dense transforms, whose kernels keep working state of
+/// their own — FFT's complex row and per-length tables, DCT8x8's block
+/// buffers, Black-Scholes' ratio memo — on both device paths.
+#[test]
+fn warm_dense_execute_performs_zero_heap_allocations() {
+    let _turn = take_turn();
+    for b in [Benchmark::Fft, Benchmark::Dct8x8, Benchmark::Blackscholes] {
+        let vop = Vop::from_benchmark(b, b.generate_inputs(128, 128, 7)).expect("valid VOP");
+        let mut cfg = RuntimeConfig::new(Policy::WorkStealing);
+        cfg.partitions = 8;
+        let rt = ShmtRuntime::new(Platform::jetson(b), cfg);
+        for _ in 0..8 {
+            recycle_report(rt.execute(&vop).expect("warm-up run succeeds"));
+        }
+        let before = allocs();
+        for _ in 0..5 {
+            recycle_report(rt.execute(&vop).expect("warm run succeeds"));
+        }
+        let grew = allocs() - before;
+        assert_eq!(
+            grew, 0,
+            "warm {b} execute+recycle must be alloc-free, saw {grew} allocations over 5 runs"
+        );
+    }
+}
+
 /// Same claim under the QAWS planner: the sampling/assignment path is
 /// decision-side arithmetic over pooled spines.
 #[test]

@@ -20,6 +20,14 @@
 # elsewhere in the crate cannot stand in for a loop that fell back to
 # scalar code. And no loop calls libm's roundf any more, in either crate.
 #
+# The dense transforms of shmt-kernels are gated the same way: the DCT8x8
+# block transform (`dct8x8::transform_block`, accumulating a block row's
+# eight output columns as lanes) must hold packed mulps and addps, and the
+# FFT butterflies (`fft::radix2_stages`, a group's two halves as lanes)
+# packed mulps, addps and subps. Both are `#[inline(never)]` so their
+# bodies keep a symbol to cut. The gate checks itself: asking for an op
+# those bodies lack must fail.
+#
 # Uses its own target dir: the RUSTFLAGS change would otherwise
 # invalidate the main build cache for every later cargo invocation.
 set -euo pipefail
@@ -57,21 +65,21 @@ fi
 tasm=$(ls -t target/simd-check/release/deps/shmt_tensor-*.s | head -1)
 [ -s "$tasm" ] || { echo "no assembly emitted for shmt-tensor"; exit 1; }
 
-# body <mangled path below shmt_tensor::quant>: one function's instructions.
+# body <.s file> <mangled symbol prefix>: one function's instructions.
 body() {
-    awk -v sym="^_ZN11shmt_tensor5quant$1""17h[0-9a-f]+E:\$" '
+    awk -v sym="^$2""17h[0-9a-f]+E:\$" '
         $0 ~ sym { on = 1; found = 1; next }
         on && /^\.Lfunc_end/ { on = 0 }
         on
-        END { if (!found) exit 3 }' "$tasm"
+        END { if (!found) exit 3 }' "$1"
 }
 
-# require <name> <mangled path> <instruction regex>...
+# require <.s file> <name> <mangled symbol prefix> <instruction regex>...
 require() {
-    local name=$1 path=$2 text op
-    shift 2
-    text=$(body "$path") || {
-        echo "$name: no such symbol in $tasm (inlined away or renamed?)"
+    local file=$1 name=$2 path=$3 text op
+    shift 3
+    text=$(body "$file" "$path") || {
+        echo "$name: no such symbol in $file (inlined away or renamed?)"
         exit 1
     }
     for op in "$@"; do
@@ -83,13 +91,30 @@ require() {
     echo "  $name: $*"
 }
 
+# Mangled-path prefixes of the two crates' modules.
+quant=_ZN11shmt_tensor5quant
+kern=_ZN12shmt_kernels
+
 echo "quant/range loops, per function ($tasm):"
-require RangeScan::scan 9RangeScan4scan minps maxps
-require QuantParams::snap_slice 11QuantParams10snap_slice divps minps maxps
-require QuantParams::snap_in_place 11QuantParams13snap_in_place divps minps maxps 'cmp[a-z]*ps'
-require snap_lanes 10snap_lanes divps minps maxps 'cmp[a-z]*ps'
-require QuantParams::quantize_slice 11QuantParams14quantize_slice divps minps maxps
-require QuantParams::dequantize_slice 11QuantParams16dequantize_slice cvtdq2ps
+require "$tasm" RangeScan::scan ${quant}9RangeScan4scan minps maxps
+require "$tasm" QuantParams::snap_slice ${quant}11QuantParams10snap_slice divps minps maxps
+require "$tasm" QuantParams::snap_in_place ${quant}11QuantParams13snap_in_place divps minps maxps 'cmp[a-z]*ps'
+require "$tasm" snap_lanes ${quant}10snap_lanes divps minps maxps 'cmp[a-z]*ps'
+require "$tasm" QuantParams::quantize_slice ${quant}11QuantParams14quantize_slice divps minps maxps
+require "$tasm" QuantParams::dequantize_slice ${quant}11QuantParams16dequantize_slice cvtdq2ps
+
+echo "dense transform loops, per function ($asm):"
+require "$asm" dct8x8::transform_block ${kern}6dct8x815transform_block mulps addps
+require "$asm" fft::radix2_stages ${kern}3fft13radix2_stages mulps addps subps
+# The gate must be able to fail: neither body divides.
+for probe in "dct8x8::transform_block ${kern}6dct8x815transform_block" \
+    "fft::radix2_stages ${kern}3fft13radix2_stages"; do
+    # shellcheck disable=SC2086 # the probe is a name and a path
+    if (require "$asm" $probe divps) >/dev/null; then
+        echo "gate self-check failed: divps reported in ${probe%% *}"
+        exit 1
+    fi
+done
 for f in "$tasm" "$asm"; do
     libm=$(count 'roundf' "$f")
     if [ "$libm" -ne 0 ]; then
