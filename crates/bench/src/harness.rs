@@ -6,12 +6,7 @@
 //! target duration, then reports the best and mean per-iteration time
 //! over several samples — the best is the least noisy estimate on a
 //! shared machine.
-//!
-//! Besides printing criterion-style rows, a [`Group`] collects every
-//! result as a [`Measurement`], which the `perf_report` binary serializes
-//! to `BENCH_kernels.json` for cross-commit comparison.
 
-use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
 /// Per-batch target; long enough to dwarf timer overhead, short enough
@@ -20,54 +15,24 @@ const TARGET_BATCH: Duration = Duration::from_millis(200);
 /// Samples per measurement; the minimum is reported.
 const SAMPLES: usize = 5;
 
-/// One completed measurement, in the shape `perf_report` serializes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Measurement {
-    /// Full `group/name` label.
-    pub name: String,
-    /// Best per-iteration time over all samples, in nanoseconds.
-    pub best_ns: u128,
-    /// Mean of the per-sample per-iteration times, in nanoseconds.
-    pub mean_ns: u128,
-    /// Iterations per sample batch.
-    pub iters: u32,
-}
-
 /// A named group of measurements, printed criterion-style as
-/// `group/name ... best <t> mean <t>` and collected for serialization.
+/// `group/name ... best <t> mean <t>`.
 #[derive(Debug)]
 pub struct Group {
     name: String,
-    target_batch: Duration,
-    samples: usize,
-    collected: RefCell<Vec<Measurement>>,
 }
 
 impl Group {
-    /// Starts a group with the given name and the default time budget.
+    /// Starts a group with the given name.
     pub fn new(name: &str) -> Self {
-        Self::with_budget(name, TARGET_BATCH, SAMPLES)
-    }
-
-    /// Starts a group with an explicit per-batch target duration and
-    /// sample count — smoke runs shrink both to stay fast.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is zero.
-    pub fn with_budget(name: &str, target_batch: Duration, samples: usize) -> Self {
-        assert!(samples > 0, "need at least one sample");
         Group {
             name: name.to_owned(),
-            target_batch,
-            samples,
-            collected: RefCell::new(Vec::new()),
         }
     }
 
-    /// Measures `f`, printing one result row and recording it. The
-    /// closure's return value is passed through [`std::hint::black_box`]
-    /// so the work is not optimized away.
+    /// Measures `f` and prints one result row. The closure's return value
+    /// is passed through [`std::hint::black_box`] so the work is not
+    /// optimized away.
     pub fn bench<T>(&self, name: &str, mut f: impl FnMut() -> T) {
         // The first call is purely warm-up: it pays for cold caches, page
         // faults, and lazy allocations, and its time is discarded.
@@ -78,11 +43,11 @@ impl Group {
         let t0 = Instant::now();
         std::hint::black_box(f());
         let once = t0.elapsed().max(Duration::from_nanos(1));
-        let iters = (self.target_batch.as_nanos() / once.as_nanos()).clamp(1, 10_000) as u32;
+        let iters = (TARGET_BATCH.as_nanos() / once.as_nanos()).clamp(1, 10_000) as u32;
 
         let mut best = Duration::MAX;
         let mut total = Duration::ZERO;
-        for _ in 0..self.samples {
+        for _ in 0..SAMPLES {
             let start = Instant::now();
             for _ in 0..iters {
                 std::hint::black_box(f());
@@ -95,25 +60,14 @@ impl Group {
             best = best.min(per_iter);
             total += per_iter;
         }
-        let mean = total / self.samples as u32;
+        let mean = total / SAMPLES as u32;
         println!(
             "{:<40} best {:>12} mean {:>12}  ({iters} iters x {})",
             format!("{}/{}", self.name, name),
             format_duration(best),
             format_duration(mean),
-            self.samples,
+            SAMPLES,
         );
-        self.collected.borrow_mut().push(Measurement {
-            name: format!("{}/{}", self.name, name),
-            best_ns: best.as_nanos(),
-            mean_ns: mean.as_nanos(),
-            iters,
-        });
-    }
-
-    /// Drains the measurements recorded so far, in bench order.
-    pub fn take_measurements(&self) -> Vec<Measurement> {
-        std::mem::take(&mut self.collected.borrow_mut())
     }
 }
 
@@ -154,36 +108,22 @@ mod tests {
     }
 
     #[test]
-    fn bench_collects_measurements() {
-        let group = Group::with_budget("grp", Duration::from_micros(100), 2);
-        group.bench("a", || 1 + 1);
-        group.bench("b", || 2 + 2);
-        let ms = group.take_measurements();
-        assert_eq!(ms.len(), 2);
-        assert_eq!(ms[0].name, "grp/a");
-        assert_eq!(ms[1].name, "grp/b");
-        assert!(ms.iter().all(|m| m.best_ns > 0 && m.iters >= 1));
-        assert!(ms.iter().all(|m| m.mean_ns >= m.best_ns));
-        assert!(group.take_measurements().is_empty(), "drained");
-    }
-
-    #[test]
     fn warmup_call_does_not_size_the_batch() {
         // The first (cold) call is two orders of magnitude slower than the
         // warm steady state. Sizing from the warm call must still pick a
         // large batch.
         let mut calls = 0u32;
-        let group = Group::with_budget("warm", Duration::from_millis(2), 1);
-        group.bench("skewed", || {
+        Group::new("warm").bench("skewed", || {
             calls += 1;
             if calls == 1 {
-                std::thread::sleep(Duration::from_millis(20));
+                std::thread::sleep(Duration::from_millis(50));
             }
             calls
         });
-        let m = group.take_measurements().pop().expect("one measurement");
-        // Cold-call sizing would give 2ms / 20ms -> 1 iteration; warm
-        // sizing gives far more.
-        assert!(m.iters > 10, "iters = {}", m.iters);
+        // Two sizing calls, then SAMPLES batches. Cold-call sizing would
+        // give 200ms / 50ms -> 4 iterations per batch; warm sizing gives
+        // far more.
+        let iters = (calls - 2) / SAMPLES as u32;
+        assert!(iters > 10, "iters = {iters}");
     }
 }

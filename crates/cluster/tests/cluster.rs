@@ -71,6 +71,24 @@ fn failover_masks_a_crashed_node_with_zero_lost_requests() {
     // Failover happened inside each request's first pass: no retry
     // tokens were spent on submit-level rerouting.
     assert_eq!(router.budget_stats().withdrawn, 0);
+
+    // A correlated dual failure: node 0 crashed and node 1 down for the
+    // whole run. The last node standing serves every request.
+    let mut cfg = config(nodes(3));
+    cfg.nodes[0] = cfg.nodes[0]
+        .clone()
+        .with_faults(NodeFaultPlan::none().with_crash_at(0.0));
+    cfg.nodes[1] = cfg.nodes[1]
+        .clone()
+        .with_faults(NodeFaultPlan::none().with_down_window(0.0, f64::INFINITY));
+    let router = ClusterRouter::new(cfg);
+    for i in 0..20 {
+        let s = spec(i);
+        let resp = router
+            .route(RouteOptions::new(), &|| s.build())
+            .expect("the surviving node serves every request");
+        assert_eq!(resp.node, 2, "only node 2 is up");
+    }
 }
 
 #[test]

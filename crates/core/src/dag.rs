@@ -23,41 +23,33 @@
 //! * **Edge charging** — only real cross-device edges are charged: the
 //!   staged (non-resident) portion of every Edge-TPU tile pays its
 //!   fp32↔int8 cast on the TPU timeline via [`DeviceTimeline::occupy`] and
-//!   its PCIe bytes on the simulated [`Interconnect`]; resident portions
-//!   charge nothing.
+//!   its PCIe bytes on the simulated [`hetsim::Interconnect`]; resident
+//!   portions charge nothing.
 //!
 //! # Cost model
 //!
 //! Every stage is executed **once** through the ordinary
 //! [`crate::runtime::ShmtRuntime`] — placement, stealing, and the computed
-//! values are decided there, so the resident and naive compositions below
-//! are bit-identical by construction and a linear DAG reproduces the
-//! per-stage reports of the same VOPs chained by hand exactly. The DAG
-//! layer then *re-times* each stage's schedule twice with placement pinned:
+//! values are decided there, so a linear DAG reproduces the per-stage
+//! reports of the same VOPs chained by hand exactly. The DAG layer then
+//! *re-times* each stage's schedule once with placement pinned: the replay
+//! skips the cast/PCIe charges for tile regions that stay in TPU memory,
+//! and inter-stage edges cost nothing beyond the dependency itself (shared
+//! host memory is zero-copy). Stages compose serially on the shared device
+//! pool, each starting when its dependencies and its predecessor finish.
 //!
-//! * **naive** — conventional framework composition: every Edge-TPU tile
-//!   stages in and restores out in full, and each inter-stage edge
-//!   additionally round-trips the whole tensor through a host staging
-//!   buffer (one bus transfer down, one back up) behind a global barrier.
-//! * **resident** — the replay skips the cast/PCIe charges for tile
-//!   regions that stay in TPU memory, and inter-stage edges cost nothing
-//!   beyond the dependency itself (shared host memory is zero-copy).
-//!
-//! Both compositions use the same replay model and the same pinned
-//! schedule, and residency only ever removes non-negative charges, so the
-//! resident makespan never exceeds the naive one. Numerically the outputs
-//! are identical in both modes: residency is a *cost-model* statement
-//! about where bytes live, while the simulated int8 path always models the
-//! same quantize→compute→dequantize computation. Guarded stages (per-node
-//! quality budgets) are not re-timed — their pass-1 makespan is used for
-//! both compositions, so the guard's charge is never flattered.
+//! Residency is a *cost-model* statement about where bytes live: the
+//! simulated int8 path always models the same quantize→compute→dequantize
+//! computation, so it never changes an output bit. Guarded stages
+//! (per-node quality budgets) are not re-timed — their pass-1 makespan is
+//! used as is, so the guard's charge is never flattered.
 //!
 //! [`VopDag::run_conventional`] is the paper's Fig 1a reference for the
 //! same graph: every stage on its single best device (the GPU baseline),
 //! serially, where [`VopDag::run`] is Fig 1c — every stage spread across
 //! all devices at once.
 
-use hetsim::{DeviceKind, DeviceTimeline, Interconnect, SimTime};
+use hetsim::{DeviceKind, DeviceTimeline, SimTime};
 use shmt_kernels::primitives::{BinaryOp, UnaryOp};
 use shmt_kernels::{Aggregation, Benchmark, Kernel, KernelShape};
 use shmt_tensor::tile::Tile;
@@ -431,37 +423,23 @@ impl VopDag {
             }
         }
 
-        // Re-time every stage twice with placement pinned: once with the
-        // residency discounts, once without (the naive round-trip model).
+        // Re-time every stage with placement pinned and the residency
+        // discounts applied, then compose the stage windows.
         let resident: Vec<Replay> = execs
             .iter()
             .enumerate()
-            .map(|(i, e)| replay_stage(e, Some(&resident_in[i]), Some(&resident_out[i])))
+            .map(|(i, e)| replay_stage(e, &resident_in[i], &resident_out[i]))
             .collect();
-        let naive: Vec<Replay> = execs.iter().map(|e| replay_stage(e, None, None)).collect();
-
-        // Compose the stage windows. Both compositions serialize stages on
-        // the shared device pool; the naive one additionally round-trips
-        // every edge's full tensor through a host staging buffer on the
-        // shared bus.
-        let windows_resident = compose(&stages, &resident, &execs, false);
-        let windows_naive = compose(&stages, &naive, &execs, true);
+        let windows = compose(&stages, &resident);
 
         let output = outputs[stages.len() - 1]
             .take()
             .ok_or_else(|| ShmtError::Internal("DAG sink produced no output".into()))?;
 
-        let makespan_s = windows_resident.iter().map(|w| w.1).fold(0.0f64, f64::max);
-        let naive_makespan_s = windows_naive.iter().map(|w| w.1).fold(0.0f64, f64::max);
+        let makespan_s = windows.iter().map(|w| w.1).fold(0.0f64, f64::max);
         let total_latency_s: f64 = execs.iter().map(|e| e.report.makespan_s).sum();
         let total_energy_j: f64 = execs.iter().map(|e| e.report.energy.total_j()).sum();
         let resident_bus_bytes: u64 = resident.iter().map(|r| r.bus_bytes).sum();
-        let naive_bus_bytes: u64 = naive.iter().map(|r| r.bus_bytes).sum::<u64>()
-            + stages
-                .iter()
-                .flat_map(|s| s.deps.iter())
-                .map(|&p| 2 * 4 * output_elements(&execs[p]) as u64)
-                .sum::<u64>();
 
         let stage_reports: Vec<DagStageReport> = stages
             .iter()
@@ -471,10 +449,8 @@ impl VopDag {
                 nodes: stage.nodes.clone(),
                 label: e.label,
                 elements: e.elements,
-                start_s: windows_resident[i].0,
-                finish_s: windows_resident[i].1,
-                naive_start_s: windows_naive[i].0,
-                naive_finish_s: windows_naive[i].1,
+                start_s: windows[i].0,
+                finish_s: windows[i].1,
                 resident_in_elements: resident_in[i].iter().sum(),
                 resident_out_elements: resident_out[i].iter().sum(),
                 staged_in_elements: resident[i].staged_in_elements,
@@ -501,12 +477,10 @@ impl VopDag {
         Ok(DagReport {
             stages: stage_reports,
             makespan_s,
-            naive_makespan_s,
             total_latency_s,
             total_energy_j,
             resident_edges,
             resident_bus_bytes,
-            naive_bus_bytes,
             fused,
             output,
         })
@@ -726,10 +700,6 @@ pub struct DagStageReport {
     pub start_s: f64,
     /// Stage finish in the resident composition.
     pub finish_s: f64,
-    /// Stage start in the naive round-trip composition.
-    pub naive_start_s: f64,
-    /// Stage finish in the naive round-trip composition.
-    pub naive_finish_s: f64,
     /// Input elements read directly from Edge-TPU memory (per-edge
     /// residency the replay did not charge).
     pub resident_in_elements: usize,
@@ -752,9 +722,6 @@ pub struct DagReport {
     pub stages: Vec<DagStageReport>,
     /// End-to-end makespan of the resident composition.
     pub makespan_s: f64,
-    /// End-to-end makespan of the naive stage-by-stage round-trip
-    /// composition (always ≥ `makespan_s`).
-    pub naive_makespan_s: f64,
     /// Sum of the pass-1 stage makespans (stages are data-dependent, so
     /// hand-chained execution serializes them).
     pub total_latency_s: f64,
@@ -765,9 +732,6 @@ pub struct DagReport {
     /// Bytes the resident replays charged to the per-stage interconnect
     /// (cross-device edge traffic only).
     pub resident_bus_bytes: u64,
-    /// Bytes the naive model charges: full per-stage staging plus the
-    /// host round-trip of every edge tensor.
-    pub naive_bus_bytes: u64,
     /// Element-wise nodes eliminated by fusion.
     pub fused: usize,
     /// The sink stage's output.
@@ -775,11 +739,6 @@ pub struct DagReport {
 }
 
 impl DagReport {
-    /// The resident composition's speedup over naive round-tripping.
-    pub fn residency_speedup(&self) -> f64 {
-        self.naive_makespan_s / self.makespan_s.max(1e-12)
-    }
-
     /// Collapses the DAG run into one [`RunReport`] shaped like a
     /// single-VOP execution, for layers (serve, bench) whose responses
     /// carry a `RunReport`: per-device accounting, energy, steals, and
@@ -861,7 +820,7 @@ struct ExecStage {
     max_mape: Option<f64>,
 }
 
-/// Pass-1 execution data kept per stage for the replays.
+/// Pass-1 execution data kept per stage for the replay.
 #[derive(Debug)]
 struct StageExec {
     label: &'static str,
@@ -918,14 +877,6 @@ fn tile_overlap(a: &Tile, b: &Tile) -> usize {
     r1.saturating_sub(r0) * c1.saturating_sub(c0)
 }
 
-/// Elements of a stage's *output* (the bytes an edge moves): the
-/// partition space for tile aggregation, the folded reduction buffer for
-/// reductions.
-fn output_elements(e: &StageExec) -> usize {
-    let (r, c) = e.report.output_shape;
-    r * c
-}
-
 fn unary_opcode(op: UnaryOp) -> Opcode {
     match op {
         UnaryOp::Log => Opcode::Log,
@@ -936,17 +887,13 @@ fn unary_opcode(op: UnaryOp) -> Opcode {
     }
 }
 
-/// Re-times one stage's pass-1 schedule with placement pinned,
-/// optionally skipping the cast/PCIe charges for device-resident tile
-/// regions. `None` residency maps give the naive (full round-trip)
-/// timing. Guarded stages return their pass-1 makespan unchanged — the
-/// guard's exact-device charges cannot be replayed faithfully, so they
-/// are never discounted.
-fn replay_stage(
-    e: &StageExec,
-    resident_in: Option<&[usize]>,
-    resident_out: Option<&[usize]>,
-) -> Replay {
+/// Re-times one stage's pass-1 schedule with placement pinned, skipping
+/// the cast/PCIe charges for the device-resident elements of each TPU
+/// record (`resident_in` / `resident_out`, indexed by HLOP id). Guarded
+/// stages return their pass-1 makespan unchanged — the guard's
+/// exact-device charges cannot be replayed faithfully, so they are never
+/// discounted.
+fn replay_stage(e: &StageExec, resident_in: &[usize], resident_out: &[usize]) -> Replay {
     if e.guarded {
         return Replay {
             makespan_s: e.report.makespan_s,
@@ -991,7 +938,7 @@ fn replay_stage(
         let work = elems as f64 * e.work_per_elem;
 
         let data_ready = if d == TPU {
-            let res = resident_in.map_or(0, |m| m[r.id]);
+            let res = resident_in[r.id];
             let staged = elems - res.min(elems);
             staged_in_elements += staged;
             let issue = if e.pipelined {
@@ -1029,7 +976,7 @@ fn replay_stage(
         }
 
         let completion = if d == TPU {
-            let res = resident_out.map_or(0, |m| m[r.id]);
+            let res = resident_out[r.id];
             let staged = elems - res.min(elems);
             staged_out_elements += staged;
             if staged > 0 {
@@ -1065,30 +1012,14 @@ fn replay_stage(
 
 /// Composes stage windows over the shared device pool: every stage
 /// starts no earlier than the previous stage's finish (the stages share
-/// all three devices) and no earlier than its dependencies. The naive
-/// composition additionally round-trips every edge tensor through a host
-/// staging buffer on a shared bus.
-fn compose(
-    stages: &[ExecStage],
-    replays: &[Replay],
-    execs: &[StageExec],
-    naive: bool,
-) -> Vec<(f64, f64)> {
-    let mut bus = Interconnect::jetson_prototype();
+/// all three devices) and no earlier than its dependencies.
+fn compose(stages: &[ExecStage], replays: &[Replay]) -> Vec<(f64, f64)> {
     let mut windows: Vec<(f64, f64)> = Vec::with_capacity(stages.len());
     let mut prev_finish = SimTime::ZERO;
     for (i, stage) in stages.iter().enumerate() {
         let mut start = prev_finish;
         for &p in &stage.deps {
-            let dep_finish = SimTime::from_secs(windows[p].1);
-            if naive {
-                let bytes = 4 * output_elements(&execs[p]);
-                let down = bus.transfer(dep_finish, bytes);
-                let up = bus.transfer(down.end, bytes);
-                start = start.max(up.end);
-            } else {
-                start = start.max(dep_finish);
-            }
+            start = start.max(SimTime::from_secs(windows[p].1));
         }
         let finish = start + replays[i].makespan_s;
         windows.push((start.as_secs(), finish.as_secs()));
@@ -1156,7 +1087,8 @@ impl Kernel for FusedElementwise {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::Policy;
+    use crate::sampling::SamplingMethod;
+    use crate::sched::{Policy, QawsAssignment};
     use shmt_tensor::gen;
 
     fn cfg() -> DagConfig {
@@ -1214,41 +1146,63 @@ mod tests {
     const VISION: [(Benchmark, u64); 2] = [(Benchmark::MeanFilter, 1), (Benchmark::Sobel, 2)];
 
     /// A linear DAG is the same VOPs hand-chained through
-    /// `ShmtRuntime::execute` + `sanitize`, bit for bit.
+    /// `ShmtRuntime::execute` + `sanitize`, bit for bit: a benchmark chain
+    /// under work stealing, and DWT → ReLU → Sqrt under QAWS-TS with
+    /// fusion off (its unary stages hand-chained through `Vop::unary` on
+    /// the generic platform).
     #[test]
     fn linear_dag_matches_program_exactly() {
-        let dag = VopDag::linear(&VISION).unwrap();
-        let input = gen::image8(96, 96, 3);
-        let c = cfg();
-        let d = dag.run(&input, &c).unwrap();
-        assert_eq!(d.stages.len(), VISION.len());
-        // The same VOPs, one `ShmtRuntime::execute` after another.
-        let mut flowing = input;
-        let mut total_latency_s = 0.0;
-        for (&(benchmark, _), ds) in VISION.iter().zip(&d.stages) {
-            let vop = Vop::from_benchmark(benchmark, vec![flowing]).unwrap();
-            let r = ShmtRuntime::new(Platform::jetson(benchmark), c.runtime)
-                .execute(&vop)
-                .unwrap();
-            assert_eq!(ds.report.makespan_s, r.makespan_s);
-            assert_eq!(ds.report.bus_bytes, r.bus_bytes);
-            // The stage output moved on and left a 1x1 placeholder behind,
-            // so observers must never infer workload from `report.output`:
-            // `output_shape` and the per-device element counts carry the
-            // real sizes.
-            assert_eq!(ds.report.output.shape(), (1, 1));
-            assert_eq!(ds.report.output_shape, r.output_shape);
-            assert_eq!(ds.report.device_elements(), r.device_elements());
-            assert_eq!(ds.elements, 96 * 96);
-            total_latency_s += r.makespan_s;
-            flowing = sanitize(r.output);
+        let mut qaws_ts = RuntimeConfig::new(Policy::Qaws {
+            assignment: QawsAssignment::TopK,
+            sampling: SamplingMethod::Striding,
+        });
+        qaws_ts.partitions = 8;
+        let mut unfused = DagConfig::new(qaws_ts);
+        unfused.fuse_elementwise = false;
+        let dwt = VopDag::new(vec![
+            DagNode::benchmark(Benchmark::Dwt, 3, vec![]),
+            DagNode::unary(UnaryOp::Relu, 0),
+            DagNode::unary(UnaryOp::Sqrt, 1),
+        ])
+        .unwrap();
+        for (dag, c) in [(VopDag::linear(&VISION).unwrap(), cfg()), (dwt, unfused)] {
+            let input = gen::image8(96, 96, 3);
+            let d = dag.run(&input, &c).unwrap();
+            assert_eq!(d.stages.len(), dag.len());
+            // The same VOPs, one `ShmtRuntime::execute` after another.
+            let mut flowing = input;
+            let mut total_latency_s = 0.0;
+            for (node, ds) in dag.nodes().iter().zip(&d.stages) {
+                let (vop, platform) = match node.op {
+                    NodeOp::Benchmark { benchmark, .. } => (
+                        Vop::from_benchmark(benchmark, vec![flowing]).unwrap(),
+                        Platform::jetson(benchmark),
+                    ),
+                    NodeOp::Unary(op) => (Vop::unary(op, flowing).unwrap(), Platform::generic()),
+                    NodeOp::Binary(_) => unreachable!("a chain has no joins"),
+                };
+                let r = ShmtRuntime::new(platform, c.runtime).execute(&vop).unwrap();
+                assert_eq!(ds.report.makespan_s, r.makespan_s);
+                assert_eq!(ds.report.bus_bytes, r.bus_bytes);
+                // The stage output moved on and left a 1x1 placeholder behind,
+                // so observers must never infer workload from `report.output`:
+                // `output_shape` and the per-device element counts carry the
+                // real sizes.
+                assert_eq!(ds.report.output.shape(), (1, 1));
+                assert_eq!(ds.report.output_shape, r.output_shape);
+                assert_eq!(ds.report.device_elements(), r.device_elements());
+                assert_eq!(ds.elements, 96 * 96);
+                total_latency_s += r.makespan_s;
+                flowing = sanitize(r.output);
+            }
+            assert_eq!(d.output.as_slice(), flowing.as_slice());
+            assert_eq!(d.total_latency_s, total_latency_s);
+            assert!(d.total_energy_j > 0.0);
+            // Both chains end in a non-negative function (Sobel magnitudes,
+            // sqrt), up to int8 grid rounding (the TPU output grid's lower
+            // edge can dequantize a hair below zero).
+            assert!(d.output.as_slice().iter().all(|&v| v >= -1e-3));
         }
-        assert_eq!(d.output.as_slice(), flowing.as_slice());
-        assert_eq!(d.total_latency_s, total_latency_s);
-        assert!(d.total_energy_j > 0.0);
-        // Sobel magnitudes are non-negative up to int8 grid rounding (the
-        // TPU output grid's lower edge can dequantize a hair below zero).
-        assert!(d.output.as_slice().iter().all(|&v| v >= -1e-3));
     }
 
     #[test]
@@ -1279,20 +1233,6 @@ mod tests {
         }
         assert_eq!(conv_s, total_s);
         assert_eq!(conv_out.as_slice(), flowing.as_slice());
-    }
-
-    #[test]
-    fn resident_never_loses_to_naive() {
-        let dag = VopDag::linear(&[(Benchmark::Sobel, 1), (Benchmark::Histogram, 2)]).unwrap();
-        let input = gen::image8(128, 128, 5);
-        let d = dag.run(&input, &cfg()).unwrap();
-        assert!(
-            d.makespan_s < d.naive_makespan_s,
-            "resident {} vs naive {}",
-            d.makespan_s,
-            d.naive_makespan_s
-        );
-        assert!(d.resident_bus_bytes <= d.naive_bus_bytes);
     }
 
     #[test]
@@ -1329,10 +1269,17 @@ mod tests {
         let input = gen::image8(64, 64, 4);
         let d = dag.run(&input, &cfg()).unwrap();
         assert_eq!(d.output.shape(), (64, 64));
-        // Node 0 has two consumers: neither edge is residency-eligible.
+        // Node 0 has two consumers: neither of its edges is
+        // residency-eligible, so only relu → add (the join's slot-0 edge)
+        // can stay resident, and node 0's output is restored in full.
         assert_eq!(d.stages.len(), 4);
+        assert_eq!(d.resident_edges, 1);
+        assert_eq!(d.stages[0].resident_out_elements, 0);
         assert!(d.makespan_s > 0.0);
-        assert!(d.naive_makespan_s > d.makespan_s);
+        // Residency only removes charges: the composition never moves
+        // more bytes than the stages staged on their own.
+        let staged_alone: u64 = d.stages.iter().map(|s| s.report.bus_bytes).sum();
+        assert!(d.resident_bus_bytes <= staged_alone);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!
 //! The `tests/golden.rs` suite asserts exact `as_slice()` equality between
 //! each production kernel and its reference on both the exact and NPU
-//! paths; `perf_report` benches the Mean Filter and Sobel references to
-//! quantify the interior/halo speedup.
+//! paths.
 
 use shmt_tensor::arena::Stash;
 use shmt_tensor::quant::QuantParams;

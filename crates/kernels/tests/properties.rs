@@ -3,8 +3,9 @@
 //! * **Partition independence** — computing a dataset tile by tile, in any
 //!   split, yields exactly the full-run output (this is what lets HLOPs
 //!   execute on different devices and be stitched back together).
-//! * **NPU error physics** — the int8 path's error grows with a
-//!   partition's value range and never corrupts elements outside its tile.
+//! * **NPU error physics** — the int8 path really differs from the exact
+//!   one, its error grows with a partition's value range, and it never
+//!   corrupts elements outside its tile.
 //! * **Assignment** — a kernel overwrites every element of its
 //!   destination and never reads one first, so the runtime may hand it
 //!   an unfilled output.
@@ -156,6 +157,28 @@ fn npu_stays_inside_its_tile() {
                 }
             }
         }
+    }
+}
+
+/// Every benchmark's NPU path is a genuinely different computation from
+/// its exact path: the outputs differ somewhere. Timings cannot show this
+/// — Histogram's two paths legitimately take the same time.
+#[test]
+fn npu_output_differs_from_exact_for_every_benchmark() {
+    let n = 128usize;
+    for bench in ALL_BENCHMARKS {
+        let kernel = bench.kernel();
+        let shape = kernel.shape();
+        let inputs = bench.generate_inputs(n, n, 1);
+        let refs: Vec<&Tensor> = inputs.iter().collect();
+        let mut exact = shape.allocate_output(n, n);
+        kernel.run_exact(&refs, full_tile(n, n), &mut exact);
+        let mut npu = shape.allocate_output(n, n);
+        kernel.run_npu(&refs, full_tile(n, n), &mut npu);
+        assert!(
+            exact.as_slice() != npu.as_slice(),
+            "{bench}: npu output is identical to exact output"
+        );
     }
 }
 

@@ -819,7 +819,6 @@ struct DagStats {
     edges: usize,
     resident_edges: usize,
     resident_bus_bytes: u64,
-    naive_bus_bytes: u64,
 }
 
 /// Records a flight entry and bumps the `serve.flight_dumps` counter
@@ -966,7 +965,6 @@ fn executor_loop(shared: &Shared) {
                             edges: dag.edge_count(),
                             resident_edges: dr.resident_edges,
                             resident_bus_bytes: dr.resident_bus_bytes,
-                            naive_bus_bytes: dr.naive_bus_bytes,
                         });
                         dr.into_run_report()
                     })
@@ -1093,7 +1091,6 @@ fn executor_loop(shared: &Shared) {
             metrics.add_counter("dag.edges", ds.edges as f64);
             metrics.add_counter("dag.resident_edges", ds.resident_edges as f64);
             metrics.add_counter("dag.resident_bus_bytes", ds.resident_bus_bytes as f64);
-            metrics.add_counter("dag.naive_bus_bytes", ds.naive_bus_bytes as f64);
         }
         match outcome {
             Ok(report) => {

@@ -397,13 +397,29 @@ fn quality_slo_without_an_exact_device_fails_typed() {
 fn quality_slo_repairs_miscalibrated_output_within_budget() {
     let server = Server::new(ServerConfig::default());
     let budget = 0.05;
-    let resp = serve_one(
-        &server,
-        request(Benchmark::Sobel, 128, 5, Policy::WorkStealing)
-            .with_max_mape(budget)
-            .with_faults(FaultPlan::none().with_tpu_miscalibration(1.5, 0.1)),
-    )
-    .expect("guarded run repairs its way under budget");
+    let b = Benchmark::Sobel;
+    let miscalibrated = || {
+        request(b, 128, 5, Policy::WorkStealing)
+            .with_faults(FaultPlan::none().with_tpu_miscalibration(1.5, 0.1))
+    };
+    let reference = shmt::baseline::exact_reference(
+        &Vop::from_benchmark(b, b.generate_inputs(128, 128, 5)).expect("valid VOP"),
+    );
+    // The miscalibration is real: served without the SLO, the same
+    // request ships output over the budget.
+    let unguarded = serve_one(&server, miscalibrated()).expect("unguarded run serves");
+    let unguarded_mape = shmt::quality::mape(&reference, &unguarded.report.output);
+    assert!(
+        unguarded_mape > budget,
+        "unguarded error {unguarded_mape} must exceed the {budget} budget"
+    );
+    let resp = serve_one(&server, miscalibrated().with_max_mape(budget))
+        .expect("guarded run repairs its way under budget");
+    let guarded_mape = shmt::quality::mape(&reference, &resp.report.output);
+    assert!(
+        guarded_mape <= budget,
+        "guarded error {guarded_mape} must stay within the {budget} budget"
+    );
     let q = &resp.report.quality;
     assert!(q.enabled, "the SLO must have enabled the guard");
     assert!(
@@ -538,21 +554,27 @@ mod dag_serving {
         let (dag, input) = pipeline();
         let reference = dag
             .run(&input, &DagConfig::new(dag_config()))
-            .expect("direct DAG run succeeds")
-            .output;
+            .expect("direct DAG run succeeds");
         let server = Server::new(ServerConfig::default());
         let response = server
             .submit_blocking(Request::with_program(dag, input, dag_config()))
             .expect("admitted")
             .wait()
             .expect("served");
-        assert_eq!(response.report.output.as_slice(), reference.as_slice());
+        assert_eq!(
+            response.report.output.as_slice(),
+            reference.output.as_slice()
+        );
         assert!(response.report.makespan_s > 0.0);
         // The dag.* counters feed the merged observatory snapshot.
         let metrics = server.observatory().metrics().clone();
         assert_eq!(metrics.counter("dag.requests"), 1.0);
         assert_eq!(metrics.counter("dag.stages"), 2.0);
-        assert!(metrics.counter("dag.naive_bus_bytes") > metrics.counter("dag.resident_bus_bytes"));
+        assert_eq!(
+            metrics.counter("dag.resident_bus_bytes"),
+            reference.resident_bus_bytes as f64
+        );
+        assert_eq!(response.report.bus_bytes, reference.resident_bus_bytes);
     }
 
     #[test]

@@ -1,22 +1,106 @@
-//! Randomized property tests over [`shmt::VopDag`]: node labels and the
-//! implied topological order must never change computed values, and
-//! fully-overlapping Edge-TPU placements must make interior edges
-//! entirely device-resident (zero staged input elements).
+//! Tests over [`shmt::VopDag`]: node labels and the implied topological
+//! order must never change computed values, fully-overlapping Edge-TPU
+//! placements must make interior edges entirely device-resident (zero
+//! staged input elements), and the reference pipelines in [`pipelines`]
+//! must compose within the charges of their own stages.
 //!
-//! Cases are drawn from a seeded [`Pcg32`] stream, so every run explores
-//! the same graphs and failures reproduce exactly.
+//! Random cases are drawn from a seeded [`Pcg32`] stream, so every run
+//! explores the same graphs and failures reproduce exactly.
 
 use shmt::dag::{DagConfig, DagNode, VopDag};
-use shmt::{Policy, RuntimeConfig};
+use shmt::sampling::SamplingMethod;
+use shmt::{NodeOp, Policy, QawsAssignment, RuntimeConfig, Tensor};
 use shmt_kernels::primitives::{BinaryOp, UnaryOp};
 use shmt_kernels::Benchmark;
 use shmt_tensor::gen;
 use shmt_tensor::rng::Pcg32;
 
-fn cfg() -> DagConfig {
-    let mut rt = RuntimeConfig::new(Policy::WorkStealing);
+fn config(policy: Policy) -> DagConfig {
+    let mut rt = RuntimeConfig::new(policy);
     rt.partitions = 8;
     DagConfig::new(rt)
+}
+
+fn cfg() -> DagConfig {
+    config(Policy::WorkStealing)
+}
+
+/// A named DAG with the configuration and input it runs under.
+struct Pipeline {
+    name: &'static str,
+    dag: VopDag,
+    config: DagConfig,
+    input: Tensor,
+}
+
+/// The reference pipelines a change to DAG composition is checked on:
+///
+/// * `vision` — Sobel → Histogram, a linear benchmark chain ending in a
+///   reduction, under work stealing;
+/// * `dwt` — DWT → ReLU → Sqrt under QAWS-TS, whose unary tail fuses
+///   into one stage;
+/// * `chain` — ReLU → Sqrt → Tanh with fusion off: three identical
+///   element-wise stages whose Edge-TPU tiles coincide.
+fn pipelines() -> Vec<Pipeline> {
+    let mut unfused = cfg();
+    unfused.fuse_elementwise = false;
+    let relu_root = DagNode {
+        op: NodeOp::Unary(UnaryOp::Relu),
+        deps: vec![],
+        max_mape: None,
+    };
+    vec![
+        Pipeline {
+            name: "vision",
+            dag: VopDag::linear(&[(Benchmark::Sobel, 1), (Benchmark::Histogram, 2)])
+                .expect("valid chain"),
+            config: cfg(),
+            input: gen::image8(96, 96, 7),
+        },
+        Pipeline {
+            name: "dwt",
+            dag: VopDag::new(vec![
+                DagNode::benchmark(Benchmark::Dwt, 3, vec![]),
+                DagNode::unary(UnaryOp::Relu, 0),
+                DagNode::unary(UnaryOp::Sqrt, 1),
+            ])
+            .expect("valid chain"),
+            config: config(Policy::Qaws {
+                assignment: QawsAssignment::TopK,
+                sampling: SamplingMethod::Striding,
+            }),
+            input: gen::image8(96, 96, 9),
+        },
+        Pipeline {
+            name: "chain",
+            dag: VopDag::new(vec![
+                relu_root,
+                DagNode::unary(UnaryOp::Sqrt, 0),
+                DagNode::unary(UnaryOp::Tanh, 1),
+            ])
+            .expect("valid chain"),
+            config: unfused,
+            input: gen::image8(128, 128, 3),
+        },
+    ]
+}
+
+fn pipeline(name: &str) -> Pipeline {
+    pipelines()
+        .into_iter()
+        .find(|p| p.name == name)
+        .expect("a named reference pipeline")
+}
+
+/// Edge-TPU elements a stage's own run placed.
+fn tpu_elements(stage: &shmt::DagStageReport) -> usize {
+    stage
+        .report
+        .device_elements()
+        .iter()
+        .filter(|(kind, _)| matches!(kind, hetsim::DeviceKind::EdgeTpu))
+        .map(|&(_, e)| e as usize)
+        .sum()
 }
 
 /// Builds a random single-sink DAG: a benchmark root, a layer of unary
@@ -133,47 +217,69 @@ fn fusion_stays_within_quantization_tolerance() {
 
 /// An interior edge between two identically-shaped element-wise stages
 /// is fully resident: the consumer's Edge-TPU tiles coincide with the
-/// producer's, so no input element is staged over the interconnect and
-/// the resident composition strictly beats the naive round-trip.
+/// producer's, so no input element is staged over the interconnect, and
+/// the composition moves fewer bytes than the same stages run on their
+/// own.
 #[test]
 fn identical_stage_chain_is_fully_resident() {
-    // Fusion off so the unary chain stays three distinct stages with two
-    // interior edges.
-    let mut c = cfg();
-    c.fuse_elementwise = false;
-    let root = DagNode {
-        op: shmt::NodeOp::Unary(UnaryOp::Relu),
-        deps: vec![],
-        max_mape: None,
-    };
-    let dag = VopDag::new(vec![
-        root,
-        DagNode::unary(UnaryOp::Sqrt, 0),
-        DagNode::unary(UnaryOp::Tanh, 1),
-    ])
-    .expect("valid chain");
-    let input = gen::image8(128, 128, 3);
-    let d = dag.run(&input, &c).expect("chain runs");
+    let Pipeline {
+        dag, config, input, ..
+    } = pipeline("chain");
+    let d = dag.run(&input, &config).expect("chain runs");
     assert_eq!(d.stages.len(), 3);
     for (i, stage) in d.stages.iter().enumerate().skip(1) {
-        let tpu_elems: usize = stage
-            .report
-            .device_elements()
-            .iter()
-            .filter(|(kind, _)| matches!(kind, hetsim::DeviceKind::EdgeTpu))
-            .map(|&(_, e)| e as usize)
-            .sum();
         assert_eq!(
             stage.staged_in_elements, 0,
             "stage {i}: identical placements must leave the whole edge resident"
         );
         assert_eq!(
-            stage.resident_in_elements, tpu_elems,
+            stage.resident_in_elements,
+            tpu_elements(stage),
             "stage {i}: residency must cover every Edge-TPU element"
         );
     }
-    assert!(d.resident_bus_bytes < d.naive_bus_bytes);
-    assert!(d.makespan_s < d.naive_makespan_s);
+    let staged_alone: u64 = d.stages.iter().map(|s| s.report.bus_bytes).sum();
+    assert!(d.resident_bus_bytes < staged_alone);
+}
+
+/// Every reference pipeline composes within its own stages: each stage's
+/// Edge-TPU elements are either resident or staged, never both or
+/// neither; stage windows run back to back and end at the makespan; and
+/// residency only ever removes transfers, so the composition moves no
+/// more bytes than the stages run on their own.
+#[test]
+fn reference_pipelines_compose_within_their_stages() {
+    for Pipeline {
+        name,
+        dag,
+        config,
+        input,
+    } in pipelines()
+    {
+        let d = dag.run(&input, &config).expect("pipeline runs");
+        let mut prev_finish = 0.0;
+        for (i, stage) in d.stages.iter().enumerate() {
+            let tpu = tpu_elements(stage);
+            assert_eq!(
+                stage.staged_in_elements + stage.resident_in_elements,
+                tpu,
+                "{name} stage {i}: input accounting"
+            );
+            assert_eq!(
+                stage.staged_out_elements + stage.resident_out_elements,
+                tpu,
+                "{name} stage {i}: output accounting"
+            );
+            assert!(stage.start_s >= prev_finish, "{name} stage {i} overlaps");
+            assert!(stage.finish_s > stage.start_s, "{name} stage {i} is empty");
+            prev_finish = stage.finish_s;
+        }
+        assert_eq!(d.makespan_s, prev_finish, "{name}");
+        let staged_alone: u64 = d.stages.iter().map(|s| s.report.bus_bytes).sum();
+        assert!(d.resident_bus_bytes <= staged_alone, "{name}: bus bytes");
+        let fused = usize::from(name == "dwt");
+        assert_eq!(d.fused, fused, "{name}: only the DWT tail fuses");
+    }
 }
 
 /// `DagConfig::residency_dispatch` hands each stage's planner the share
