@@ -4,8 +4,7 @@
 //! Each node ([`NodeConfig`]) is a full [`shmt_serve::Server`] — its own
 //! virtual devices, per-device circuit breaker, admission queue, and
 //! telemetry — wrapped in a wall-clock [`NodeFaultPlan`] that can crash
-//! it, flap it down, delay its deliveries, or inject device faults into
-//! what it serves. The [`ClusterRouter`] in front makes the fleet
+//! it, flap it down, or delay its deliveries. The [`ClusterRouter`] in front makes the fleet
 //! dependable out of undependable parts:
 //!
 //! - **Scoring dispatch** — load, per-node observed-latency EWMA
@@ -30,10 +29,10 @@
 //!   BestEffort before Batch before Interactive with a typed
 //!   [`ClusterError::Shed`] ([`ShedConfig`]).
 //!
-//! The [`loadgen`] module drives the fleet open-loop from seeded arrival
-//! processes (Poisson, bursty, diurnal) and tallies every outcome; no
-//! routed request ever hangs and none is lost — each resolves to a
-//! [`ClusterResponse`] or a typed [`ClusterError`].
+//! The [`loadgen`] module lays out seeded open-loop arrival schedules
+//! (Poisson, bursty, diurnal) to drive the fleet with. No routed request
+//! ever hangs and none is lost — each resolves to a [`ClusterResponse`]
+//! or a typed [`ClusterError`].
 
 #![warn(missing_docs)]
 

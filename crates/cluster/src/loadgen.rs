@@ -1,22 +1,16 @@
-//! Open-loop load generation against a [`ClusterRouter`].
+//! Open-loop load generation against a [`crate::ClusterRouter`].
 //!
 //! Arrival times come from a seeded stochastic process (Poisson, bursty
 //! Markov-modulated Poisson, or diurnal) laid out *before* the run —
 //! open-loop, so a slow cluster does not slow the offered load down and
-//! coordinated omission cannot hide queueing delay: every request's
-//! latency is measured from its scheduled arrival, not from when a
-//! worker got around to sending it.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+//! coordinated omission cannot hide queueing delay: a driver measures
+//! every request's latency from its scheduled arrival, not from when a
+//! sender got around to sending it.
 
 use shmt::{Platform, Policy, RuntimeConfig, Vop};
 use shmt_kernels::Benchmark;
-use shmt_serve::{Priority, Request};
+use shmt_serve::Request;
 use shmt_tensor::rng::Pcg32;
-
-use crate::error::ClusterError;
-use crate::router::{ClusterRouter, RouteOptions};
 
 /// A seeded arrival process. All rates are requests per second; all
 /// processes are deterministic given the same seed.
@@ -58,7 +52,7 @@ fn exp_draw(rng: &mut Pcg32, rate: f64) -> f64 {
     -(1.0 - u).ln() / rate.max(1e-9)
 }
 
-/// Lays out `n` arrival instants (seconds from the drive start) for the
+/// Lays out `n` arrival instants (seconds from the run start) for the
 /// given process. Monotonically non-decreasing.
 pub fn arrival_times(process: ArrivalProcess, n: usize, seed: u64) -> Vec<f64> {
     let mut rng = Pcg32::seed_from_u64(seed);
@@ -117,8 +111,8 @@ pub fn arrival_times(process: ArrivalProcess, n: usize, seed: u64) -> Vec<f64> {
     times
 }
 
-/// Recipe for the requests a drive offers: the workload payload plus the
-/// routing options every instance carries.
+/// Recipe for one routed request: the workload payload and its runtime
+/// configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RequestSpec {
     /// Kernel benchmark the request runs.
@@ -129,14 +123,12 @@ pub struct RequestSpec {
     pub partitions: usize,
     /// Scheduling policy inside each node.
     pub policy: Policy,
-    /// Input-generation seed (varied per instance by the drive).
+    /// Input-generation seed.
     pub seed: u64,
-    /// Routing options (class, deadline, affinity, quality SLO).
-    pub options: RouteOptions,
 }
 
 impl RequestSpec {
-    /// A Batch-class spec with default partitioning.
+    /// A work-stealing spec with default partitioning.
     pub fn new(benchmark: Benchmark, n: usize, seed: u64) -> Self {
         RequestSpec {
             benchmark,
@@ -144,15 +136,7 @@ impl RequestSpec {
             partitions: 4,
             policy: Policy::WorkStealing,
             seed,
-            options: RouteOptions::default(),
         }
-    }
-
-    /// Sets the routing options.
-    #[must_use]
-    pub fn with_options(mut self, options: RouteOptions) -> Self {
-        self.options = options;
-        self
     }
 
     /// Builds one request instance. Called once per dispatch (retries
@@ -165,212 +149,6 @@ impl RequestSpec {
         config.partitions = self.partitions;
         Request::new(vop, Platform::jetson(b), config)
     }
-}
-
-/// Per-class tallies inside a [`DriveReport`], indexed by
-/// [`Priority::index`].
-pub type ByClass = [usize; 3];
-
-/// What an open-loop drive observed, end to end.
-#[derive(Debug, Clone, Default)]
-pub struct DriveReport {
-    /// Requests offered (the arrival schedule's length).
-    pub offered: usize,
-    /// Requests offered per class.
-    pub offered_by_class: ByClass,
-    /// Requests that returned a response.
-    pub ok: usize,
-    /// Requests shed by admission control, per class.
-    pub shed_by_class: ByClass,
-    /// Requests that failed with `DeadlineExceeded`.
-    pub deadline_exceeded: usize,
-    /// Requests that failed with `RetryBudgetExhausted`.
-    pub budget_exhausted: usize,
-    /// Requests that failed with `NodesExhausted`.
-    pub nodes_exhausted: usize,
-    /// Requests that failed terminally or hit a shut-down router.
-    pub other_failed: usize,
-    /// Offered requests that never resolved to any outcome. Zero unless
-    /// a drive worker died — the "no request is lost" invariant.
-    pub lost: usize,
-    /// Requests that launched a hedge.
-    pub hedged: usize,
-    /// Requests whose hedge beat the primary.
-    pub hedge_wins: usize,
-    /// Extra dispatch tries beyond each request's first.
-    pub retries: usize,
-    /// Worst single end-to-end latency observed, seconds.
-    pub max_latency_s: f64,
-    /// Wall-clock span of the drive, seconds.
-    pub wall_s: f64,
-    /// Successful-response latencies (scheduled arrival to response),
-    /// seconds, paired with the class index. Unsorted.
-    pub samples: Vec<(usize, f64)>,
-}
-
-impl DriveReport {
-    /// Completed throughput, responses per second.
-    pub fn throughput_rps(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.ok as f64 / self.wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Total requests shed across classes.
-    pub fn shed(&self) -> usize {
-        self.shed_by_class.iter().sum()
-    }
-
-    /// The `p`-th latency percentile (0..=100) over successful requests,
-    /// seconds.
-    pub fn latency_percentile(&self, p: f64) -> Option<f64> {
-        Self::percentile_of(self.samples.iter().map(|&(_, s)| s), p)
-    }
-
-    /// The `p`-th latency percentile over one class's successes.
-    pub fn class_percentile(&self, priority: Priority, p: f64) -> Option<f64> {
-        let class = priority.index();
-        Self::percentile_of(
-            self.samples
-                .iter()
-                .filter(|&&(c, _)| c == class)
-                .map(|&(_, s)| s),
-            p,
-        )
-    }
-
-    /// Mean latency over successful requests, seconds.
-    pub fn mean_latency(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        Some(self.samples.iter().map(|&(_, s)| s).sum::<f64>() / self.samples.len() as f64)
-    }
-
-    fn percentile_of(samples: impl Iterator<Item = f64>, p: f64) -> Option<f64> {
-        let mut v: Vec<f64> = samples.collect();
-        if v.is_empty() {
-            return None;
-        }
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let rank = ((p / 100.0).clamp(0.0, 1.0) * (v.len() - 1) as f64).round() as usize;
-        Some(v[rank.min(v.len() - 1)])
-    }
-
-    fn absorb(&mut self, other: DriveReport) {
-        self.ok += other.ok;
-        for c in 0..3 {
-            self.offered_by_class[c] += other.offered_by_class[c];
-            self.shed_by_class[c] += other.shed_by_class[c];
-        }
-        self.deadline_exceeded += other.deadline_exceeded;
-        self.budget_exhausted += other.budget_exhausted;
-        self.nodes_exhausted += other.nodes_exhausted;
-        self.other_failed += other.other_failed;
-        self.hedged += other.hedged;
-        self.hedge_wins += other.hedge_wins;
-        self.retries += other.retries;
-        self.max_latency_s = self.max_latency_s.max(other.max_latency_s);
-        self.samples.extend(other.samples);
-    }
-}
-
-/// Drives the arrival schedule against the router with `workers`
-/// open-loop sender threads and tallies every outcome. Requests cycle
-/// through `specs` in arrival order (instance `i` uses
-/// `specs[i % specs.len()]` with a decorrelated input seed).
-///
-/// Latency is measured from each request's *scheduled* arrival, so time
-/// a saturated cluster spends making the sender wait counts against it.
-pub fn drive(
-    router: &ClusterRouter,
-    specs: &[RequestSpec],
-    arrivals: &[f64],
-    workers: usize,
-) -> DriveReport {
-    assert!(!specs.is_empty(), "drive needs at least one request spec");
-    let started = Instant::now();
-    let next = AtomicUsize::new(0);
-    let mut report = DriveReport {
-        offered: arrivals.len(),
-        ..DriveReport::default()
-    };
-    let worker_reports: Vec<DriveReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.max(1))
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut local = DriveReport::default();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= arrivals.len() {
-                            break;
-                        }
-                        let spec = &specs[i % specs.len()];
-                        let scheduled = started + Duration::from_secs_f64(arrivals[i].max(0.0));
-                        let now = Instant::now();
-                        if scheduled > now {
-                            std::thread::sleep(scheduled - now);
-                        }
-                        let mut spec = *spec;
-                        spec.seed = spec.seed.wrapping_add(i as u64).wrapping_mul(0x9e37_79b9);
-                        let class = spec.options.priority.index();
-                        local.offered_by_class[class] += 1;
-                        let outcome = router.route(spec.options, &|| spec.build());
-                        let latency_s = scheduled.elapsed().as_secs_f64();
-                        match outcome {
-                            Ok(resp) => {
-                                local.ok += 1;
-                                local.retries += resp.tries.saturating_sub(1);
-                                if resp.hedged {
-                                    local.hedged += 1;
-                                }
-                                if resp.hedge_won {
-                                    local.hedge_wins += 1;
-                                }
-                                local.samples.push((class, latency_s));
-                            }
-                            Err(ClusterError::Shed { priority, .. }) => {
-                                local.shed_by_class[priority.index()] += 1;
-                            }
-                            Err(ClusterError::DeadlineExceeded { .. }) => {
-                                local.deadline_exceeded += 1;
-                            }
-                            Err(ClusterError::RetryBudgetExhausted { .. }) => {
-                                local.budget_exhausted += 1;
-                            }
-                            Err(ClusterError::NodesExhausted { .. }) => {
-                                local.nodes_exhausted += 1;
-                            }
-                            Err(ClusterError::Request(_)) | Err(ClusterError::Shutdown) => {
-                                local.other_failed += 1;
-                            }
-                        }
-                        local.max_latency_s = local.max_latency_s.max(latency_s);
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect()
-    });
-    for wr in worker_reports {
-        report.absorb(wr);
-    }
-    report.wall_s = started.elapsed().as_secs_f64();
-    let resolved = report.ok
-        + report.shed()
-        + report.deadline_exceeded
-        + report.budget_exhausted
-        + report.nodes_exhausted
-        + report.other_failed;
-    report.lost = report.offered.saturating_sub(resolved);
-    report
 }
 
 #[cfg(test)]
@@ -406,18 +184,5 @@ mod tests {
         let span = times.last().copied().unwrap_or(0.0);
         let rate = 10_000.0 / span;
         assert!((850.0..1150.0).contains(&rate), "observed rate {rate}");
-    }
-
-    #[test]
-    fn percentiles_are_exact_on_known_samples() {
-        let mut r = DriveReport::default();
-        for i in 1..=100 {
-            r.samples.push((Priority::Batch.index(), i as f64));
-        }
-        assert_eq!(r.latency_percentile(0.0), Some(1.0));
-        assert_eq!(r.latency_percentile(100.0), Some(100.0));
-        assert_eq!(r.latency_percentile(50.0), Some(51.0));
-        assert_eq!(r.class_percentile(Priority::Interactive, 50.0), None);
-        assert_eq!(r.class_percentile(Priority::Batch, 99.0), Some(99.0));
     }
 }

@@ -7,7 +7,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use shmt::FaultPlan;
 use shmt_serve::{Request, Response, ServeError, Server, SubmitError, Ticket};
 
 use crate::error::ClusterError;
@@ -41,15 +40,10 @@ pub struct NodeFaultPlan {
     pub down_windows: Vec<(f64, f64)>,
     /// Delivery-delay windows (see [`SlowWindow`]).
     pub slow_windows: Vec<SlowWindow>,
-    /// Device-level fault schedule applied to every single-VOP request
-    /// this node serves (reseeded per request, so draws decorrelate
-    /// while staying deterministic). [`FaultPlan::none`] leaves requests
-    /// untouched.
-    pub device_faults: FaultPlan,
 }
 
 impl NodeFaultPlan {
-    /// A healthy node: no crash, no windows, no device faults.
+    /// A healthy node: no crash, no windows.
     pub fn none() -> Self {
         NodeFaultPlan::default()
     }
@@ -79,20 +73,9 @@ impl NodeFaultPlan {
         self
     }
 
-    /// Applies a device-level fault schedule to every request the node
-    /// serves.
-    #[must_use]
-    pub fn with_device_faults(mut self, faults: FaultPlan) -> Self {
-        self.device_faults = faults;
-        self
-    }
-
     /// Whether the plan perturbs nothing.
     pub fn is_empty(&self) -> bool {
-        self.crash_at_s.is_none()
-            && self.down_windows.is_empty()
-            && self.slow_windows.is_empty()
-            && self.device_faults.is_empty()
+        self.crash_at_s.is_none() && self.down_windows.is_empty() && self.slow_windows.is_empty()
     }
 
     /// Whether the node is reachable at `t` seconds after the epoch.
@@ -197,8 +180,6 @@ pub(crate) struct ClusterNode {
     epoch: Instant,
     inflight: AtomicUsize,
     dispatched: AtomicU64,
-    /// Per-request salt for reseeding the node's device-fault plan.
-    fault_salt: AtomicU64,
 }
 
 impl ClusterNode {
@@ -212,7 +193,6 @@ impl ClusterNode {
             epoch,
             inflight: AtomicUsize::new(0),
             dispatched: AtomicU64::new(0),
-            fault_salt: AtomicU64::new(0),
         })
     }
 
@@ -248,13 +228,6 @@ impl ClusterNode {
         let t = self.now_s();
         if !self.faults.available_at(t) {
             return Err(NodeError::Unavailable);
-        }
-        if !self.faults.device_faults.is_empty()
-            && request.vop().is_some()
-            && request.faults.is_empty()
-        {
-            let salt = self.fault_salt.fetch_add(1, Ordering::Relaxed);
-            request.faults = self.faults.device_faults.reseeded(salt);
         }
         let cancel = Arc::new(AtomicBool::new(false));
         request = request.with_cancel(Arc::clone(&cancel));

@@ -388,11 +388,6 @@ impl ClusterRouter {
         merged
     }
 
-    /// One node's device-health snapshot (GPU, CPU, TPU breakers).
-    pub fn node_device_health(&self, id: usize) -> [SlotHealth; 3] {
-        self.nodes[id].server().device_health()
-    }
-
     /// One node's serving metrics.
     pub fn node_metrics(&self, id: usize) -> MetricsRegistry {
         self.nodes[id].server().metrics()

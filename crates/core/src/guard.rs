@@ -21,9 +21,9 @@
 //!
 //! # Sampling math
 //!
-//! An HLOP's tile is divided into row-band *pages* of
-//! [`GuardConfig::page_rows`] rows. The guard recomputes
-//! [`GuardConfig::pages_per_hlop`] pages at evenly strided offsets
+//! An HLOP's tile is divided into row-band *pages* of `PAGE_ROWS` (8)
+//! rows. The guard recomputes `PAGES_PER_HLOP` (2) pages at evenly
+//! strided offsets
 //! (page `⌊j·P/k⌋` for `j = 0..k` over `P` pages — deterministic, no
 //! randomness) and takes the element-weighted mean of the per-page MAPEs
 //! as the partition's error estimate. Pages are *measured*, not modeled:
@@ -56,39 +56,29 @@ impl Default for QualityBudget {
     }
 }
 
+/// Rows per sampled page.
+const PAGE_ROWS: usize = 8;
+
+/// Pages recomputed exactly per approximate HLOP (clamped to the HLOP's
+/// page count).
+const PAGES_PER_HLOP: usize = 2;
+
 /// Configuration of the output-verification quality guard.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GuardConfig {
     /// Whether the guard runs at all. Disabled (the default) is inert:
     /// reports are bit-identical to an unguarded run.
     pub enabled: bool,
     /// The error budget enforced on every approximate partition.
     pub budget: QualityBudget,
-    /// Rows per sampled page.
-    pub page_rows: usize,
-    /// Pages recomputed exactly per approximate HLOP (clamped to the
-    /// HLOP's page count).
-    pub pages_per_hlop: usize,
-}
-
-impl Default for GuardConfig {
-    fn default() -> Self {
-        GuardConfig {
-            enabled: false,
-            budget: QualityBudget::default(),
-            page_rows: 8,
-            pages_per_hlop: 2,
-        }
-    }
 }
 
 impl GuardConfig {
-    /// An enabled guard enforcing `max_mape`, with default sampling.
+    /// An enabled guard enforcing `max_mape`.
     pub fn enforcing(max_mape: f64) -> Self {
         GuardConfig {
             enabled: true,
             budget: QualityBudget { max_mape },
-            ..GuardConfig::default()
         }
     }
 
@@ -96,22 +86,11 @@ impl GuardConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ShmtError::InvalidConfig`] for a non-positive page size
-    /// or sample count, or a budget that is not a finite non-negative
-    /// number.
+    /// Returns [`ShmtError::InvalidConfig`] for a budget that is not a
+    /// finite non-negative number.
     pub fn validate(&self) -> Result<()> {
         if !self.enabled {
             return Ok(());
-        }
-        if self.page_rows == 0 {
-            return Err(ShmtError::InvalidConfig(
-                "guard page_rows must be positive".into(),
-            ));
-        }
-        if self.pages_per_hlop == 0 {
-            return Err(ShmtError::InvalidConfig(
-                "guard pages_per_hlop must be positive".into(),
-            ));
         }
         if !(self.budget.max_mape >= 0.0 && self.budget.max_mape.is_finite()) {
             return Err(ShmtError::InvalidConfig(format!(
@@ -171,11 +150,6 @@ impl QualityReport {
     /// The report of a run with the guard disabled.
     pub fn disabled() -> Self {
         QualityReport::default()
-    }
-
-    /// Ids of the HLOPs the guard re-executed.
-    pub fn repaired_hlops(&self) -> Vec<usize> {
-        self.repairs.iter().map(|r| r.hlop).collect()
     }
 }
 
@@ -293,7 +267,7 @@ pub(crate) fn run_guard(
     let (mut est_weighted, mut true_weighted, mut elems_weighed) = (0.0f64, 0.0f64, 0.0f64);
 
     for tile in approx {
-        let pages = sample_pages(&pages_of(tile, config.page_rows), config.pages_per_hlop);
+        let pages = sample_pages(&pages_of(tile, PAGE_ROWS), PAGES_PER_HLOP);
         let verify_elems: usize = pages.iter().map(Tile::len).sum();
 
         // Charge the page recomputation on the earliest-free exact
@@ -437,10 +411,7 @@ mod tests {
     #[test]
     fn validate_rejects_degenerate_configs() {
         assert!(GuardConfig::default().validate().is_ok(), "disabled is ok");
-        let mut c = GuardConfig::enforcing(0.1);
-        assert!(c.validate().is_ok());
-        c.page_rows = 0;
-        assert!(c.validate().is_err());
+        assert!(GuardConfig::enforcing(0.1).validate().is_ok());
         let mut c = GuardConfig::enforcing(f64::NAN);
         assert!(c.validate().is_err());
         c.budget.max_mape = -0.5;

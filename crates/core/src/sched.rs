@@ -154,6 +154,25 @@ impl Policy {
     }
 }
 
+/// Window size W for Top-K ranking (Algorithm 2).
+const WINDOW: usize = 16;
+
+/// Device-limit factor: the Edge TPU accepts partitions whose criticality
+/// is below `LIMIT_FACTOR x median partition criticality`. The hardware
+/// limit binds harder than Top-K ranking (the paper finds the rank-based
+/// approach lets the TPU take more partitions, §5.2).
+const LIMIT_FACTOR: f32 = 1.2;
+
+/// Fraction of each partition executed as the IRA canary (for the quality
+/// estimate).
+const IRA_CANARY_FRAC: f64 = 1.0 / 8.0;
+
+/// IRA's end-to-end time overhead as a multiple of the ideal GPU kernel
+/// time — the full technique executes canaries through every candidate
+/// approximation configuration before committing, which the paper
+/// measures at a 45% end-to-end slowdown.
+const IRA_TIME_FACTOR: f64 = 1.45;
+
 /// Tuning knobs for the quality-aware policies.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityConfig {
@@ -162,21 +181,6 @@ pub struct QualityConfig {
     pub sampling_rate: f64,
     /// Criticality metric over the samples.
     pub metric: CriticalityMetric,
-    /// Window size W for Top-K ranking (Algorithm 2).
-    pub window: usize,
-    /// Device-limit factor: the Edge TPU accepts partitions whose
-    /// criticality is below `limit_factor x median partition criticality`.
-    /// The hardware limit binds harder than Top-K ranking (the paper finds
-    /// the rank-based approach lets the TPU take more partitions, §5.2).
-    pub limit_factor: f32,
-    /// Fraction of each partition executed as the IRA canary (for the
-    /// quality estimate).
-    pub ira_canary_frac: f64,
-    /// IRA's end-to-end time overhead as a multiple of the ideal GPU
-    /// kernel time — the full technique executes canaries through every
-    /// candidate approximation configuration before committing, which the
-    /// paper measures at a 45% end-to-end slowdown.
-    pub ira_time_factor: f64,
     /// Ablation knob: drop QAWS's accuracy-ordered steal restriction and
     /// let any device steal any queue (quality-unsafe).
     pub unrestricted_steal: bool,
@@ -189,10 +193,6 @@ impl Default for QualityConfig {
         QualityConfig {
             sampling_rate: 2.0f64.powi(-15),
             metric: CriticalityMetric::default(),
-            window: 16,
-            limit_factor: 1.2,
-            ira_canary_frac: 1.0 / 8.0,
-            ira_time_factor: 1.45,
             unrestricted_steal: false,
             seed: 0x0051_11AD,
         }
@@ -380,14 +380,14 @@ pub fn plan_traced(
                 QawsAssignment::DeviceLimits => {
                     // The admission multiplier scales the TPU's
                     // criticality limit; x1.0 is bitwise exact.
-                    let factor = quality.limit_factor * ctx.effective_admission() as f32;
+                    let factor = LIMIT_FACTOR * ctx.effective_admission() as f32;
                     let limits = device_limits_pair(&scores, factor);
                     algorithm1_into(&scores, &limits, &mut classes);
                 }
                 QawsAssignment::TopK => {
-                    let k = (vop.criticality_hint() * quality.window as f64).round() as usize;
-                    let k = adapt_top_k(k, quality.window, ctx.effective_admission());
-                    algorithm2_into(&scores, k.max(1), quality.window, &mut classes);
+                    let k = (vop.criticality_hint() * WINDOW as f64).round() as usize;
+                    let k = adapt_top_k(k, WINDOW, ctx.effective_admission());
+                    algorithm2_into(&scores, k.max(1), WINDOW, &mut classes);
                 }
             }
             let queues = queues_from_classes(hlops, &scores, &classes);
@@ -408,10 +408,10 @@ pub fn plan_traced(
             // Full IRA: canary computations through both paths give a real
             // per-partition quality estimate, at a cost comparable to
             // re-running the kernel (paper: 45% end-to-end slowdown).
-            let (errors, _) = canary_errors(vop, hlops, quality.ira_canary_frac);
+            let (errors, _) = canary_errors(vop, hlops, IRA_CANARY_FRAC);
             let total_work: f64 = hlops.iter().map(|h| h.elements() as f64).sum::<f64>()
                 * vop.kernel().work_per_element();
-            let overhead_s = quality.ira_time_factor * total_work / ctx.gpu_throughput.max(1.0);
+            let overhead_s = IRA_TIME_FACTOR * total_work / ctx.gpu_throughput.max(1.0);
             if sink.enabled() && !hlops.is_empty() {
                 // The canary cost is charged as one serial window; attribute
                 // an equal share to each partition so the trace shows where

@@ -301,20 +301,6 @@ impl Benchmark {
         }
     }
 
-    /// Application domain (Table 2's "Category" column).
-    pub fn category(&self) -> &'static str {
-        match self {
-            Benchmark::Blackscholes => "Finance",
-            Benchmark::Dct8x8 | Benchmark::Laplacian | Benchmark::MeanFilter | Benchmark::Sobel => {
-                "Image Processing"
-            }
-            Benchmark::Dwt | Benchmark::Fft => "Signal Processing",
-            Benchmark::Histogram => "Statistical",
-            Benchmark::Hotspot => "Physics Simulation",
-            Benchmark::Srad => "Medical Imaging",
-        }
-    }
-
     /// `true` for the six image-related workloads evaluated with SSIM
     /// (paper §5.3, Fig 8).
     pub fn is_image(&self) -> bool {

@@ -27,15 +27,6 @@ pub enum SubmitError {
     Shutdown(Request),
 }
 
-impl SubmitError {
-    /// Recovers the rejected request from either variant.
-    pub fn into_request(self) -> Request {
-        match self {
-            SubmitError::Busy { request, .. } | SubmitError::Shutdown(request) => request,
-        }
-    }
-}
-
 impl fmt::Display for SubmitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -134,16 +134,12 @@ impl FlightRecord {
 /// Flight-recorder tuning knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightConfig {
-    /// Master switch; a disabled recorder ignores every record.
-    pub enabled: bool,
     /// Ring capacity: how many recent requests are retained as context.
     pub capacity: usize,
     /// Where anomaly dumps are written; `None` (the default) disables
     /// dumping, so embedding the recorder never touches the filesystem
     /// unless explicitly asked to.
     pub dump_dir: Option<PathBuf>,
-    /// Dump filename prefix: dumps are `<prefix>_<seq>.json`.
-    pub file_prefix: String,
     /// Upper bound on dumps written over the recorder's lifetime.
     pub max_dumps: usize,
 }
@@ -151,10 +147,8 @@ pub struct FlightConfig {
 impl Default for FlightConfig {
     fn default() -> Self {
         FlightConfig {
-            enabled: true,
             capacity: 32,
             dump_dir: None,
-            file_prefix: "flight".to_owned(),
             max_dumps: 64,
         }
     }
@@ -183,12 +177,9 @@ impl FlightRecorder {
 
     /// Records one request, assigning it the next sequence number. When
     /// the record carries anomalies and dumping is configured, writes
-    /// `<dump_dir>/<prefix>_<seq>.json` and returns its path. Write
+    /// `<dump_dir>/flight_<seq>.json` and returns its path. Write
     /// failures are swallowed — telemetry must never fail a request.
     pub fn record(&mut self, mut record: FlightRecord) -> Option<PathBuf> {
-        if !self.config.enabled {
-            return None;
-        }
         record.seq = self.next_seq;
         self.next_seq += 1;
         if self.ring.len() == self.config.capacity {
@@ -204,7 +195,7 @@ impl FlightRecorder {
             return None;
         }
         let dir = self.config.dump_dir.as_ref()?;
-        let path = dir.join(format!("{}_{}.json", self.config.file_prefix, trigger.seq));
+        let path = dir.join(format!("flight_{}.json", trigger.seq));
         let doc = ObjectBuilder::new()
             .field("trigger", trigger.to_json())
             .field(
@@ -232,11 +223,6 @@ impl FlightRecorder {
     /// `true` when nothing has been recorded yet.
     pub fn is_empty(&self) -> bool {
         self.ring.is_empty()
-    }
-
-    /// Total requests ever recorded.
-    pub fn recorded(&self) -> u64 {
-        self.next_seq
     }
 
     /// Dumps written so far (bounded by `max_dumps`).
@@ -274,7 +260,6 @@ mod tests {
             assert_eq!(fr.record(rec(&format!("p{i}"))), None);
         }
         assert_eq!(fr.len(), 3);
-        assert_eq!(fr.recorded(), 5);
         let seqs: Vec<u64> = fr.records().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4], "oldest evicted, order preserved");
         let policies: Vec<&str> = fr.records().map(|r| r.policy.as_str()).collect();
@@ -324,7 +309,6 @@ mod tests {
             capacity: 8,
             dump_dir: Some(dir.clone()),
             max_dumps: 2,
-            ..FlightConfig::default()
         });
         let mut dumped = 0;
         for _ in 0..5 {
@@ -337,18 +321,5 @@ mod tests {
         assert_eq!(dumped, 2);
         assert_eq!(fr.dumps_written(), 2);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disabled_recorder_records_nothing() {
-        let mut fr = FlightRecorder::new(FlightConfig {
-            enabled: false,
-            ..FlightConfig::default()
-        });
-        let mut bad = rec("bad");
-        bad.anomalies.push(Anomaly::DeadlineMissed);
-        assert_eq!(fr.record(bad), None);
-        assert!(fr.is_empty());
-        assert_eq!(fr.recorded(), 0);
     }
 }

@@ -23,12 +23,11 @@
 //!   [`ServeError::DeadlineExceeded`] without touching a device, and
 //!   [`Ticket::wait_timeout`] bounds the caller's own wait.
 //! * **Observability** — per-request queue-wait and service-time samples
-//!   flow into [`shmt_trace::MetricsRegistry`] counters plus per-policy
-//!   p50/p95/p99/p999 summaries ([`Server::latency_summaries`]) backed
-//!   by streaming log-bucketed histograms (no stored samples). Executors
-//!   also feed a live [`shmt_trace::Observatory`] — per-device EWMA
-//!   throughput profiles, observed MAPE, queue depths, quarantine state —
-//!   exposed via [`Server::observatory`] and rendered as an
+//!   flow into [`shmt_trace::MetricsRegistry`] counters and into the
+//!   streaming log-bucketed latency histograms (no stored samples) of a
+//!   live [`shmt_trace::Observatory`], which also keeps per-device EWMA
+//!   throughput profiles, observed MAPE, queue depths and quarantine
+//!   state. It is exposed via [`Server::observatory`] and rendered as an
 //!   OpenMetrics text exposition by [`Server::export_openmetrics`].
 //! * **Flight recording** — every request leaves a compact
 //!   [`FlightRecord`] in a bounded ring; anomalies (deadline misses,
@@ -52,8 +51,7 @@
 //!   (`Interactive`, `Batch` — the default — or `BestEffort`); the
 //!   admission queue is drained by priority-weighted stride scheduling,
 //!   so foreground traffic is dequeued ahead of scavenger traffic
-//!   without starving it. Per-class queue-wait summaries via
-//!   [`Server::class_summaries`].
+//!   without starving it.
 //! * **Determinism** — serving changes *when* a VOP runs, never *what* it
 //!   computes: a plan depends only on its own request, so outputs are
 //!   bit-identical to a sequential `ShmtRuntime::execute` of the same
@@ -83,12 +81,8 @@ mod error;
 mod flight;
 mod health;
 mod server;
-mod stats;
 
 pub use breaker::{Breaker, HealthConfig, HealthDelta, SlotHealth};
 pub use error::{ServeError, SubmitError};
 pub use flight::{Anomaly, FlightConfig, FlightRecord, FlightRecorder};
-pub use server::{
-    Payload, Priority, Request, Response, Server, ServerConfig, TelemetryConfig, Ticket,
-};
-pub use stats::{ClassSummary, LatencyStats, PolicySummary};
+pub use server::{Payload, Priority, Request, Response, Server, ServerConfig, Ticket};

@@ -17,7 +17,6 @@ use crate::breaker::{HealthConfig, SlotHealth};
 use crate::error::{ServeError, SubmitError};
 use crate::flight::{Anomaly, FlightConfig, FlightRecord, FlightRecorder};
 use crate::health::DeviceMasks;
-use crate::stats::{ClassSummary, PolicySummary, Sample, SampleStore};
 
 /// Number of modeled devices (GPU, CPU, Edge TPU) — the width of every
 /// mask the serving layer routes on.
@@ -266,32 +265,9 @@ pub struct Response {
     pub degraded: bool,
 }
 
-/// Telemetry switches: what the server observes about itself beyond
-/// the bare counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Feed the live [`Observatory`] (latency histograms, per-device
-    /// EWMA profiles) from completed requests. On by default — the
-    /// update cost is a few map operations per request, outside the
-    /// measured execution path.
-    pub observatory: bool,
-    /// Per-request flight recorder; dumps are off until
-    /// [`FlightConfig::dump_dir`] is set.
-    pub flight: FlightConfig,
-    /// Cap on stored samples per metrics gauge series
-    /// ([`MetricsRegistry::with_gauge_cap`]); `None` keeps every sample.
-    pub gauge_cap: Option<usize>,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            observatory: true,
-            flight: FlightConfig::default(),
-            gauge_cap: Some(4096),
-        }
-    }
-}
+/// Stored samples kept per metrics gauge series
+/// ([`MetricsRegistry::with_gauge_cap`]).
+const GAUGE_CAP: usize = 4096;
 
 /// Serving-layer tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -305,9 +281,9 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Device-health circuit breaker (strike thresholds, probe cadence).
     pub health: HealthConfig,
-    /// Continuous-telemetry switches (observatory, flight recorder,
-    /// gauge cap).
-    pub telemetry: TelemetryConfig,
+    /// Per-request flight recorder; dumps are off until
+    /// [`FlightConfig::dump_dir`] is set.
+    pub flight: FlightConfig,
 }
 
 impl Default for ServerConfig {
@@ -316,7 +292,7 @@ impl Default for ServerConfig {
             executors: 2,
             queue_capacity: 8,
             health: HealthConfig::default(),
-            telemetry: TelemetryConfig::default(),
+            flight: FlightConfig::default(),
         }
     }
 }
@@ -482,16 +458,12 @@ struct Shared {
     work_ready: Condvar,
     capacity: usize,
     metrics: Mutex<MetricsRegistry>,
-    samples: Mutex<SampleStore>,
     /// Device-health circuit breaker. Lock order: `health` is only ever
-    /// acquired alone — never while `state`, `metrics`, or `samples` is
-    /// held.
+    /// acquired alone — never while `state` or `metrics` is held.
     health: Mutex<DeviceMasks>,
     /// Live telemetry (latency histograms, device profiles). Same lock
     /// discipline as `health`: only ever acquired alone.
     observatory: Mutex<Observatory>,
-    /// Whether executors feed the observatory at all.
-    observatory_enabled: bool,
     /// Per-request flight recorder. Only ever acquired alone.
     flight: Mutex<FlightRecorder>,
     started_at: Instant,
@@ -538,21 +510,15 @@ impl Server {
     /// A partially spawned team (some threads started before the OS ran
     /// out of resources) degrades to the smaller team instead of failing.
     pub fn try_new(config: ServerConfig) -> Result<Self, ServeError> {
-        let metrics = match config.telemetry.gauge_cap {
-            Some(cap) => MetricsRegistry::with_gauge_cap(cap.max(2)),
-            None => MetricsRegistry::new(),
-        };
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState::new()),
             space_ready: Condvar::new(),
             work_ready: Condvar::new(),
             capacity: config.queue_capacity.max(1),
-            metrics: Mutex::new(metrics),
-            samples: Mutex::new(SampleStore::default()),
+            metrics: Mutex::new(MetricsRegistry::with_gauge_cap(GAUGE_CAP)),
             health: Mutex::new(DeviceMasks::new(config.health)),
             observatory: Mutex::new(Observatory::new()),
-            observatory_enabled: config.telemetry.observatory,
-            flight: Mutex::new(FlightRecorder::new(config.telemetry.flight)),
+            flight: Mutex::new(FlightRecorder::new(config.flight)),
             started_at: Instant::now(),
         });
         let executors: Vec<JoinHandle<()>> = (0..config.executors.max(1))
@@ -750,26 +716,6 @@ impl Server {
             .snapshot()
     }
 
-    /// Queue-wait and service-time percentile summaries, one per
-    /// scheduling policy observed so far.
-    pub fn latency_summaries(&self) -> Vec<PolicySummary> {
-        self.shared
-            .samples
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .summaries()
-    }
-
-    /// Queue-wait percentile summaries per QoS class, in
-    /// dequeue-preference order (classes never served are omitted).
-    pub fn class_summaries(&self) -> Vec<ClassSummary> {
-        self.shared
-            .samples
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .class_summaries()
-    }
-
     /// Stops admission, cancels queued requests, and joins the executor
     /// team. Requests already running finish normally. Called implicitly
     /// on drop.
@@ -906,7 +852,6 @@ fn executor_loop(shared: &Shared) {
 
         let policy = queued.request.config.policy.name();
         let opcode = queued.request.payload.label();
-        let priority = queued.request.priority;
 
         // Route around quarantined devices (health lock held alone; see
         // the lock-order notes on `Shared`).
@@ -1001,7 +946,7 @@ fn executor_loop(shared: &Shared) {
         // report (span completions in virtual time) and leave a flight
         // record. Both locks are taken alone, after execution, so the
         // measured runtime path is untouched.
-        if shared.observatory_enabled {
+        {
             let mut obs = shared
                 .observatory
                 .lock()
@@ -1101,19 +1046,6 @@ fn executor_loop(shared: &Shared) {
                 metrics.add_counter("serve.completed", 1.0);
                 metrics.add_counter("serve.queue_wait_s", queue_wait.as_secs_f64());
                 metrics.add_counter("serve.service_s", service_time.as_secs_f64());
-                let mut samples = shared
-                    .samples
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                samples.record(
-                    policy,
-                    Sample {
-                        queue_wait_s: queue_wait.as_secs_f64(),
-                        service_s: service_time.as_secs_f64(),
-                    },
-                );
-                samples.record_class(priority.index(), priority.name(), queue_wait.as_secs_f64());
-                drop(samples);
                 queued.ticket.fulfill(Ok(Response {
                     report,
                     queue_wait,

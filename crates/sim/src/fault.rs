@@ -128,18 +128,6 @@ impl FaultPlan {
         self
     }
 
-    /// The same fault schedule with its seed re-derived from `salt` — a
-    /// node replaying one device-fault plan across many requests
-    /// decorrelates the per-request random draws this way while staying
-    /// fully deterministic (the same `(plan, salt)` always yields the
-    /// same derived plan).
-    #[must_use]
-    pub fn reseeded(&self, salt: u64) -> FaultPlan {
-        let mut plan = self.clone();
-        plan.seed = splitmix64(self.seed ^ salt);
-        plan
-    }
-
     /// Adds a slowdown window on `device` over `[from_s, until_s)`.
     ///
     /// # Panics

@@ -18,7 +18,6 @@
 //! * [`MemoryTracker`] — peak-footprint accounting for Fig 11.
 //! * [`QueuePair`] — the per-device incoming/completion queue pair of the
 //!   SHMT kernel driver (§3.3).
-//! * [`EventQueue`] — a deterministic virtual-time event heap.
 //! * [`FaultPlan`]/[`FaultInjector`] — a seeded, deterministic schedule of
 //!   hardware misbehaviour (slowdown windows, transient transfer failures,
 //!   device dropout, TPU output miscalibration) that the runtime consults;
@@ -50,7 +49,6 @@
 #![warn(missing_debug_implementations)]
 
 mod device;
-mod event;
 mod fault;
 mod interconnect;
 mod memory;
@@ -59,7 +57,6 @@ mod queue;
 mod time;
 
 pub use device::{DeviceKind, DeviceProfile, DeviceTimeline, Precision};
-pub use event::EventQueue;
 pub use fault::{
     Dropout, FaultInjector, FaultPlan, FaultReport, SlowdownWindow, TpuMiscalibration,
 };

@@ -1,8 +1,7 @@
 //! Integration tests composing hetsim's pieces into small simulations.
 
 use hetsim::{
-    DeviceKind, DeviceProfile, DeviceTimeline, EnergyMeter, EventQueue, Interconnect,
-    MemoryTracker, SimTime,
+    DeviceKind, DeviceProfile, DeviceTimeline, EnergyMeter, Interconnect, MemoryTracker, SimTime,
 };
 
 /// Two devices fed by one bus: transfers serialize, devices overlap.
@@ -48,33 +47,6 @@ fn energy_meter_integrates_schedule() {
         (breakdown.active_j - (1.65 * m_gpu.busy_time() + 0.56 * m_tpu.busy_time())).abs() < 1e-3
     );
     assert!(breakdown.total_j() > breakdown.idle_j);
-}
-
-/// A small event-driven loop: completion events pop in global time order
-/// regardless of the insertion pattern.
-#[test]
-fn event_queue_drives_a_simulation() {
-    let mut q = EventQueue::new();
-    let mut devices = [
-        DeviceTimeline::new(DeviceProfile::jetson_gpu(1.0e9)),
-        DeviceTimeline::new(DeviceProfile::arm_cpu(0.3e9)),
-    ];
-    for (i, d) in devices.iter_mut().enumerate() {
-        for _ in 0..3 {
-            let done = d.execute(SimTime::ZERO, 0.3e9);
-            q.push(done, i);
-        }
-    }
-    let mut last = SimTime::ZERO;
-    let mut count = 0;
-    while let Some((at, dev)) = q.pop() {
-        assert!(at >= last, "events must pop in time order");
-        assert!(dev < devices.len());
-        last = at;
-        count += 1;
-    }
-    assert_eq!(count, 6);
-    assert!(last >= SimTime::from_secs(3.0 * 0.3 / 0.3 - 0.01));
 }
 
 /// Memory tracker composes with a simulated double-buffered pipeline.

@@ -47,11 +47,6 @@ impl Tile {
     pub fn byte_len(&self) -> usize {
         self.len() * std::mem::size_of::<f32>()
     }
-
-    /// Converts the tile to a copy rectangle.
-    pub fn to_rect(&self) -> crate::Rect {
-        crate::Rect::new(self.row0, self.col0, self.rows, self.cols)
-    }
 }
 
 /// Desired tile extent used to build a [`TileGrid`].

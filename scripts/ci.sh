@@ -48,6 +48,10 @@ scripts/check_simd.sh
 echo "== docs (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
+echo "== doc citations =="
+# Every Type::item and repo path the prose docs cite must exist.
+scripts/check_docs.sh
+
 if cargo fmt --version >/dev/null 2>&1; then
     echo "== fmt check (hard gate) =="
     cargo fmt --all --check

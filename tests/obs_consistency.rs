@@ -12,7 +12,7 @@ use shmt::sampling::SamplingMethod;
 use shmt::sched::{GPU, TPU};
 use shmt::{FaultPlan, Platform, Policy, QawsAssignment, RuntimeConfig, ShmtRuntime, Vop};
 use shmt_kernels::Benchmark;
-use shmt_serve::{FlightConfig, HealthConfig, Request, Server, ServerConfig, TelemetryConfig};
+use shmt_serve::{FlightConfig, HealthConfig, Request, Server, ServerConfig};
 use shmt_trace::openmetrics::Exposition;
 use shmt_trace::{Histogram, Observatory};
 
@@ -43,11 +43,10 @@ fn request(b: Benchmark, n: usize, seed: u64, policy: Policy) -> Request {
     Request::new(vop, Platform::jetson(b), config)
 }
 
-fn server_with(telemetry: TelemetryConfig) -> Server {
+fn server() -> Server {
     Server::new(ServerConfig {
         executors: 2,
         queue_capacity: 8,
-        telemetry,
         ..ServerConfig::default()
     })
 }
@@ -64,7 +63,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 fn telemetry_stays_off_the_data_path() {
     // Full telemetry on (observatory + flight ring, no dump dir) must not
     // change a single output bit versus sequential execution.
-    let server = server_with(TelemetryConfig::default());
+    let server = server();
     for (i, b) in [Benchmark::Sobel, Benchmark::MeanFilter, Benchmark::Fft]
         .into_iter()
         .enumerate()
@@ -118,7 +117,7 @@ fn streaming_quantiles_stay_within_one_bucket_of_the_oracle() {
 
 #[test]
 fn openmetrics_round_trips_from_a_live_server() {
-    let server = server_with(TelemetryConfig::default());
+    let server = server();
     for i in 0..6 {
         server
             .submit_blocking(request(Benchmark::Sobel, 64, 20 + i, qaws()))
@@ -148,13 +147,10 @@ fn flight_ring_evicts_and_dumps_on_anomaly() {
     let server = Server::new(ServerConfig {
         executors: 1,
         queue_capacity: 8,
-        telemetry: TelemetryConfig {
-            flight: FlightConfig {
-                capacity: 4,
-                dump_dir: Some(dir.clone()),
-                ..FlightConfig::default()
-            },
-            ..TelemetryConfig::default()
+        flight: FlightConfig {
+            capacity: 4,
+            dump_dir: Some(dir.clone()),
+            ..FlightConfig::default()
         },
         ..ServerConfig::default()
     });

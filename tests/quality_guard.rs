@@ -178,14 +178,12 @@ fn disabled_guard_is_bit_identical_whatever_its_knobs_say() {
         let plain = runtime(b, base_config())
             .execute_with_faults(&vop, &plan)
             .unwrap();
-        // Same run with every guard knob set to something exotic — but
-        // enabled == false. Must be inert down to the bit.
+        // Same run with an exotic (zero) budget — but enabled == false.
+        // Must be inert down to the bit.
         let mut cfg = base_config();
         cfg.guard = GuardConfig {
             enabled: false,
             budget: QualityBudget { max_mape: 0.0 },
-            page_rows: 3,
-            pages_per_hlop: 7,
         };
         let disabled = runtime(b, cfg).execute_with_faults(&vop, &plan).unwrap();
         assert_reports_identical(&plain, &disabled);
