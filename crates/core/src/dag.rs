@@ -22,8 +22,8 @@
 //!   the intermediate tensor entirely.
 //! * **Edge charging** — only real cross-device edges are charged: the
 //!   staged (non-resident) portion of every Edge-TPU tile pays its
-//!   fp32↔int8 cast on the TPU timeline via [`DeviceTimeline::occupy`] and
-//!   its PCIe bytes on the simulated [`hetsim::Interconnect`]; resident
+//!   fp32↔int8 cast and its PCIe bytes on the simulated
+//!   [`hetsim::Interconnect`], exactly as a lone VOP's tile does; resident
 //!   portions charge nothing.
 //!
 //! # Cost model
@@ -32,11 +32,14 @@
 //! [`crate::runtime::ShmtRuntime`] — placement, stealing, and the computed
 //! values are decided there, so a linear DAG reproduces the per-stage
 //! reports of the same VOPs chained by hand exactly. The DAG layer then
-//! *re-times* each stage's schedule once with placement pinned: the replay
-//! skips the cast/PCIe charges for tile regions that stay in TPU memory,
-//! and inter-stage edges cost nothing beyond the dependency itself (shared
-//! host memory is zero-copy). Stages compose serially on the shared device
-//! pool, each starting when its dependencies and its predecessor finish.
+//! *re-times* each stage once through the runtime's own HLOP charging
+//! loop, on a pinned plan: every device's queue holds the HLOPs it ran, in
+//! the order it started them, and nothing may be stolen. Only the
+//! residency discounts move a charge, so a stage with nothing resident
+//! re-times to its own run. Inter-stage edges cost nothing beyond the
+//! dependency itself (shared host memory is zero-copy). Stages compose
+//! serially on the shared device pool, each starting when its
+//! dependencies and its predecessor finish.
 //!
 //! Residency is a *cost-model* statement about where bytes live: the
 //! simulated int8 path always models the same quantize→compute→dequantize
@@ -49,7 +52,7 @@
 //! serially, where [`VopDag::run`] is Fig 1c — every stage spread across
 //! all devices at once.
 
-use hetsim::{DeviceKind, DeviceTimeline, SimTime};
+use hetsim::{DeviceKind, FaultInjector, FaultPlan, SimTime};
 use shmt_kernels::primitives::{BinaryOp, UnaryOp};
 use shmt_kernels::{Aggregation, Benchmark, Kernel, KernelShape};
 use shmt_tensor::tile::Tile;
@@ -59,11 +62,12 @@ use shmt_trace::{NullSink, TraceSink};
 use crate::baseline::gpu_baseline;
 use crate::error::{Result, ShmtError};
 use crate::guard::GuardConfig;
+use crate::hlop::Hlop;
 use crate::partition::partition_vop;
 use crate::platform::Platform;
 use crate::report::RunReport;
-use crate::runtime::{tpu_extra_launches, RuntimeConfig, ShmtRuntime};
-use crate::sched::{CPU, GPU, TPU};
+use crate::runtime::{RuntimeConfig, ShmtRuntime};
+use crate::sched::{pooled_queues, Plan};
 use crate::vop::{Opcode, Vop};
 
 /// Identifier of a node within its DAG (its index in the node list).
@@ -341,27 +345,16 @@ impl VopDag {
             if cfg.residency_dispatch {
                 stage_cfg.tpu_residency_hint = self.input_tpu_fraction(stage, &execs);
             }
-            let runtime = ShmtRuntime::new(platform.clone(), stage_cfg);
+            let runtime = ShmtRuntime::new(platform, stage_cfg);
             let mut report = runtime.execute_with_sink(&vop, sink)?;
             let out = sanitize(std::mem::replace(&mut report.output, Tensor::zeros(1, 1)));
             let hlops = partition_vop(&vop, stage_cfg.partitions)?;
-            let tiles: Vec<Tile> = hlops.iter().map(|h| h.tile).collect();
-            crate::arena::HLOPS.put(hlops);
             let (rows, cols) = vop.partition_space();
             execs.push(StageExec {
-                label: vop.kernel().name(),
                 elements: rows * cols,
-                work_per_elem: vop.kernel().work_per_element(),
-                cast_s: if vop.kernel().npu_native_u8() {
-                    0.0
-                } else {
-                    platform.calibration().cast_s_per_elem
-                },
-                aggregation: vop.kernel().shape().aggregation,
-                pipelined: stage_cfg.policy.pipelined() && !stage_cfg.force_synchronous,
-                guarded: stage_cfg.guard.enabled,
-                tiles,
-                platform,
+                kernel: vop.into_kernel(),
+                runtime,
+                hlops,
                 report,
             });
             outputs[si] = Some(out);
@@ -384,9 +377,9 @@ impl VopDag {
         // restored for the other readers, and reduction partials fold on
         // the host.
         let mut resident_in: Vec<Vec<usize>> =
-            execs.iter().map(|e| vec![0usize; e.tiles.len()]).collect();
+            execs.iter().map(|e| vec![0usize; e.hlops.len()]).collect();
         let mut resident_out: Vec<Vec<usize>> =
-            execs.iter().map(|e| vec![0usize; e.tiles.len()]).collect();
+            execs.iter().map(|e| vec![0usize; e.hlops.len()]).collect();
         let mut resident_edges = 0usize;
         for (ci, stage) in stages.iter().enumerate() {
             let Some(&pi) = stage.deps.first() else {
@@ -397,7 +390,7 @@ impl VopDag {
                 .map(|s| s.deps.iter().filter(|&&d| d == pi).count())
                 .sum::<usize>();
             let eligible = consumers_of_p == 1
-                && matches!(execs[pi].aggregation, Aggregation::Tile)
+                && matches!(execs[pi].kernel.shape().aggregation, Aggregation::Tile)
                 && execs[pi].elements == execs[ci].elements;
             if !eligible {
                 continue;
@@ -409,7 +402,7 @@ impl VopDag {
                 if r.device != DeviceKind::EdgeTpu {
                     continue;
                 }
-                let ct = &execs[ci].tiles[r.id];
+                let ct = &execs[ci].hlops[r.id].tile;
                 let ov: usize = p_tpu.iter().map(|pt| tile_overlap(pt, ct)).sum();
                 resident_in[ci][r.id] = ov.min(r.elements);
             }
@@ -417,20 +410,54 @@ impl VopDag {
                 if r.device != DeviceKind::EdgeTpu {
                     continue;
                 }
-                let pt = &execs[pi].tiles[r.id];
+                let pt = &execs[pi].hlops[r.id].tile;
                 let ov: usize = c_tpu.iter().map(|ct| tile_overlap(pt, ct)).sum();
                 resident_out[pi][r.id] = ov.min(r.elements);
             }
         }
 
-        // Re-time every stage with placement pinned and the residency
-        // discounts applied, then compose the stage windows.
-        let resident: Vec<Replay> = execs
-            .iter()
-            .enumerate()
-            .map(|(i, e)| replay_stage(e, &resident_in[i], &resident_out[i]))
-            .collect();
-        let windows = compose(&stages, &resident);
+        // Re-time every stage through the runtime's charging loop with
+        // placement pinned and the residency discounts applied, then
+        // compose the stage windows over the shared device pool: a stage
+        // starts no earlier than its predecessor's finish (the stages
+        // share all three devices) and its dependencies'. Guarded stages
+        // keep their pass-1 timing — the guard's exact-device charges are
+        // not re-played, so they are never discounted.
+        let mut windows: Vec<(f64, f64)> = Vec::with_capacity(execs.len());
+        let mut staged = vec![(0usize, 0usize); execs.len()];
+        let mut resident_bus_bytes = 0u64;
+        let mut prev_finish = SimTime::ZERO;
+        for (i, (stage, e)) in stages.iter().zip(&execs).enumerate() {
+            let makespan_s = if e.runtime.config().guard.enabled {
+                resident_bus_bytes += e.report.bus_bytes;
+                e.report.makespan_s
+            } else {
+                let plan = pinned_plan(e);
+                let charged = e.runtime.charge(
+                    e.kernel.as_ref(),
+                    &plan,
+                    &resident_in[i],
+                    &resident_out[i],
+                    &mut FaultInjector::new(&FaultPlan::none()),
+                    &mut NullSink,
+                )?;
+                plan.recycle();
+                resident_bus_bytes += charged.bus.total_bytes();
+                staged[i] = (charged.staged_in_elements, charged.staged_out_elements);
+                let end = charged
+                    .latest_completion
+                    .max(charged.t0 + charged.staging_s);
+                charged.recycle();
+                end.as_secs()
+            };
+            let start = stage
+                .deps
+                .iter()
+                .fold(prev_finish, |t, &p| t.max(SimTime::from_secs(windows[p].1)));
+            let finish = start + makespan_s;
+            windows.push((start.as_secs(), finish.as_secs()));
+            prev_finish = finish;
+        }
 
         let output = outputs[stages.len() - 1]
             .take()
@@ -439,23 +466,25 @@ impl VopDag {
         let makespan_s = windows.iter().map(|w| w.1).fold(0.0f64, f64::max);
         let total_latency_s: f64 = execs.iter().map(|e| e.report.makespan_s).sum();
         let total_energy_j: f64 = execs.iter().map(|e| e.report.energy.total_j()).sum();
-        let resident_bus_bytes: u64 = resident.iter().map(|r| r.bus_bytes).sum();
 
         let stage_reports: Vec<DagStageReport> = stages
             .iter()
             .zip(execs)
             .enumerate()
-            .map(|(i, (stage, e))| DagStageReport {
-                nodes: stage.nodes.clone(),
-                label: e.label,
-                elements: e.elements,
-                start_s: windows[i].0,
-                finish_s: windows[i].1,
-                resident_in_elements: resident_in[i].iter().sum(),
-                resident_out_elements: resident_out[i].iter().sum(),
-                staged_in_elements: resident[i].staged_in_elements,
-                staged_out_elements: resident[i].staged_out_elements,
-                report: e.report,
+            .map(|(i, (stage, e))| {
+                crate::arena::HLOPS.put(e.hlops);
+                DagStageReport {
+                    nodes: stage.nodes.clone(),
+                    label: e.kernel.name(),
+                    elements: e.elements,
+                    start_s: windows[i].0,
+                    finish_s: windows[i].1,
+                    resident_in_elements: resident_in[i].iter().sum(),
+                    resident_out_elements: resident_out[i].iter().sum(),
+                    staged_in_elements: staged[i].0,
+                    staged_out_elements: staged[i].1,
+                    report: e.report,
+                }
             })
             .collect();
 
@@ -701,14 +730,14 @@ pub struct DagStageReport {
     /// Stage finish in the resident composition.
     pub finish_s: f64,
     /// Input elements read directly from Edge-TPU memory (per-edge
-    /// residency the replay did not charge).
+    /// residency the re-timing did not charge).
     pub resident_in_elements: usize,
     /// Output elements left in Edge-TPU memory for the consumer.
     pub resident_out_elements: usize,
-    /// Input elements that crossed the bus into the TPU in the resident
-    /// replay (the real cross-device edge charge).
+    /// Input elements that crossed the bus into the TPU in the re-timed
+    /// stage (the real cross-device edge charge; 0 for a guarded stage).
     pub staged_in_elements: usize,
-    /// Output elements restored to host memory in the resident replay.
+    /// Output elements restored to host memory in the re-timed stage.
     pub staged_out_elements: usize,
     /// The stage's pass-1 run report (the timing of the same VOP run on
     /// its own; the `output` tensor is a placeholder).
@@ -729,7 +758,7 @@ pub struct DagReport {
     pub total_energy_j: f64,
     /// Edges whose intermediate was eligible to stay device-resident.
     pub resident_edges: usize,
-    /// Bytes the resident replays charged to the per-stage interconnect
+    /// Bytes the re-timed stages charged to their interconnects
     /// (cross-device edge traffic only).
     pub resident_bus_bytes: u64,
     /// Element-wise nodes eliminated by fusion.
@@ -820,28 +849,16 @@ struct ExecStage {
     max_mape: Option<f64>,
 }
 
-/// Pass-1 execution data kept per stage for the replay.
+/// Pass-1 execution data kept per stage for the re-timing.
 #[derive(Debug)]
 struct StageExec {
-    label: &'static str,
     elements: usize,
-    work_per_elem: f64,
-    cast_s: f64,
-    aggregation: Aggregation,
-    pipelined: bool,
-    guarded: bool,
-    tiles: Vec<Tile>,
-    platform: Platform,
+    kernel: Box<dyn Kernel>,
+    /// The stage's runtime, configuration as in pass 1.
+    runtime: ShmtRuntime,
+    /// The stage's HLOPs, indexed by id.
+    hlops: Vec<Hlop>,
     report: RunReport,
-}
-
-/// Output of one pinned-schedule replay.
-#[derive(Debug, Clone, Copy)]
-struct Replay {
-    makespan_s: f64,
-    bus_bytes: u64,
-    staged_in_elements: usize,
-    staged_out_elements: usize,
 }
 
 fn stage_platform(op: &NodeOp) -> Platform {
@@ -864,7 +881,7 @@ fn tpu_tiles(e: &StageExec) -> Vec<&Tile> {
         .records
         .iter()
         .filter(|r| r.device == DeviceKind::EdgeTpu)
-        .map(|r| &e.tiles[r.id])
+        .map(|r| &e.hlops[r.id].tile)
         .collect()
 }
 
@@ -887,152 +904,26 @@ fn unary_opcode(op: UnaryOp) -> Opcode {
     }
 }
 
-/// Re-times one stage's pass-1 schedule with placement pinned, skipping
-/// the cast/PCIe charges for the device-resident elements of each TPU
-/// record (`resident_in` / `resident_out`, indexed by HLOP id). Guarded
-/// stages return their pass-1 makespan unchanged — the guard's
-/// exact-device charges cannot be replayed faithfully, so they are never
-/// discounted.
-fn replay_stage(e: &StageExec, resident_in: &[usize], resident_out: &[usize]) -> Replay {
-    if e.guarded {
-        return Replay {
-            makespan_s: e.report.makespan_s,
-            bus_bytes: e.report.bus_bytes,
-            staged_in_elements: 0,
-            staged_out_elements: 0,
-        };
-    }
-    let profiles = e.platform.device_profiles();
-    let cal = e.platform.calibration();
-    let t0 = SimTime::from_secs(e.report.scheduling_overhead_s);
-    let mut timelines: [DeviceTimeline; 3] = profiles.map(|p| DeviceTimeline::starting_at(p, t0));
-    let mut bus = e.platform.bus();
-
-    // Per-device record sequences in pass-1 execution order.
-    let mut order: Vec<usize> = (0..e.report.records.len()).collect();
-    order.sort_by(|&a, &b| {
-        let (ra, rb) = (&e.report.records[a], &e.report.records[b]);
-        ra.start_s
-            .partial_cmp(&rb.start_s)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(ra.id.cmp(&rb.id))
-    });
-    let mut seqs: [Vec<usize>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for &i in &order {
-        seqs[queue_index(e.report.records[i].device)].push(i);
-    }
-    let mut next = [0usize; 3];
-    let mut prev_start = [t0; 3];
-    let mut latest = t0;
-    let mut staged_in_elements = 0usize;
-    let mut staged_out_elements = 0usize;
-    let tpu_throughput = profiles[TPU].throughput;
-
-    while let Some(d) = (0..3)
-        .filter(|&i| next[i] < seqs[i].len())
-        .min_by(|&a, &b| timelines[a].free_at().cmp(&timelines[b].free_at()))
-    {
-        let r = &e.report.records[seqs[d][next[d]]];
-        next[d] += 1;
-        let elems = r.elements;
-        let work = elems as f64 * e.work_per_elem;
-
-        let data_ready = if d == TPU {
-            let res = resident_in[r.id];
-            let staged = elems - res.min(elems);
-            staged_in_elements += staged;
-            let issue = if e.pipelined {
-                prev_start[TPU].max(t0)
-            } else {
-                timelines[TPU].free_at()
-            };
-            if staged > 0 {
-                // The fp32→int8 cast of the staged (non-resident) region
-                // burns TPU-side staging time; resident regions skip it
-                // entirely — this is the cross-device edge charge.
-                let cast_done = if e.cast_s > 0.0 {
-                    timelines[TPU].occupy(issue, staged as f64 * e.cast_s * tpu_throughput)
-                } else {
-                    issue
-                };
-                let bytes = (staged as f64 * cal.tpu_bytes_per_elem_in) as usize;
-                bus.transfer(cast_done, bytes).end
-            } else {
-                issue
-            }
-        } else {
-            t0
-        };
-        let start = timelines[d].free_at().max(data_ready);
-        prev_start[d] = start;
-        let mut end = timelines[d].execute(data_ready, work);
-        if d == TPU {
-            let extra = tpu_extra_launches(elems, profiles[TPU].device_memory_bytes) as f64
-                * profiles[TPU].launch_overhead;
-            if extra > 0.0 {
-                timelines[d].stall_until(end + extra);
-                end += extra;
-            }
+/// A stage's pass-1 placement as a plan: each device's queue holds the
+/// HLOPs it ran, in the order it started them, and no device may steal,
+/// so neither stealing nor endgame withdrawal can move an HLOP. Every
+/// policy's plan double-buffers its transfers; only the
+/// `force_synchronous` ablation turns that off, in pass 1 as here.
+fn pinned_plan(e: &StageExec) -> Plan {
+    let profiles = e.runtime.platform().device_profiles();
+    let mut queues = pooled_queues();
+    // Records are kept in execution order, so each device's HLOPs arrive
+    // in the order it started them.
+    for r in &e.report.records {
+        if let Some(d) = profiles.iter().position(|p| p.kind == r.device) {
+            queues[d].push(e.hlops[r.id]);
         }
-
-        let completion = if d == TPU {
-            let res = resident_out[r.id];
-            let staged = elems - res.min(elems);
-            staged_out_elements += staged;
-            if staged > 0 {
-                let bytes = (staged as f64 * cal.tpu_bytes_per_elem_out) as usize;
-                let xfer = bus.transfer(end, bytes);
-                let restored = if e.cast_s > 0.0 {
-                    timelines[TPU].occupy(xfer.end, staged as f64 * e.cast_s * tpu_throughput)
-                } else {
-                    xfer.end
-                };
-                if !e.pipelined {
-                    timelines[TPU].stall_until(restored);
-                }
-                restored
-            } else {
-                end
-            }
-        } else {
-            end
-        };
-        latest = latest.max(completion);
     }
-
-    let ideal_gpu_s = e.elements as f64 * e.work_per_elem / profiles[GPU].throughput;
-    let staging_s = e.platform.bench_profile().host_staging_frac * ideal_gpu_s;
-    Replay {
-        makespan_s: latest.max(t0 + staging_s).as_secs(),
-        bus_bytes: bus.total_bytes(),
-        staged_in_elements,
-        staged_out_elements,
-    }
-}
-
-/// Composes stage windows over the shared device pool: every stage
-/// starts no earlier than the previous stage's finish (the stages share
-/// all three devices) and no earlier than its dependencies.
-fn compose(stages: &[ExecStage], replays: &[Replay]) -> Vec<(f64, f64)> {
-    let mut windows: Vec<(f64, f64)> = Vec::with_capacity(stages.len());
-    let mut prev_finish = SimTime::ZERO;
-    for (i, stage) in stages.iter().enumerate() {
-        let mut start = prev_finish;
-        for &p in &stage.deps {
-            start = start.max(SimTime::from_secs(windows[p].1));
-        }
-        let finish = start + replays[i].makespan_s;
-        windows.push((start.as_secs(), finish.as_secs()));
-        prev_finish = finish;
-    }
-    windows
-}
-
-fn queue_index(kind: DeviceKind) -> usize {
-    match kind {
-        DeviceKind::Gpu => GPU,
-        DeviceKind::Cpu => CPU,
-        DeviceKind::EdgeTpu => TPU,
+    Plan {
+        queues,
+        overhead_s: e.report.scheduling_overhead_s,
+        pipelined: !e.runtime.config().force_synchronous,
+        steal: [[false; 3]; 3],
     }
 }
 

@@ -14,8 +14,9 @@
 
 use hetsim::{
     DeviceTimeline, EnergyMeter, FaultInjector, FaultPlan, FaultReport, Interconnect, QueuePair,
-    SimTime, Transfer,
+    SimTime, TpuMiscalibration, Transfer,
 };
+use shmt_kernels::{Aggregation, Kernel};
 use shmt_tensor::Tensor;
 use shmt_trace::{EventKind, NullSink, TraceRecorder, TraceSink};
 
@@ -305,7 +306,6 @@ impl ShmtRuntime {
         sink: &mut dyn TraceSink,
     ) -> Result<RunReport> {
         let kernel = vop.kernel();
-        let shape = kernel.shape();
         // Kernel inputs as a fixed-arity reference array on the stack —
         // the collect into a Vec here used to be one of the per-run
         // allocations the warm serve path now avoids.
@@ -321,11 +321,165 @@ impl ShmtRuntime {
         }
         let inputs = &input_refs[..input_tensors.len()];
         let (rows, cols) = vop.partition_space();
+        let profiles = self.platform.device_profiles();
 
+        let Charged {
+            records,
+            compute,
+            mut timelines,
+            bus,
+            mut queues,
+            faults,
+            latest_completion,
+            steals,
+            t0,
+            staging_s,
+            ..
+        } = self.charge(kernel, &the_plan, &[], &[], injector, sink)?;
+
+        // Real computation: exact fp32 for CPU/GPU partitions, the int8
+        // NPU path for Edge TPU partitions, fanned out over host threads,
+        // each tile written in place in the output.
+        let mut output = crate::exec::compute_output(
+            kernel,
+            inputs,
+            &compute,
+            rows,
+            cols,
+            self.config.compute_threads,
+        );
+
+        // The miscalibrated TPU wrote `gain·v + bias` into every tile it
+        // served; tiles are disjoint, so post-hoc corruption of the
+        // aggregated output is equivalent to corrupting each HLOP result.
+        if let Some(m) = miscalibration(injector, kernel) {
+            for task in compute.iter().filter(|t| t.npu) {
+                let t = task.tile;
+                for r in 0..t.rows {
+                    for v in &mut output.row_mut(t.row0 + r)[t.col0..t.col0 + t.cols] {
+                        *v = m.gain * *v + m.bias;
+                    }
+                }
+            }
+        }
+
+        // Output-side quality control (§3.6): sample pages of every
+        // approximate partition, estimate the error, re-execute exactly
+        // over budget. Charged on the exact devices' timelines, so the
+        // makespan and energy below include the verification cost.
+        let (quality, guard_end) = if self.config.guard.enabled {
+            // A device that dropped out is `lost` in the fault report.
+            let alive = [
+                self.config.device_mask[GPU] && !faults.lost[GPU],
+                self.config.device_mask[CPU] && !faults.lost[CPU],
+                self.config.device_mask[TPU] && !faults.lost[TPU],
+            ];
+            crate::guard::run_guard(
+                &self.config.guard,
+                kernel,
+                inputs,
+                &compute,
+                &mut output,
+                &mut timelines,
+                &alive,
+                latest_completion,
+                sink,
+            )?
+        } else {
+            (QualityReport::disabled(), latest_completion)
+        };
+
+        kernel.finalize(&mut output);
+
+        let makespan = guard_end.max(t0 + staging_s).as_secs();
+
+        // Energy (§5.5): platform idle floor over the makespan, plus each
+        // device's active power over its busy time; the CPU also pays for
+        // scheduling overhead and staging.
+        let mut meter = EnergyMeter::new(self.platform.idle_power_w());
+        for t in &timelines {
+            meter.record_busy_traced(
+                t.profile().kind,
+                t.busy_time(),
+                t.profile().active_power_w,
+                sink,
+            );
+        }
+        meter.record_busy_traced(
+            profiles[CPU].kind,
+            the_plan.overhead_s + staging_s,
+            profiles[CPU].active_power_w,
+            sink,
+        );
+        let energy = meter.finish(makespan);
+
+        let mut devices: Vec<DeviceStats> = crate::arena::DEVICES.take();
+        devices.extend(timelines.iter().zip(&mut queues).map(|(t, q)| {
+            let completed_count = q.drain_completed().count();
+            debug_assert_eq!(completed_count, t.completed());
+            DeviceStats {
+                kind: t.profile().kind,
+                busy_s: t.busy_time(),
+                wait_s: t.transfer_wait(),
+                hlops: t.completed(),
+                max_queue_depth: q.max_depth(),
+                stolen_away: q.total_stolen_away(),
+            }
+        }));
+
+        let total_elems: usize = hlops.iter().map(Hlop::elements).sum();
+        let tpu_elements: usize = compute.iter().filter(|t| t.npu).map(|t| t.tile.len()).sum();
+        let tpu_fraction = tpu_elements as f64 / total_elems as f64;
+        let peak_memory_bytes = self.memory_model(vop, hlops.len(), tpu_fraction, output.len());
+
+        // Per-run scratch back to the arena; the report's own spines
+        // (records, devices, repairs) recycle when the caller hands the
+        // report to [`crate::arena::recycle_report`].
+        let scheduling_overhead_s = the_plan.overhead_s;
+        the_plan.recycle();
+        recycle_queues(queues);
+        crate::arena::COMPUTE.put(compute);
+
+        let output_shape = output.shape();
+        Ok(RunReport {
+            output,
+            output_shape,
+            makespan_s: makespan,
+            scheduling_overhead_s,
+            devices,
+            energy,
+            bus_bytes: bus.total_bytes(),
+            records,
+            tpu_fraction,
+            steals,
+            peak_memory_bytes,
+            faults,
+            quality,
+            trace: None,
+        })
+    }
+
+    /// The HLOP charging loop: plays a plan's queues out in virtual time,
+    /// computing nothing. Devices pull HLOPs from their queues and steal
+    /// under the plan's rules; an Edge-TPU HLOP pays the int8 cast, the
+    /// PCIe transfer, compute, and the transfer and cast back (§3.3.2).
+    /// `resident_in` / `resident_out` (by HLOP id; empty for a lone VOP)
+    /// count the elements of a TPU HLOP's input already in device memory
+    /// and of its output left there: only the rest pays the cast and the
+    /// transfer, and a side with nothing staged skips its transfer.
+    pub(crate) fn charge(
+        &self,
+        kernel: &dyn Kernel,
+        the_plan: &Plan,
+        resident_in: &[usize],
+        resident_out: &[usize],
+        injector: &mut FaultInjector,
+        sink: &mut dyn TraceSink,
+    ) -> Result<Charged> {
         let cal = *self.platform.calibration();
-        let bench = *self.platform.bench_profile();
         let profiles = self.platform.device_profiles();
         let t0 = SimTime::from_secs(the_plan.overhead_s);
+        let hlop_count = the_plan.total_hlops();
 
         let mut timelines: [DeviceTimeline; 3] =
             profiles.map(|p| DeviceTimeline::starting_at(p, t0));
@@ -359,21 +513,17 @@ impl ShmtRuntime {
         let mut prev_start = [t0; 3];
         let mut latest_completion = t0;
         let mut records: Vec<HlopRecord> = crate::arena::RECORDS.take();
-        records.reserve(hlops.len());
+        records.reserve(hlop_count);
         let mut stolen_ids: Vec<bool> = crate::arena::STOLEN.take();
-        stolen_ids.resize(hlops.len(), false);
+        stolen_ids.resize(hlop_count, false);
         let mut steals = 0usize;
-        let mut tpu_elements = 0usize;
+        let mut staged_in_elements = 0usize;
+        let mut staged_out_elements = 0usize;
         let mut compute: Vec<crate::exec::ComputeTask> = crate::arena::COMPUTE.take();
-        compute.reserve(hlops.len());
+        compute.reserve(hlop_count);
 
         let work_per_elem = kernel.work_per_element();
-        // TPU miscalibration silently corrupts output values; it only has
-        // something to corrupt for tile-aggregated kernels (reduction
-        // partials fold into shared buffers and are not attributable).
-        let miscal = injector
-            .miscalibration()
-            .filter(|_| matches!(shape.aggregation, shmt_kernels::Aggregation::Tile));
+        let miscal = miscalibration(injector, kernel);
         // Kernels with native uint8 NPU models take 8-bit image data
         // without a host-side cast; everything else pays the fp32->int8
         // conversion on the way in and out (§3.3.2).
@@ -568,7 +718,9 @@ impl ShmtRuntime {
                 } else {
                     timelines[d].free_at()
                 };
-                let cast_done = issue + elems as f64 * cast_s;
+                let staged = elems - resident_in.get(hlop.id).map_or(0, |&r| r.min(elems));
+                staged_in_elements += staged;
+                let cast_done = issue + staged as f64 * cast_s;
                 if sink.enabled() && cast_s > 0.0 {
                     sink.record(
                         issue.as_secs(),
@@ -585,18 +737,22 @@ impl ShmtRuntime {
                         },
                     );
                 }
-                let bytes_in = (elems as f64 * cal.tpu_bytes_per_elem_in) as usize;
-                let xfer = transfer_with_retries(
-                    &mut bus,
-                    cast_done,
-                    bytes_in,
-                    hlop.id,
-                    d,
-                    injector,
-                    &mut faults,
-                    sink,
-                );
-                (xfer.end, true)
+                if staged == 0 {
+                    (cast_done, true)
+                } else {
+                    let bytes_in = (staged as f64 * cal.tpu_bytes_per_elem_in) as usize;
+                    let xfer = transfer_with_retries(
+                        &mut bus,
+                        cast_done,
+                        bytes_in,
+                        hlop.id,
+                        d,
+                        injector,
+                        &mut faults,
+                        sink,
+                    );
+                    (xfer.end, true)
+                }
             } else {
                 (t0, false)
             };
@@ -652,9 +808,16 @@ impl ShmtRuntime {
                 end += extra_launches;
             }
 
-            // Result restoration (§3.3.2).
-            let completion = if is_tpu {
-                let bytes_out = (elems as f64 * cal.tpu_bytes_per_elem_out) as usize;
+            // Result restoration (§3.3.2), skipped for output left in
+            // device memory for the consumer.
+            let staged_out = if is_tpu {
+                elems - resident_out.get(hlop.id).map_or(0, |&r| r.min(elems))
+            } else {
+                0
+            };
+            staged_out_elements += staged_out;
+            let completion = if staged_out > 0 {
+                let bytes_out = (staged_out as f64 * cal.tpu_bytes_per_elem_out) as usize;
                 let xfer = transfer_with_retries(
                     &mut bus,
                     end,
@@ -665,7 +828,7 @@ impl ShmtRuntime {
                     &mut faults,
                     sink,
                 );
-                let restored = xfer.end + elems as f64 * cast_s;
+                let restored = xfer.end + staged_out as f64 * cast_s;
                 if sink.enabled() && cast_s > 0.0 {
                     sink.record(
                         xfer.end.as_secs(),
@@ -698,9 +861,6 @@ impl ShmtRuntime {
                 tile: hlop.tile,
                 npu: is_tpu,
             });
-            if is_tpu {
-                tpu_elements += elems;
-            }
 
             // The device's monitor thread moves the finished HLOP to the
             // completion queue for aggregation (§3.3.1).
@@ -725,13 +885,13 @@ impl ShmtRuntime {
             });
         }
 
-        if records.len() != hlops.len() {
+        if records.len() != hlop_count {
             // Every missing record is an output tile that was never
             // computed; surface it as a typed error instead of silently
             // returning zero-filled regions.
             return Err(ShmtError::StrandedHlop {
                 executed: records.len(),
-                total: hlops.len(),
+                total: hlop_count,
             });
         }
 
@@ -759,131 +919,27 @@ impl ShmtRuntime {
             }
         }
 
-        // Real computation: exact fp32 for CPU/GPU partitions, the int8
-        // NPU path for Edge TPU partitions, fanned out over host threads,
-        // each tile written in place in the output.
-        let mut output = crate::exec::compute_output(
-            kernel,
-            inputs,
-            &compute,
-            rows,
-            cols,
-            self.config.compute_threads,
-        );
-
-        // The miscalibrated TPU wrote `gain·v + bias` into every tile it
-        // served; tiles are disjoint, so post-hoc corruption of the
-        // aggregated output is equivalent to corrupting each HLOP result.
-        if let Some(m) = miscal {
-            for task in compute.iter().filter(|t| t.npu) {
-                let t = task.tile;
-                for r in 0..t.rows {
-                    for v in &mut output.row_mut(t.row0 + r)[t.col0..t.col0 + t.cols] {
-                        *v = m.gain * *v + m.bias;
-                    }
-                }
-            }
-        }
-
-        // Output-side quality control (§3.6): sample pages of every
-        // approximate partition, estimate the error, re-execute exactly
-        // over budget. Charged on the exact devices' timelines, so the
-        // makespan and energy below include the verification cost.
-        let (quality, guard_end) = if self.config.guard.enabled {
-            let alive = [
-                self.config.device_mask[GPU] && !dead[GPU],
-                self.config.device_mask[CPU] && !dead[CPU],
-                self.config.device_mask[TPU] && !dead[TPU],
-            ];
-            crate::guard::run_guard(
-                &self.config.guard,
-                kernel,
-                inputs,
-                &compute,
-                &mut output,
-                &mut timelines,
-                &alive,
-                latest_completion,
-                sink,
-            )?
-        } else {
-            (QualityReport::disabled(), latest_completion)
-        };
-
-        kernel.finalize(&mut output);
+        crate::arena::STOLEN.put(stolen_ids);
 
         // Host-side chunk staging overlaps the multi-device execution (the
         // baseline pays it serially; see `baseline`).
-        let total_elems: usize = hlops.iter().map(Hlop::elements).sum();
+        let total_elems: usize = the_plan.queues.iter().flatten().map(Hlop::elements).sum();
         let ideal_gpu_kernel_s = total_elems as f64 * work_per_elem / profiles[GPU].throughput;
-        let staging_s = bench.host_staging_frac * ideal_gpu_kernel_s;
-        let makespan = guard_end.max(t0 + staging_s).as_secs();
+        let staging_s = self.platform.bench_profile().host_staging_frac * ideal_gpu_kernel_s;
 
-        // Energy (§5.5): platform idle floor over the makespan, plus each
-        // device's active power over its busy time; the CPU also pays for
-        // scheduling overhead and staging.
-        let mut meter = EnergyMeter::new(self.platform.idle_power_w());
-        for t in &timelines {
-            meter.record_busy_traced(
-                t.profile().kind,
-                t.busy_time(),
-                t.profile().active_power_w,
-                sink,
-            );
-        }
-        meter.record_busy_traced(
-            profiles[CPU].kind,
-            the_plan.overhead_s + staging_s,
-            profiles[CPU].active_power_w,
-            sink,
-        );
-        let energy = meter.finish(makespan);
-
-        let mut devices: Vec<DeviceStats> = crate::arena::DEVICES.take();
-        devices.extend(timelines.iter().zip(&mut queues).map(|(t, q)| {
-            let completed_count = q.drain_completed().count();
-            debug_assert_eq!(completed_count, t.completed());
-            DeviceStats {
-                kind: t.profile().kind,
-                busy_s: t.busy_time(),
-                wait_s: t.transfer_wait(),
-                hlops: t.completed(),
-                max_queue_depth: q.max_depth(),
-                stolen_away: q.total_stolen_away(),
-            }
-        }));
-
-        let tpu_fraction = tpu_elements as f64 / total_elems as f64;
-        let peak_memory_bytes = self.memory_model(vop, hlops.len(), tpu_fraction, output.len());
-
-        // Per-run scratch back to the arena; the report's own spines
-        // (records, devices, repairs) recycle when the caller hands the
-        // report to [`crate::arena::recycle_report`].
-        let scheduling_overhead_s = the_plan.overhead_s;
-        the_plan.recycle();
-        for q in queues.iter_mut() {
-            q.reset();
-        }
-        crate::arena::QUEUE_PAIRS.put(queues);
-        crate::arena::STOLEN.put(stolen_ids);
-        crate::arena::COMPUTE.put(compute);
-
-        let output_shape = output.shape();
-        Ok(RunReport {
-            output,
-            output_shape,
-            makespan_s: makespan,
-            scheduling_overhead_s,
-            devices,
-            energy,
-            bus_bytes: bus.total_bytes(),
+        Ok(Charged {
             records,
-            tpu_fraction,
-            steals,
-            peak_memory_bytes,
+            compute,
+            timelines,
+            bus,
+            queues,
             faults,
-            quality,
-            trace: None,
+            latest_completion,
+            steals,
+            t0,
+            staging_s,
+            staged_in_elements,
+            staged_out_elements,
         })
     }
 
@@ -922,12 +978,58 @@ impl ShmtRuntime {
     }
 }
 
+/// What [`ShmtRuntime::charge`] leaves behind. The pooled spines
+/// (`records`, `compute`, `queues`) belong to the caller.
+pub(crate) struct Charged {
+    pub(crate) records: Vec<HlopRecord>,
+    pub(crate) compute: Vec<crate::exec::ComputeTask>,
+    pub(crate) timelines: [DeviceTimeline; 3],
+    pub(crate) bus: Interconnect,
+    pub(crate) queues: [QueuePair<Hlop>; 3],
+    pub(crate) faults: FaultReport,
+    pub(crate) latest_completion: SimTime,
+    pub(crate) steals: usize,
+    /// The run's epoch: the plan's serial scheduling overhead.
+    pub(crate) t0: SimTime,
+    /// Host-side chunk staging, overlapping the device execution: no run
+    /// ends before `t0 + staging_s`.
+    pub(crate) staging_s: f64,
+    /// Edge-TPU elements that paid the cast and the transfer, each way.
+    pub(crate) staged_in_elements: usize,
+    pub(crate) staged_out_elements: usize,
+}
+
+impl Charged {
+    /// Returns the pooled spines to the runtime arena.
+    pub(crate) fn recycle(self) {
+        crate::arena::RECORDS.put(self.records);
+        crate::arena::COMPUTE.put(self.compute);
+        recycle_queues(self.queues);
+    }
+}
+
+fn recycle_queues(mut queues: [QueuePair<Hlop>; 3]) {
+    for q in queues.iter_mut() {
+        q.reset();
+    }
+    crate::arena::QUEUE_PAIRS.put(queues);
+}
+
+/// The TPU miscalibration a fault plan injects, when the kernel has
+/// something to corrupt: reduction partials fold into shared buffers and
+/// are not attributable, so only tile-aggregated kernels qualify.
+fn miscalibration(injector: &FaultInjector, kernel: &dyn Kernel) -> Option<TpuMiscalibration> {
+    injector
+        .miscalibration()
+        .filter(|_| matches!(kernel.shape().aggregation, Aggregation::Tile))
+}
+
 /// Extra kernel launches forced by the Edge TPU's finite device memory:
 /// the int8 input+output footprint splits into device-memory-sized
 /// sub-invocations, and the first launch is already charged by the
 /// device's ordinary launch overhead — an HLOP that exactly fits pays
 /// nothing extra.
-pub(crate) fn tpu_extra_launches(elems: usize, device_memory_bytes: Option<usize>) -> u64 {
+fn tpu_extra_launches(elems: usize, device_memory_bytes: Option<usize>) -> u64 {
     let dev_mem = device_memory_bytes.unwrap_or(usize::MAX).max(1);
     let need = elems * 2; // int8 in + out
     need.div_ceil(dev_mem).saturating_sub(1) as u64

@@ -146,12 +146,6 @@ impl Policy {
             Policy::Oracle => "oracle",
         }
     }
-
-    /// Whether transfers/casts are double-buffered under this policy. Only
-    /// the naive even distribution runs synchronously.
-    pub fn pipelined(&self) -> bool {
-        !matches!(self, Policy::EvenDistribution)
-    }
 }
 
 /// Window size W for Top-K ranking (Algorithm 2).
@@ -230,7 +224,7 @@ impl Plan {
 }
 
 /// Three empty per-device queues with pooled spines.
-fn pooled_queues() -> [Vec<Hlop>; 3] {
+pub(crate) fn pooled_queues() -> [Vec<Hlop>; 3] {
     [
         crate::arena::HLOPS.take(),
         crate::arena::HLOPS.take(),

@@ -277,6 +277,12 @@ impl Vop {
         self.kernel.as_ref()
     }
 
+    /// Drops the inputs and keeps the kernel (the DAG layer re-times a
+    /// stage after its data has moved on).
+    pub(crate) fn into_kernel(self) -> Box<dyn Kernel> {
+        self.kernel
+    }
+
     /// The input tensors.
     pub fn inputs(&self) -> &[Tensor] {
         &self.inputs

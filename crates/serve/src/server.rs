@@ -1044,8 +1044,6 @@ fn executor_loop(shared: &Shared) {
                     metrics.add_counter("serve.degraded", 1.0);
                 }
                 metrics.add_counter("serve.completed", 1.0);
-                metrics.add_counter("serve.queue_wait_s", queue_wait.as_secs_f64());
-                metrics.add_counter("serve.service_s", service_time.as_secs_f64());
                 queued.ticket.fulfill(Ok(Response {
                     report,
                     queue_wait,

@@ -2,12 +2,15 @@
 //! cancellation, sequential-vs-concurrent bit-identity, device-health
 //! quarantine, per-request quality SLOs and QoS priority classes.
 
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use shmt::sched::TPU;
-use shmt::{FaultPlan, Platform, Policy, RuntimeConfig, ShmtRuntime, Vop};
-use shmt_kernels::Benchmark;
+use shmt::sched::{GPU, TPU};
+use shmt::{FaultPlan, Opcode, Platform, Policy, RuntimeConfig, ShmtRuntime, Tensor, Vop};
+use shmt_kernels::{Benchmark, Kernel, KernelShape};
 use shmt_serve::{HealthConfig, Priority, Request, ServeError, Server, ServerConfig, SubmitError};
+use shmt_tensor::tile::Tile;
+use shmt_tensor::TensorViewMut;
 
 fn request(b: Benchmark, n: usize, seed: u64, policy: Policy) -> Request {
     let vop = Vop::from_benchmark(b, b.generate_inputs(n, n, seed)).expect("valid VOP");
@@ -16,21 +19,102 @@ fn request(b: Benchmark, n: usize, seed: u64, policy: Policy) -> Request {
     Request::new(vop, Platform::jetson(b), config)
 }
 
-/// Spins until the executor team has popped a request off the queue — an
-/// executor pushes a queue-depth gauge sample of 0 when it takes the
-/// only queued item — so the caller knows later submissions sit behind a
-/// busy executor rather than racing it. Only meaningful while a single
-/// request has been submitted: the admission-side gauge sample is then
-/// always 1, so a 0 anywhere in the series must be the executor's
-/// (samples are not ordered across the two pushers).
-fn wait_until_executor_popped(server: &Server) {
-    while !server
-        .metrics()
-        .gauge_series("serve.queue_depth")
-        .iter()
-        .any(|&(_, depth)| depth == 0.0)
-    {
-        std::thread::sleep(Duration::from_millis(1));
+/// Holds a single-executor server busy for exactly as long as a test
+/// needs. The gate request's kernel marks itself entered, then blocks
+/// until the test opens the gate; it runs inline on the executor thread
+/// (one partition, `compute_threads = 1`, GPU only), so once
+/// [`Gate::wait_entered`] returns, everything submitted afterwards sits
+/// in the queue behind it — no wall-clock race decides that. Dropping
+/// the handle opens the gate, so declare it after the server: a failing
+/// test then unwinds instead of hanging in the server's shutdown join.
+struct Gate(Arc<GateState>);
+
+#[derive(Debug, Default)]
+struct GateState {
+    /// `(entered, open)`.
+    flags: Mutex<(bool, bool)>,
+    changed: Condvar,
+}
+
+impl GateState {
+    /// Every update is one flag store, so a poisoned lock still holds
+    /// valid flags — and `Gate::drop` must not panic.
+    fn flags(&self) -> MutexGuard<'_, (bool, bool)> {
+        self.flags.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, flags: MutexGuard<'a, (bool, bool)>) -> MutexGuard<'a, (bool, bool)> {
+        self.changed
+            .wait(flags)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+#[derive(Debug)]
+struct GateKernel(Arc<GateState>);
+
+impl Gate {
+    fn new() -> Self {
+        Gate(Arc::default())
+    }
+
+    /// A request whose execution waits on this gate.
+    fn request(&self) -> Request {
+        let kernel = Box::new(GateKernel(Arc::clone(&self.0)));
+        let vop = Vop::new(Opcode::Relu, kernel, vec![Tensor::zeros(16, 16)]).expect("valid VOP");
+        let mut config = RuntimeConfig::new(Policy::WorkStealing);
+        config.partitions = 1;
+        config.compute_threads = 1;
+        config.device_mask = [false; 3];
+        config.device_mask[GPU] = true;
+        Request::new(vop, Platform::generic(), config)
+    }
+
+    /// Blocks until the executor is inside the gate request's kernel.
+    fn wait_entered(&self) {
+        let mut flags = self.0.flags();
+        while !flags.0 {
+            flags = self.0.wait(flags);
+        }
+    }
+
+    fn open(&self) {
+        self.0.flags().1 = true;
+        self.0.changed.notify_all();
+    }
+}
+
+impl Drop for Gate {
+    fn drop(&mut self) {
+        self.open();
+    }
+}
+
+impl Kernel for GateKernel {
+    fn name(&self) -> &'static str {
+        "gate"
+    }
+
+    fn shape(&self) -> KernelShape {
+        KernelShape::elementwise()
+    }
+
+    fn run_exact_into(&self, _inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
+        {
+            let mut flags = self.0.flags();
+            flags.0 = true;
+            self.0.changed.notify_all();
+            while !flags.1 {
+                flags = self.0.wait(flags);
+            }
+        }
+        for r in tile.row0..tile.row0 + tile.rows {
+            out.span_mut(r, tile.col0..tile.col0 + tile.cols).fill(0.0);
+        }
+    }
+
+    fn work_per_element(&self) -> f64 {
+        1.0
     }
 }
 
@@ -43,13 +127,13 @@ fn submit_returns_busy_at_capacity_and_recovers() {
         queue_capacity: 1,
         ..ServerConfig::default()
     });
-    // Built before submission: generating inputs inside the submit
-    // sequence would pace this thread at the executor's own speed.
-    let blocker = request(Benchmark::Sobel, 512, 1, Policy::WorkStealing);
+    let gate = Gate::new();
     let filler = request(Benchmark::Sobel, 128, 2, Policy::WorkStealing);
     let extra = request(Benchmark::Sobel, 128, 3, Policy::WorkStealing);
-    let first = server.submit(blocker).expect("first request admitted");
-    wait_until_executor_popped(&server);
+    let first = server
+        .submit(gate.request())
+        .expect("first request admitted");
+    gate.wait_entered();
     let second = server.submit(filler).expect("freed slot admits");
     match server.submit(extra) {
         Err(SubmitError::Busy {
@@ -68,6 +152,7 @@ fn submit_returns_busy_at_capacity_and_recovers() {
     }
     assert!(server.metrics().counter("serve.rejected_busy") >= 1.0);
     // Everything admitted still completes.
+    gate.open();
     first.wait().expect("blocker completes");
     second.wait().expect("queued request completes");
 }
@@ -154,24 +239,30 @@ fn shutdown_cancels_queued_requests() {
         queue_capacity: 8,
         ..ServerConfig::default()
     });
-    // Build every request up front: generating a 512^2 input inside the
-    // submit loop would hand the lone executor a long head start.
-    let blocker = request(Benchmark::Sobel, 512, 0, Policy::WorkStealing);
-    let queued: Vec<_> = (1..5)
-        .map(|seed| request(Benchmark::Sobel, 128, seed, Policy::WorkStealing))
-        .collect();
-    let mut tickets = vec![server.submit(blocker).expect("admitted")];
-    // With the executor busy on the blocker, the requests below really
-    // sit in the queue when shutdown drains it.
-    wait_until_executor_popped(&server);
-    for req in queued {
+    let gate = Gate::new();
+    let mut tickets = vec![server.submit(gate.request()).expect("admitted")];
+    // With the executor held at the gate, the requests below really sit
+    // in the queue when shutdown drains it.
+    gate.wait_entered();
+    for seed in 1..5 {
+        let req = request(Benchmark::Sobel, 128, seed, Policy::WorkStealing);
         tickets.push(server.submit(req).expect("admitted"));
     }
+    // `shutdown` joins the held executor, so the gate opens from a helper
+    // thread once the last queued request has resolved — which only the
+    // shutdown drain can do while the executor is held.
+    let last = tickets.pop().expect("queued tickets");
+    let opener = std::thread::spawn(move || {
+        let outcome = last.wait();
+        gate.open();
+        outcome
+    });
     server.shutdown();
+    let last = opener.join().expect("gate opener");
     let mut canceled = 0;
     let mut completed = 0;
-    for t in tickets {
-        match t.wait() {
+    for outcome in tickets.into_iter().map(|t| t.wait()).chain([last]) {
+        match outcome {
             Ok(_) => completed += 1,
             Err(ServeError::Canceled) => canceled += 1,
             Err(e) => panic!("unexpected error {e}"),
@@ -237,6 +328,9 @@ fn concurrent_serving_is_bit_identical_to_sequential() {
     assert_eq!(service.total(), cases.len() as u64);
     assert!(service.quantile(0.5) <= service.quantile(0.99));
     assert!(service.max_value().is_some_and(|m| m > 0.0));
+    // The histogram keeps the summed service time too: the serve layer
+    // records no second copy of it.
+    assert!(service.sum() > 0.0);
 }
 
 /// One request run to completion on a single-executor server, so health
@@ -319,7 +413,7 @@ fn priority_classes_order_queue_waits() {
         queue_capacity: 16,
         ..ServerConfig::default()
     });
-    let blocker = request(Benchmark::Sobel, 512, 60, Policy::WorkStealing);
+    let gate = Gate::new();
     // Build all requests up front so submission is near-instantaneous.
     let backlog: Vec<Request> = [Priority::BestEffort, Priority::Batch, Priority::Interactive]
         .into_iter()
@@ -329,8 +423,8 @@ fn priority_classes_order_queue_waits() {
             })
         })
         .collect();
-    let first = server.submit(blocker).expect("blocker admitted");
-    wait_until_executor_popped(&server);
+    let first = server.submit(gate.request()).expect("blocker admitted");
+    gate.wait_entered();
     let tickets: Vec<_> = backlog
         .into_iter()
         .map(|req| {
@@ -338,6 +432,7 @@ fn priority_classes_order_queue_waits() {
             (class, server.submit(req).expect("backlog admitted"))
         })
         .collect();
+    gate.open();
     first.wait().expect("blocker completes");
     let mut waits = [(0.0, 0usize); 3];
     for (class, t) in tickets {
@@ -435,16 +530,17 @@ fn cancel_token_fails_queued_request_typed() {
         queue_capacity: 4,
         ..ServerConfig::default()
     });
-    let blocker = request(Benchmark::Sobel, 512, 20, Policy::WorkStealing);
+    let gate = Gate::new();
     let token = Arc::new(AtomicBool::new(false));
     let doomed =
         request(Benchmark::Sobel, 128, 21, Policy::WorkStealing).with_cancel(Arc::clone(&token));
     let sibling = request(Benchmark::Sobel, 128, 22, Policy::WorkStealing);
-    let first = server.submit(blocker).expect("admitted");
-    wait_until_executor_popped(&server);
+    let first = server.submit(gate.request()).expect("admitted");
+    gate.wait_entered();
     let doomed = server.submit(doomed).expect("admitted");
     let sibling = server.submit(sibling).expect("admitted");
     token.store(true, Ordering::Relaxed);
+    gate.open();
     match doomed.wait() {
         Err(ServeError::Canceled) => {}
         other => panic!("expected Canceled, got {other:?}"),
@@ -479,29 +575,27 @@ fn probe_racing_shutdown_resolves_typed_without_sticking_quarantine() {
     .expect("dropout run completes degraded");
     assert!(server.device_health()[TPU].quarantined);
 
-    // Pin the executor (its plan ticks the probe clock to due), queue
-    // the would-be probe, then shut down while it still sits in the
-    // queue. Earlier requests already left 0-depth gauge samples, so
-    // wait for a *new* one rather than reusing the fresh-server helper.
-    let zero_depth_samples = |server: &Server| {
-        server
-            .metrics()
-            .gauge_series("serve.queue_depth")
-            .iter()
-            .filter(|&&(_, depth)| depth == 0.0)
-            .count()
-    };
-    let blocker = request(Benchmark::Sobel, 512, 31, Policy::WorkStealing);
-    let probe = request(Benchmark::Sobel, 128, 32, Policy::WorkStealing);
-    let seen = zero_depth_samples(&server);
+    // Pin the executor at the gate, queue the would-be probe, then shut
+    // down while it still sits in the queue. The blocker asks for the
+    // TPU too, so its plan ticks the probe clock to due (and masks the
+    // quarantined TPU: the gate still runs on the GPU alone).
+    let gate = Gate::new();
+    let mut blocker = gate.request();
+    blocker.config.device_mask[TPU] = true;
     let first = server.submit(blocker).expect("admitted");
-    while zero_depth_samples(&server) == seen {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    gate.wait_entered();
+    let probe = request(Benchmark::Sobel, 128, 32, Policy::WorkStealing);
     let probe = server.submit(probe).expect("admitted");
+    // `shutdown` joins the held executor: open the gate from a helper
+    // thread once the drain has resolved the probe.
+    let opener = std::thread::spawn(move || {
+        let outcome = probe.wait();
+        gate.open();
+        outcome
+    });
     server.shutdown();
     first.wait().expect("running request finishes normally");
-    match probe.wait() {
+    match opener.join().expect("gate opener") {
         Err(ServeError::Canceled) => {}
         other => panic!("expected Canceled, got {other:?}"),
     }
@@ -579,23 +673,31 @@ mod dag_serving {
 
     #[test]
     fn lapsed_pipeline_deadline_fails_typed() {
-        // Big enough that execution takes far longer than the deadline:
-        // the between-stage poll fires and the DAG stops early. (If the
-        // machine is so loaded the deadline lapses while still queued,
-        // the queue-side check produces the same typed error.)
+        // The pipeline waits behind a held executor until its deadline has
+        // certainly lapsed, so the queue-side check fails it typed. (The
+        // between-stage poll that stops a running DAG early surfaces the
+        // same error; `dag::tests::canceled_runs_surface_typed_error`
+        // covers that hook.)
         let dag = VopDag::new(vec![
             DagNode::benchmark(Benchmark::Sobel, 3, vec![]),
             DagNode::unary(UnaryOp::Sqrt, 0),
         ])
         .expect("valid DAG");
-        let server = Server::new(ServerConfig::default());
+        let server = Server::new(ServerConfig {
+            executors: 1,
+            ..ServerConfig::default()
+        });
+        let gate = Gate::new();
+        let first = server.submit(gate.request()).expect("admitted");
+        gate.wait_entered();
+        let deadline = Duration::from_millis(2);
         let req = Request::with_program(dag, gen::image8(512, 512, 11), dag_config())
-            .with_deadline(Duration::from_millis(2));
-        let err = server
-            .submit_blocking(req)
-            .expect("admitted")
-            .wait()
-            .expect_err("deadline lapsed");
+            .with_deadline(deadline);
+        let ticket = server.submit_blocking(req).expect("admitted");
+        std::thread::sleep(2 * deadline);
+        gate.open();
+        first.wait().expect("gate request completes");
+        let err = ticket.wait().expect_err("deadline lapsed");
         assert!(matches!(err, ServeError::DeadlineExceeded { .. }), "{err}");
         assert_eq!(server.metrics().counter("serve.deadline_missed"), 1.0);
     }

@@ -34,21 +34,18 @@
 //!
 //! Page capacities are rounded up to powers of two so a page recycles
 //! into the same bucket it was served from regardless of the exact
-//! length requested. The pool's cached bytes are capped (default
-//! 256 MiB, `SHMT_ARENA_BYTES` overrides); beyond the cap, returned
-//! pages are simply freed. `SHMT_ARENA=0` disables pooling entirely —
-//! every take is a fresh allocation and every put a free — which is the
-//! bit-identical fallback (pooling never changes values, only where the
-//! bytes live).
+//! length requested. The pool's cached bytes are capped at 256 MiB;
+//! beyond the cap, returned pages are simply freed. Pooling never changes
+//! values, only where the bytes live.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Number of power-of-two capacity classes (`2^0 ..= 2^32` elements).
 const BUCKETS: usize = 33;
 
-/// Default cap on bytes cached across all buckets.
-const DEFAULT_BYTE_CAP: usize = 256 << 20;
+/// Cap on bytes cached across all buckets.
+const BYTE_CAP: usize = 256 << 20;
 
 /// Counters describing the global `f32` page pool's behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -59,8 +56,7 @@ pub struct ArenaStats {
     pub misses: u64,
     /// Pages returned and cached for re-use.
     pub recycled: u64,
-    /// Pages returned but freed because the byte cap was reached (or
-    /// pooling is disabled).
+    /// Pages returned but freed because the byte cap was reached.
     pub dropped: u64,
     /// Bytes currently cached in the pool.
     pub cached_bytes: u64,
@@ -82,24 +78,6 @@ static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static RECYCLED: AtomicU64 = AtomicU64::new(0);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
-
-/// `SHMT_ARENA=0` turns pooling off (resolved once, at first use).
-fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| !matches!(std::env::var("SHMT_ARENA").as_deref(), Ok("0")))
-}
-
-/// Byte cap on cached pages (`SHMT_ARENA_BYTES` overrides the 256 MiB
-/// default; resolved once, at first use).
-fn byte_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("SHMT_ARENA_BYTES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_BYTE_CAP)
-    })
-}
 
 /// The bucket a request for `len` elements is served from: the smallest
 /// power-of-two capacity holding `len`.
@@ -136,43 +114,37 @@ fn take_page(len: usize) -> Vec<f32> {
     if len == 0 {
         return Vec::new();
     }
-    if enabled() {
-        let b = take_bucket(len).min(BUCKETS - 1);
-        if let Ok(mut pool) = PAGE_POOL.lock() {
-            if let Some(page) = pool.stacks[b].pop() {
-                pool.cached_bytes -= page.capacity() * std::mem::size_of::<f32>();
-                drop(pool);
-                HITS.fetch_add(1, Ordering::Relaxed);
-                return page;
-            }
+    let b = take_bucket(len).min(BUCKETS - 1);
+    if let Ok(mut pool) = PAGE_POOL.lock() {
+        if let Some(page) = pool.stacks[b].pop() {
+            pool.cached_bytes -= page.capacity() * std::mem::size_of::<f32>();
+            drop(pool);
+            HITS.fetch_add(1, Ordering::Relaxed);
+            return page;
         }
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        // Allocate the bucket's full power-of-two capacity so this page
-        // recycles into the same class it was requested from.
-        return Vec::with_capacity(1usize << b);
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
-    Vec::with_capacity(len)
+    // Allocate the bucket's full power-of-two capacity so this page
+    // recycles into the same class it was requested from.
+    Vec::with_capacity(1usize << b)
 }
 
-/// Returns a page to the pool (or frees it when the byte cap is reached
-/// or pooling is disabled). Its length and capacity are kept.
+/// Returns a page to the pool (or frees it when the byte cap is
+/// reached). Its length and capacity are kept.
 pub fn put_f32(page: Vec<f32>) {
     let cap = page.capacity();
     if cap == 0 {
         return;
     }
-    if enabled() {
-        let bytes = cap * std::mem::size_of::<f32>();
-        if let Ok(mut pool) = PAGE_POOL.lock() {
-            if pool.cached_bytes + bytes <= byte_cap() {
-                let b = put_bucket(cap).min(BUCKETS - 1);
-                pool.stacks[b].push(page);
-                pool.cached_bytes += bytes;
-                drop(pool);
-                RECYCLED.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
+    let bytes = cap * std::mem::size_of::<f32>();
+    if let Ok(mut pool) = PAGE_POOL.lock() {
+        if pool.cached_bytes + bytes <= BYTE_CAP {
+            let b = put_bucket(cap).min(BUCKETS - 1);
+            pool.stacks[b].push(page);
+            pool.cached_bytes += bytes;
+            drop(pool);
+            RECYCLED.fetch_add(1, Ordering::Relaxed);
+            return;
         }
     }
     DROPPED.fetch_add(1, Ordering::Relaxed);

@@ -12,6 +12,14 @@ cargo build --release --workspace --all-targets
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== serve tests, 5 more default-threaded runs =="
+# The serve tests hold their executor on a gate kernel instead of racing
+# the wall clock; repeated runs under the default test threads keep them
+# deterministic.
+for _ in 1 2 3 4 5; do
+    cargo test --release -q -p shmt-serve --test serve
+done
+
 echo "== executor tests with 8 pool workers =="
 # Pool workers write finished tiles straight into the shared output; the
 # writer's disjoint-tiles contract and the per-claimant stashes matter most

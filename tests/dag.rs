@@ -1,8 +1,10 @@
 //! Tests over [`shmt::VopDag`]: node labels and the implied topological
 //! order must never change computed values, fully-overlapping Edge-TPU
 //! placements must make interior edges entirely device-resident (zero
-//! staged input elements), and the reference pipelines in [`pipelines`]
-//! must compose within the charges of their own stages.
+//! staged input elements), the reference pipelines in [`pipelines`]
+//! must compose within the charges of their own stages, and re-timing a
+//! stage must charge exactly what the stage's own run charged, less its
+//! residency discounts.
 //!
 //! Random cases are drawn from a seeded [`Pcg32`] stream, so every run
 //! explores the same graphs and failures reproduce exactly.
@@ -332,4 +334,70 @@ fn residency_dispatch_widens_downstream_tpu_share() {
             tpu_share(&base, stage)
         );
     }
+}
+
+/// The DAGs the one-model checks run over: every reference pipeline, and
+/// the random DAGs `relabeled_dags_are_bit_identical` draws, relabelings
+/// included.
+fn retiming_cases() -> Vec<(String, shmt::DagReport)> {
+    let mut cases: Vec<(String, shmt::DagReport)> = pipelines()
+        .into_iter()
+        .map(|p| {
+            let d = p.dag.run(&p.input, &p.config).expect("pipeline runs");
+            (p.name.to_owned(), d)
+        })
+        .collect();
+    let mut rng = Pcg32::seed_from_u64(0xDA61);
+    for case in 0..6 {
+        let dag = random_dag(&mut rng);
+        let input = gen::image8(48, 48, 7 + case);
+        let d = dag.run(&input, &cfg()).expect("random DAG runs");
+        cases.push((format!("random case {case}"), d));
+        for i in 0..2 {
+            let shuffled = relabel(&dag, &mut rng);
+            let d = shuffled.run(&input, &cfg()).expect("relabeled DAG runs");
+            cases.push((format!("random case {case}, relabeling {i}"), d));
+        }
+    }
+    cases
+}
+
+/// One virtual-time model: a stage re-times through the runtime's own
+/// HLOP charging loop, so an unguarded stage with nothing resident lasts
+/// exactly as long as its own run, and residency only ever removes
+/// charges — no stage's window is longer than its own run, and the DAG
+/// ends no later than its stages run back to back.
+#[test]
+fn stages_retime_within_their_own_runs() {
+    let mut unresident = 0;
+    for (name, d) in retiming_cases() {
+        for (i, stage) in d.stages.iter().enumerate() {
+            let own_s = stage.report.makespan_s;
+            if !stage.report.quality.enabled
+                && stage.resident_in_elements == 0
+                && stage.resident_out_elements == 0
+            {
+                unresident += 1;
+                assert_eq!(
+                    stage.start_s + own_s,
+                    stage.finish_s,
+                    "{name} stage {i}: nothing resident, yet the re-timed window \
+                     {} differs from the stage's own {own_s}",
+                    stage.finish_s - stage.start_s
+                );
+            }
+            assert!(
+                stage.finish_s <= stage.start_s + own_s,
+                "{name} stage {i}: re-timed window {} exceeds the stage's own {own_s}",
+                stage.finish_s - stage.start_s
+            );
+        }
+        assert!(
+            d.makespan_s <= d.total_latency_s,
+            "{name}: DAG makespan {} exceeds its stages back to back {}",
+            d.makespan_s,
+            d.total_latency_s
+        );
+    }
+    assert!(unresident > 0, "some stage must have nothing resident");
 }
