@@ -1,29 +1,15 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
-//!
-//! 1. **Partition granularity** — the §3.4 page-granular tiling vs finer
-//!    and coarser partitions.
-//! 2. **Steal restriction** — QAWS's accuracy-ordered stealing vs
-//!    unrestricted stealing.
-//! 3. **Criticality metric** — sampled range vs stddev vs combined.
-//! 4. **Transfer overlap** — double buffering vs synchronous transfers.
+//! Partition-granularity ablation (DESIGN.md §7): the §3.4 page-granular
+//! tiling vs finer and coarser partitions, under QAWS-TS.
 //!
 //! ```text
 //! cargo run --release -p shmt-bench --bin ablations [--size N]
 //! ```
 
 use shmt::baseline::{exact_reference, gpu_baseline};
-use shmt::criticality::CriticalityMetric;
 use shmt::quality::mape;
 use shmt::sampling::SamplingMethod;
 use shmt::{Platform, Policy, QawsAssignment, RuntimeConfig, ShmtRuntime, Vop};
 use shmt_kernels::Benchmark;
-
-fn qaws_ts() -> Policy {
-    Policy::Qaws {
-        assignment: QawsAssignment::TopK,
-        sampling: SamplingMethod::Striding,
-    }
-}
 
 fn main() {
     let config = shmt_bench::parse_config(std::env::args().skip(1));
@@ -43,52 +29,18 @@ fn run_benchmark(b: Benchmark, config: shmt::experiments::ExperimentConfig) {
     let reference = exact_reference(&vop);
     let baseline = gpu_baseline(&platform, &vop, config.partitions).expect("baseline");
 
-    let eval = |cfg: RuntimeConfig| {
+    println!("-- partition granularity (QAWS-TS) --");
+    for parts in [4usize, 16, 64, 256] {
+        let mut cfg = RuntimeConfig::new(Policy::Qaws {
+            assignment: QawsAssignment::TopK,
+            sampling: SamplingMethod::Striding,
+        });
+        cfg.partitions = parts;
         let r = ShmtRuntime::new(platform.clone(), cfg)
             .execute(&vop)
             .expect("run");
-        (
-            baseline.makespan_s / r.makespan_s,
-            mape(&reference, &r.output) * 100.0,
-        )
-    };
-
-    println!("-- partition granularity (QAWS-TS) --");
-    for parts in [4usize, 16, 64, 256] {
-        let mut cfg = RuntimeConfig::new(qaws_ts());
-        cfg.partitions = parts;
-        let (s, m) = eval(cfg);
+        let s = baseline.makespan_s / r.makespan_s;
+        let m = mape(&reference, &r.output) * 100.0;
         println!("  {parts:>4} partitions: {s:5.2}x  MAPE {m:5.2}%");
-    }
-
-    println!("\n-- steal restriction (QAWS-TS) --");
-    for (label, unrestricted) in [("accuracy-ordered", false), ("unrestricted", true)] {
-        let mut cfg = RuntimeConfig::new(qaws_ts());
-        cfg.partitions = config.partitions;
-        cfg.quality.unrestricted_steal = unrestricted;
-        let (s, m) = eval(cfg);
-        println!("  {label:<18}: {s:5.2}x  MAPE {m:5.2}%");
-    }
-
-    println!("\n-- criticality metric (QAWS-TS) --");
-    for (label, metric) in [
-        ("range", CriticalityMetric::Range),
-        ("stddev", CriticalityMetric::StdDev),
-        ("range + 2*stddev", CriticalityMetric::Combined),
-    ] {
-        let mut cfg = RuntimeConfig::new(qaws_ts());
-        cfg.partitions = config.partitions;
-        cfg.quality.metric = metric;
-        let (s, m) = eval(cfg);
-        println!("  {label:<18}: {s:5.2}x  MAPE {m:5.2}%");
-    }
-
-    println!("\n-- transfer overlap (work stealing) --");
-    for (label, sync) in [("double-buffered", false), ("synchronous", true)] {
-        let mut cfg = RuntimeConfig::new(Policy::WorkStealing);
-        cfg.partitions = config.partitions;
-        cfg.force_synchronous = sync;
-        let (s, m) = eval(cfg);
-        println!("  {label:<18}: {s:5.2}x  MAPE {m:5.2}%");
     }
 }

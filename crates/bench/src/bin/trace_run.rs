@@ -12,7 +12,7 @@
 
 use shmt::sampling::SamplingMethod;
 use shmt::trace::{chrome, summary};
-use shmt::{Platform, Policy, QawsAssignment, RuntimeConfig, ShmtRuntime, Vop};
+use shmt::{FaultPlan, Platform, Policy, QawsAssignment, RuntimeConfig, ShmtRuntime, Vop};
 use shmt_bench::parse_config;
 use shmt_kernels::Benchmark;
 
@@ -61,7 +61,9 @@ fn main() {
         let mut cfg = RuntimeConfig::new(policy);
         cfg.partitions = config.partitions;
         let runtime = ShmtRuntime::new(Platform::jetson(benchmark), cfg);
-        let report = runtime.execute_traced(&vop).expect("run succeeds");
+        let report = runtime
+            .execute_with_faults_traced(&vop, &FaultPlan::none())
+            .expect("run succeeds");
         let trace = report.trace.as_ref().expect("traced run carries a trace");
 
         let json = chrome::to_chrome_json(trace);

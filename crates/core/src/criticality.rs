@@ -7,20 +7,6 @@
 //! distributions lose the most absolute precision through the Edge TPU's
 //! int8 grid, so they are the ones QAWS keeps on exact hardware.
 
-/// Which sampled statistic defines criticality. The paper uses range and
-/// standard deviation together; the separated variants exist for the
-/// ablation benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CriticalityMetric {
-    /// Sampled max - min.
-    Range,
-    /// Sampled standard deviation.
-    StdDev,
-    /// `range + 2 * stddev` (the default, combining both signals).
-    #[default]
-    Combined,
-}
-
 /// Summary statistics of one partition's samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CriticalityStats {
@@ -77,13 +63,10 @@ impl CriticalityStats {
         self.max - self.min
     }
 
-    /// The scalar criticality score under a metric.
-    pub fn score(&self, metric: CriticalityMetric) -> f32 {
-        match metric {
-            CriticalityMetric::Range => self.range(),
-            CriticalityMetric::StdDev => self.stddev,
-            CriticalityMetric::Combined => self.range() + 2.0 * self.stddev,
-        }
+    /// The scalar criticality score: `range + 2 * stddev`, combining both
+    /// of the paper's dispersion signals.
+    pub fn score(&self) -> f32 {
+        self.range() + 2.0 * self.stddev
     }
 }
 
@@ -105,26 +88,20 @@ mod tests {
     fn wide_distribution_scores_higher() {
         let narrow = CriticalityStats::from_samples(&[10.0, 10.1, 10.2, 9.9]);
         let wide = CriticalityStats::from_samples(&[0.0, 50.0, -50.0, 10.0]);
-        for m in [
-            CriticalityMetric::Range,
-            CriticalityMetric::StdDev,
-            CriticalityMetric::Combined,
-        ] {
-            assert!(wide.score(m) > narrow.score(m), "{m:?}");
-        }
+        assert!(wide.score() > narrow.score());
     }
 
     #[test]
     fn degenerate_samples_are_noncritical() {
         let s = CriticalityStats::from_samples(&[]);
-        assert_eq!(s.score(CriticalityMetric::Combined), 0.0);
+        assert_eq!(s.score(), 0.0);
         let nan = CriticalityStats::from_samples(&[f32::NAN, f32::INFINITY]);
-        assert_eq!(nan.score(CriticalityMetric::Combined), 0.0);
+        assert_eq!(nan.score(), 0.0);
     }
 
     #[test]
     fn constant_samples_have_zero_score() {
         let s = CriticalityStats::from_samples(&[4.0; 16]);
-        assert_eq!(s.score(CriticalityMetric::Combined), 0.0);
+        assert_eq!(s.score(), 0.0);
     }
 }

@@ -63,7 +63,6 @@ use crate::baseline::gpu_baseline;
 use crate::error::{Result, ShmtError};
 use crate::guard::GuardConfig;
 use crate::hlop::Hlop;
-use crate::partition::partition_vop;
 use crate::platform::Platform;
 use crate::report::RunReport;
 use crate::runtime::{RuntimeConfig, ShmtRuntime};
@@ -346,9 +345,9 @@ impl VopDag {
                 stage_cfg.tpu_residency_hint = self.input_tpu_fraction(stage, &execs);
             }
             let runtime = ShmtRuntime::new(platform, stage_cfg);
-            let mut report = runtime.execute_with_sink(&vop, sink)?;
+            let (mut report, hlops) =
+                runtime.execute_partitioned(&vop, &FaultPlan::none(), sink)?;
             let out = sanitize(std::mem::replace(&mut report.output, Tensor::zeros(1, 1)));
-            let hlops = partition_vop(&vop, stage_cfg.partitions)?;
             let (rows, cols) = vop.partition_space();
             execs.push(StageExec {
                 elements: rows * cols,
@@ -906,9 +905,7 @@ fn unary_opcode(op: UnaryOp) -> Opcode {
 
 /// A stage's pass-1 placement as a plan: each device's queue holds the
 /// HLOPs it ran, in the order it started them, and no device may steal,
-/// so neither stealing nor endgame withdrawal can move an HLOP. Every
-/// policy's plan double-buffers its transfers; only the
-/// `force_synchronous` ablation turns that off, in pass 1 as here.
+/// so neither stealing nor endgame withdrawal can move an HLOP.
 fn pinned_plan(e: &StageExec) -> Plan {
     let profiles = e.runtime.platform().device_profiles();
     let mut queues = pooled_queues();
@@ -922,7 +919,6 @@ fn pinned_plan(e: &StageExec) -> Plan {
     Plan {
         queues,
         overhead_s: e.report.scheduling_overhead_s,
-        pipelined: !e.runtime.config().force_synchronous,
         steal: [[false; 3]; 3],
     }
 }

@@ -46,7 +46,7 @@
 //!   partitions whose estimated error exceeds the [`QualityBudget`]; the
 //!   report's [`QualityReport`] says what was checked and repaired.
 //! * [`trace`] (re-exported `shmt-trace`) — structured event tracing:
-//!   [`runtime::ShmtRuntime::execute_traced`] captures every dispatch,
+//!   [`runtime::ShmtRuntime::execute_with_faults_traced`] captures every dispatch,
 //!   cast, transfer, compute span, steal, and aggregation in virtual time,
 //!   exportable as Chrome trace-event JSON for Perfetto.
 //!

@@ -62,7 +62,7 @@ pub struct RunReport {
     /// `enabled: false`) for a run without the guard.
     pub quality: QualityReport,
     /// The structured event trace, when the run was captured through
-    /// [`crate::runtime::ShmtRuntime::execute_traced`]; `None` otherwise.
+    /// [`crate::runtime::ShmtRuntime::execute_with_faults_traced`]; `None` otherwise.
     pub trace: Option<TraceData>,
 }
 
@@ -150,19 +150,6 @@ impl RunReport {
                 )
             })
             .collect()
-    }
-
-    /// Serializes the HLOP completion records as CSV
-    /// (`id,device,start_s,end_s,stolen`) for external plotting.
-    pub fn records_csv(&self) -> String {
-        let mut out = String::from("id,device,start_s,end_s,stolen\n");
-        for r in &self.records {
-            out.push_str(&format!(
-                "{},{},{:.9},{:.9},{}\n",
-                r.id, r.device, r.start_s, r.end_s, r.stolen
-            ));
-        }
-        out
     }
 }
 
@@ -273,15 +260,6 @@ mod tests {
         // TPU busy 30% then idle.
         assert!(rows[1].contains("###"));
         assert!(rows[1].contains('.'));
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let r = sample_report();
-        let csv = r.records_csv();
-        assert!(csv.starts_with("id,device,start_s"));
-        assert_eq!(csv.lines().count(), 4);
-        assert!(csv.contains("2,EdgeTPU,"));
     }
 }
 

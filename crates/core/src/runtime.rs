@@ -57,9 +57,6 @@ pub struct RuntimeConfig {
     /// applies to the QAWS window share and device limit. The neutral
     /// default of 1.0 is the plain planner; 0.0 evicts the TPU.
     pub adapt: AdaptiveCalibration,
-    /// Ablation knob: force synchronous (non-double-buffered) casts and
-    /// transfers regardless of policy.
-    pub force_synchronous: bool,
     /// Fraction of this VOP's input already resident on the Edge TPU
     /// (set by the DAG layer under residency dispatch). The planner
     /// widens the TPU admission by `1 + hint`; the neutral 0.0 default
@@ -80,7 +77,6 @@ impl RuntimeConfig {
             guard: GuardConfig::default(),
             device_mask: [true; 3],
             adapt: AdaptiveCalibration::neutral(),
-            force_synchronous: false,
             tpu_residency_hint: 0.0,
             compute_threads: crate::exec::default_threads(),
         }
@@ -124,34 +120,7 @@ impl ShmtRuntime {
     /// Returns [`ShmtError::InvalidConfig`] for a zero partition count or
     /// an all-disabled device mask.
     pub fn execute(&self, vop: &Vop) -> Result<RunReport> {
-        self.execute_with_sink(vop, &mut NullSink)
-    }
-
-    /// [`ShmtRuntime::execute`] with full trace capture: records every
-    /// event into a fresh [`TraceRecorder`] and attaches the finalized
-    /// [`shmt_trace::TraceData`] to the report's `trace` field.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShmtRuntime::execute`].
-    pub fn execute_traced(&self, vop: &Vop) -> Result<RunReport> {
-        let mut recorder = TraceRecorder::new();
-        let mut report = self.execute_with_sink(vop, &mut recorder)?;
-        report.trace = Some(recorder.finish());
-        Ok(report)
-    }
-
-    /// [`ShmtRuntime::execute`], streaming events into a caller-supplied
-    /// sink (a [`shmt_trace::RingBufferSink`] for long sweeps, a
-    /// [`TraceRecorder`] shared across runs, …). The untraced `execute`
-    /// is exactly this method with a [`NullSink`]: one code path, so
-    /// traced and untraced runs produce bit-identical reports.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShmtRuntime::execute`].
-    pub fn execute_with_sink(&self, vop: &Vop, sink: &mut dyn TraceSink) -> Result<RunReport> {
-        self.execute_with_faults_sink(vop, &FaultPlan::none(), sink)
+        self.execute_with_faults_sink(vop, &FaultPlan::none(), &mut NullSink)
     }
 
     /// [`ShmtRuntime::execute`] under a deterministic fault schedule:
@@ -177,9 +146,11 @@ impl ShmtRuntime {
         self.execute_with_faults_sink(vop, faults, &mut NullSink)
     }
 
-    /// [`ShmtRuntime::execute_with_faults`] with full trace capture, like
-    /// [`ShmtRuntime::execute_traced`]: the report's `trace` additionally
-    /// carries `FaultInjected`/`Retry`/`Redispatch`/`DeviceDown` events.
+    /// [`ShmtRuntime::execute_with_faults`] with full trace capture: records
+    /// every event into a fresh [`TraceRecorder`] and attaches the finalized
+    /// [`shmt_trace::TraceData`] to the report's `trace` field, fault events
+    /// (`FaultInjected`/`Retry`/`Redispatch`/`DeviceDown`) included. Pass
+    /// [`FaultPlan::none`] for a fault-free traced run.
     ///
     /// # Errors
     ///
@@ -192,7 +163,10 @@ impl ShmtRuntime {
     }
 
     /// The single code path beneath every `execute*` variant: fault
-    /// schedule and trace sink both explicit.
+    /// schedule and trace sink both explicit. Any sink works (a
+    /// [`shmt_trace::RingBufferSink`] for long sweeps, a [`TraceRecorder`]
+    /// shared across runs, …); the untraced variants pass a [`NullSink`],
+    /// so traced and untraced runs produce bit-identical reports.
     ///
     /// # Errors
     ///
@@ -203,6 +177,19 @@ impl ShmtRuntime {
         faults: &FaultPlan,
         sink: &mut dyn TraceSink,
     ) -> Result<RunReport> {
+        let (report, hlops) = self.execute_partitioned(vop, faults, sink)?;
+        crate::arena::HLOPS.put(hlops);
+        Ok(report)
+    }
+
+    /// [`ShmtRuntime::execute_with_faults_sink`], handing the VOP's HLOPs
+    /// (indexed by id) back with the report instead of recycling them.
+    pub(crate) fn execute_partitioned(
+        &self,
+        vop: &Vop,
+        faults: &FaultPlan,
+        sink: &mut dyn TraceSink,
+    ) -> Result<(RunReport, Vec<Hlop>)> {
         if self.config.partitions == 0 {
             return Err(ShmtError::InvalidConfig(
                 "partition count must be positive".into(),
@@ -242,13 +229,14 @@ impl ShmtRuntime {
             sink,
         );
         self.apply_device_mask(&mut the_plan);
-        if self.config.force_synchronous {
-            the_plan.pipelined = false;
-        }
 
-        let report = self.play(vop, &hlops, the_plan, &mut FaultInjector::new(faults), sink);
-        crate::arena::HLOPS.put(hlops);
-        report
+        match self.play(vop, &hlops, the_plan, &mut FaultInjector::new(faults), sink) {
+            Ok(report) => Ok((report, hlops)),
+            Err(e) => {
+                crate::arena::HLOPS.put(hlops);
+                Err(e)
+            }
+        }
     }
 
     /// Moves HLOPs off disabled devices' queues and forbids stealing
@@ -709,15 +697,10 @@ impl ShmtRuntime {
             // Data distribution (§3.3.2). The CPU and GPU share the
             // system's main memory (zero-copy on the prototype); the Edge
             // TPU sits behind the PCIe bus and needs int8 casting both
-            // ways.
+            // ways, double-buffered: the next HLOP's cast/transfer
+            // overlaps the device's current compute.
             let (data_ready, is_tpu) = if d == TPU {
-                let issue = if the_plan.pipelined {
-                    // Double buffering: the next HLOP's cast/transfer
-                    // overlaps the device's current compute.
-                    prev_start[d].max(t0)
-                } else {
-                    timelines[d].free_at()
-                };
+                let issue = prev_start[d].max(t0);
                 let staged = elems - resident_in.get(hlop.id).map_or(0, |&r| r.min(elems));
                 staged_in_elements += staged;
                 let cast_done = issue + staged as f64 * cast_s;
@@ -844,10 +827,6 @@ impl ShmtRuntime {
                             device: d,
                         },
                     );
-                }
-                if !the_plan.pipelined {
-                    // Synchronous mode: the device blocks on the drain.
-                    timelines[d].stall_until(restored);
                 }
                 restored
             } else {

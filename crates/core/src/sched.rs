@@ -1,16 +1,16 @@
 //! Scheduling policies (paper §3.4–§3.5).
 //!
 //! A policy produces a [`Plan`]: the initial per-device queue assignment,
-//! the serial scheduling overhead it incurred (sampling, canary runs), the
-//! work-stealing permission matrix, and whether transfers are pipelined.
-//! The runtime then plays the plan out in virtual time, stealing HLOPs
-//! between queues as devices drain.
+//! the serial scheduling overhead it incurred (sampling, canary runs) and
+//! the work-stealing permission matrix. The runtime then plays the plan out
+//! in virtual time, stealing HLOPs between queues as devices drain, with
+//! every cast and transfer double-buffered.
 //!
 //! Implemented policies:
 //!
 //! * **Even distribution** — naive static 50/50 round-robin between the GPU
-//!   and the Edge TPU, no stealing, synchronous transfers (the paper's
-//!   quality-unaware reference that loses on 6 of 10 benchmarks).
+//!   and the Edge TPU, no stealing (the paper's quality-unaware reference
+//!   that loses on 6 of 10 benchmarks).
 //! * **Work stealing** (§3.4) — even initial split across all devices, any
 //!   device steals from the most loaded queue.
 //! * **QAWS** (§3.5) — work stealing with criticality sampling; assignment
@@ -26,7 +26,7 @@ use shmt_tensor::tile::Tile;
 use shmt_tensor::Tensor;
 use shmt_trace::{EventKind, NullSink, TraceSink};
 
-use crate::criticality::{CriticalityMetric, CriticalityStats};
+use crate::criticality::CriticalityStats;
 use crate::hlop::Hlop;
 use crate::sampling::{sample_partition_into, SamplingMethod};
 use crate::vop::Vop;
@@ -173,11 +173,6 @@ pub struct QualityConfig {
     /// Sampling rate (fraction of partition elements sampled; Fig 9 sweeps
     /// 2⁻²¹…2⁻¹⁴). Default 2⁻¹⁵, the paper's sweet spot.
     pub sampling_rate: f64,
-    /// Criticality metric over the samples.
-    pub metric: CriticalityMetric,
-    /// Ablation knob: drop QAWS's accuracy-ordered steal restriction and
-    /// let any device steal any queue (quality-unsafe).
-    pub unrestricted_steal: bool,
     /// Seed for random sampling.
     pub seed: u64,
 }
@@ -186,8 +181,6 @@ impl Default for QualityConfig {
     fn default() -> Self {
         QualityConfig {
             sampling_rate: 2.0f64.powi(-15),
-            metric: CriticalityMetric::default(),
-            unrestricted_steal: false,
             seed: 0x0051_11AD,
         }
     }
@@ -202,8 +195,6 @@ pub struct Plan {
     pub queues: [Vec<Hlop>; 3],
     /// Serial scheduler-side overhead in seconds (sampling, canaries).
     pub overhead_s: f64,
-    /// Whether casts/transfers overlap compute.
-    pub pipelined: bool,
     /// `steal[thief][victim]` — may `thief` take pending HLOPs from
     /// `victim`'s queue?
     pub steal: [[bool; 3]; 3],
@@ -338,13 +329,9 @@ pub fn plan_traced(
             for (i, h) in hlops.iter().enumerate() {
                 queues[if i % 2 == 0 { GPU } else { TPU }].push(*h);
             }
-            // Even distribution is naive about *where* work goes, not about
-            // how transfers run: double buffering is part of the runtime
-            // infrastructure (§5.6), so it stays pipelined.
             Plan {
                 queues,
                 overhead_s: 0.0,
-                pipelined: true,
                 steal: steal_none(),
             }
         }
@@ -357,7 +344,6 @@ pub fn plan_traced(
             Plan {
                 queues,
                 overhead_s: 0.0,
-                pipelined: true,
                 steal: steal_any(),
             }
         }
@@ -390,12 +376,7 @@ pub fn plan_traced(
             Plan {
                 queues,
                 overhead_s: cost,
-                pipelined: true,
-                steal: if quality.unrestricted_steal {
-                    steal_any()
-                } else {
-                    steal_accuracy_ordered()
-                },
+                steal: steal_accuracy_ordered(),
             }
         }
         Policy::IraSampling => {
@@ -425,7 +406,6 @@ pub fn plan_traced(
             Plan {
                 queues: queues_from_classes(hlops, &errors, &indices),
                 overhead_s,
-                pipelined: true,
                 steal: steal_accuracy_ordered(),
             }
         }
@@ -437,7 +417,6 @@ pub fn plan_traced(
             Plan {
                 queues: queues_from_classes(hlops, &errors, &indices),
                 overhead_s: 0.0,
-                pipelined: true,
                 steal: steal_accuracy_ordered(),
             }
         }
@@ -475,7 +454,7 @@ fn sample_scores_into(
             // serial sampling window.
             sink.record(cost, EventKind::SampleOverhead { hlop: h.id, cost_s });
         }
-        scores.push(CriticalityStats::from_samples(&values).score(quality.metric));
+        scores.push(CriticalityStats::from_samples(&values).score());
     }
     crate::arena::SAMPLES.put(values);
     cost
@@ -843,10 +822,6 @@ mod tests {
         assert!(plan.queues[CPU].is_empty());
         assert!(!plan.queues[GPU].is_empty());
         assert!(!plan.queues[TPU].is_empty());
-        assert!(
-            plan.pipelined,
-            "double buffering is infrastructure, not policy"
-        );
         assert_eq!(plan.steal, steal_none());
         assert_eq!(plan.total_hlops(), hlops.len());
     }
@@ -871,28 +846,30 @@ mod tests {
     fn qaws_restricts_stealing_by_accuracy() {
         let vop = sobel_vop(256);
         let hlops = partition_vop(&vop, 16).unwrap();
-        let p = plan(
-            Policy::Qaws {
-                assignment: QawsAssignment::TopK,
-                sampling: SamplingMethod::Striding,
-            },
-            &vop,
-            &hlops,
-            &QualityConfig::default(),
-            PlanContext::new(1.0e9),
-        );
-        assert!(p.steal[GPU][TPU], "GPU may steal approximate work");
-        assert!(!p.steal[TPU][GPU], "TPU must not steal exact work");
-        assert!(
-            p.steal[GPU][CPU] && p.steal[CPU][GPU],
-            "exact peers steal freely"
-        );
-        assert!(p.overhead_s > 0.0, "sampling costs time");
-        // Every HLOP got a criticality annotation.
-        for q in &p.queues {
-            for h in q {
-                assert!(h.criticality.is_some());
+        for policy in Policy::qaws_variants() {
+            let name = policy.name();
+            let p = plan(
+                policy,
+                &vop,
+                &hlops,
+                &QualityConfig::default(),
+                PlanContext::new(1.0e9),
+            );
+            assert!(p.steal[GPU][TPU], "{name}: GPU may steal approximate work");
+            assert!(!p.steal[TPU][GPU], "{name}: TPU must not steal exact work");
+            assert!(!p.steal[TPU][CPU], "{name}: TPU must not steal exact work");
+            assert!(
+                p.steal[GPU][CPU] && p.steal[CPU][GPU],
+                "{name}: exact peers steal freely"
+            );
+            assert!(p.overhead_s > 0.0, "{name}: sampling costs time");
+            // Every HLOP got a criticality annotation.
+            for q in &p.queues {
+                for h in q {
+                    assert!(h.criticality.is_some(), "{name}");
+                }
             }
+            p.recycle();
         }
     }
 

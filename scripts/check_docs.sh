@@ -3,10 +3,19 @@
 # DESIGN.md and EXPERIMENTS.md, every backticked `Type::lower_item` must
 # name a `fn`, `const` or `pub field:` defined under crates/, and every
 # backticked repo path (crates/..., tests/..., scripts/..., with an
-# optional :line) must exist, with at least that many lines.
+# optional :line) must exist, with at least that many lines, and every
+# backticked metric name `layer.name` must appear as the string literal
+# "layer.name" somewhere under crates/ (an e2e metric in spec.rs, or a
+# counter or histogram the code records). The layers are the prefixes of
+# the e2e benchmark's `layer("...")` table; file names (`serve.rs`) are
+# not metric names.
 # Usage: scripts/check_docs.sh (exits 1 and lists each stale citation).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# The e2e benchmark's per-layer prefixes, as an alternation (core|serve|...).
+layers=$(grep -oE 'layer\("[a-z]+\.' crates/bench/src/bin/e2e/spec.rs |
+    sed -E 's/^layer\("//; s/\.$//' | sort -u | paste -sd'|')
 
 fail=0
 for doc in README.md DESIGN.md EXPERIMENTS.md; do
@@ -25,6 +34,15 @@ for doc in README.md DESIGN.md EXPERIMENTS.md; do
         line=${line#:}
         if [ ! -e "$path" ] || { [ -n "$line" ] && [ "$(wc -l <"$path")" -lt "$line" ]; }; then
             echo "$doc: \`$cite\` does not exist"
+            fail=1
+        fi
+    done
+    # A metric name starts a word that no `.` or `/` precedes (so neither
+    # `report.trace.as_ref` nor a path component counts).
+    for cite in $(grep -oE "(^|[^A-Za-z0-9_./])($layers)\.[a-z_][a-z0-9_]*" <<<"$spans" |
+        sed -E 's/^[^a-z]//' | grep -vE '\.(rs|md|json|txt|sh|toml)$' | sort -u); do
+        if ! grep -rqF "\"$cite\"" crates --include='*.rs'; then
+            echo "$doc: \`$cite\` is no metric name recorded under crates/"
             fail=1
         fi
     done

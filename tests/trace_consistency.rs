@@ -6,8 +6,8 @@ use shmt::calibration::{bench_profile, Calibration};
 use shmt::sampling::SamplingMethod;
 use shmt::trace::{chrome, summary, EventKind};
 use shmt::{
-    Platform, Policy, QawsAssignment, RingBufferSink, RunReport, RuntimeConfig, ShmtRuntime,
-    TraceRecorder, Vop,
+    FaultPlan, Platform, Policy, QawsAssignment, RingBufferSink, RunReport, RuntimeConfig,
+    ShmtRuntime, TraceRecorder, Vop,
 };
 use shmt_kernels::Benchmark;
 
@@ -36,7 +36,7 @@ fn traced_run(policy: Policy, b: Benchmark, n: usize) -> RunReport {
     cfg.partitions = 16;
     cfg.quality.sampling_rate = 0.01;
     ShmtRuntime::new(slow_platform(b), cfg)
-        .execute_traced(&vop)
+        .execute_with_faults_traced(&vop, &FaultPlan::none())
         .unwrap()
 }
 
@@ -160,9 +160,11 @@ fn null_sink_runs_bit_identical_to_untraced() {
 
     let plain = runtime.execute(&vop).unwrap();
     let nulled = runtime
-        .execute_with_sink(&vop, &mut shmt::NullSink)
+        .execute_with_faults_sink(&vop, &FaultPlan::none(), &mut shmt::NullSink)
         .unwrap();
-    let traced = runtime.execute_traced(&vop).unwrap();
+    let traced = runtime
+        .execute_with_faults_traced(&vop, &FaultPlan::none())
+        .unwrap();
 
     for other in [&nulled, &traced] {
         assert_eq!(
@@ -195,10 +197,14 @@ fn ring_buffer_sink_keeps_the_tail() {
     let mut ring = shmt::RingBufferSink::new(8);
     let full = {
         let mut rec = TraceRecorder::new();
-        runtime.execute_with_sink(&vop, &mut rec).unwrap();
+        runtime
+            .execute_with_faults_sink(&vop, &FaultPlan::none(), &mut rec)
+            .unwrap();
         rec.finish()
     };
-    runtime.execute_with_sink(&vop, &mut ring).unwrap();
+    runtime
+        .execute_with_faults_sink(&vop, &FaultPlan::none(), &mut ring)
+        .unwrap();
     assert_eq!(ring.len(), 8);
     assert_eq!(ring.dropped(), full.len() - 8);
     let _: RingBufferSink = ring;
