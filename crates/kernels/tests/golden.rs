@@ -14,9 +14,12 @@
 //! multiple of the 8/32 block edges, so block kernels hit their clamped
 //! partial blocks and stencil tiles end mid-row. Further cases pin what a
 //! rewrite could get wrong away from the generated data: DCT tiles that end
-//! mid-block, FFT rows too long for the kernel's stack scratch, and
-//! Black-Scholes spots and strike ratios that reach NaN, infinities, signed
-//! zeros and subnormals (compared bit for bit, NaN payloads included).
+//! mid-block; FFT bands of every height against the kernel's 8 row lanes,
+//! at row lengths from 2 up to past its stack scratch (an arena page), on
+//! generated rows and on rows of NaN, infinities, signed zeros, subnormals
+//! and near-overflow values; and Black-Scholes spots and strike ratios that
+//! reach NaN, infinities, signed zeros and subnormals (compared bit for
+//! bit, NaN payloads included).
 
 use shmt_kernels::reference::naive_kernel;
 use shmt_kernels::{Benchmark, Kernel, KernelShape, ALL_BENCHMARKS};
@@ -205,6 +208,75 @@ fn fft_long_rows_match_reference() {
         &plans,
         "FFT",
     );
+}
+
+/// `input` with each row given one recipe of values the butterflies must
+/// carry through unchanged, so clean rows share a band with poisoned ones:
+/// NaNs (with payloads, either sign), infinities, signed zeros, subnormals,
+/// and values near `f32::MAX` whose sums overflow.
+fn fft_adversarial_rows(mut input: Tensor) -> Tensor {
+    let cols = input.cols();
+    let tiny = [
+        f32::from_bits(1),
+        f32::MIN_POSITIVE / 3.0,
+        -f32::from_bits(0x7f),
+    ];
+    let huge = [f32::MAX, -f32::MAX, f32::MAX / 2.0, 3.0e38];
+    for (r, row) in input.as_mut_slice().chunks_exact_mut(cols).enumerate() {
+        match r % 7 {
+            0 => {}
+            1 => {
+                row[0] = f32::from_bits(0x7fc0_1234);
+                row[cols - 1] = f32::from_bits(0xffc0_0042);
+            }
+            2 => {
+                row[0] = f32::INFINITY;
+                row[cols - 1] = f32::NEG_INFINITY;
+            }
+            3 => row.fill(-0.0),
+            4 => {
+                for (c, v) in row.iter_mut().enumerate() {
+                    *v = if c % 2 == 0 { tiny[c % 3] } else { -0.0 };
+                }
+            }
+            5 => {
+                for (c, v) in row.iter_mut().enumerate() {
+                    *v = huge[c % 4];
+                }
+            }
+            _ => row[cols / 2] = -f32::NAN,
+        }
+    }
+    input
+}
+
+#[test]
+fn fft_bands_of_every_height_match_reference() {
+    // Band heights 1 through 17 (every remainder of the kernel's 8 row
+    // lanes, one full group, two groups plus one), each band starting at a
+    // different row, at the shortest radix-2 rows, the suite's default,
+    // the benchmark's, and one long enough for an arena page. NaN results
+    // must match bit for bit, payloads included.
+    let b = Benchmark::Fft;
+    let heights = 1..=17;
+    let rows = heights.end() + 2;
+    for cols in [2, 4, 8, 128, 1024, 4096] {
+        let generated = b.generate_inputs(rows, cols, 17).remove(0);
+        let adversarial = fft_adversarial_rows(b.generate_inputs(rows, cols, 19).remove(0));
+        let plans: Vec<Vec<Tile>> = heights
+            .clone()
+            .map(|h| vec![tile(0, h % 3, 0, h, cols)])
+            .collect();
+        for (label, input) in [("generated", &generated), ("adversarial", &adversarial)] {
+            assert_same_bits(
+                b.kernel().as_ref(),
+                naive_kernel(b).as_ref(),
+                &[input],
+                &plans,
+                &format!("FFT {label} n={cols}"),
+            );
+        }
+    }
 }
 
 #[test]

@@ -23,8 +23,8 @@
 # The dense transforms of shmt-kernels are gated the same way: the DCT8x8
 # block transform (`dct8x8::transform_block`, accumulating a block row's
 # eight output columns as lanes) must hold packed mulps and addps, and the
-# FFT butterflies (`fft::radix2_stages`, a group's two halves as lanes)
-# packed mulps, addps and subps. Both are `#[inline(never)]` so their
+# FFT butterflies (`fft::lane_stages`, one row of a band per lane) packed
+# mulps, addps and subps. Both are `#[inline(never)]` so their
 # bodies keep a symbol to cut. The gate checks itself: asking for an op
 # those bodies lack must fail.
 #
@@ -105,10 +105,10 @@ require "$tasm" QuantParams::dequantize_slice ${quant}11QuantParams16dequantize_
 
 echo "dense transform loops, per function ($asm):"
 require "$asm" dct8x8::transform_block ${kern}6dct8x815transform_block mulps addps
-require "$asm" fft::radix2_stages ${kern}3fft13radix2_stages mulps addps subps
+require "$asm" fft::lane_stages ${kern}3fft11lane_stages mulps addps subps
 # The gate must be able to fail: neither body divides.
 for probe in "dct8x8::transform_block ${kern}6dct8x815transform_block" \
-    "fft::radix2_stages ${kern}3fft13radix2_stages"; do
+    "fft::lane_stages ${kern}3fft11lane_stages"; do
     # shellcheck disable=SC2086 # the probe is a name and a path
     if (require "$asm" $probe divps) >/dev/null; then
         echo "gate self-check failed: divps reported in ${probe%% *}"
