@@ -302,11 +302,13 @@ impl VopDag {
         cfg: &DagConfig,
         sink: &mut dyn TraceSink,
     ) -> Result<DagReport> {
-        self.run_with_cancel(input, cfg, sink, &mut || false)
+        self.run_with_cancel(input.clone(), cfg, sink, &mut || false)
     }
 
     /// [`VopDag::run_with_sink`] with a cancellation hook, polled between
-    /// stages (the serve layer uses it for pipeline-level deadlines).
+    /// stages (the serve layer uses it for pipeline-level deadlines). The
+    /// input is taken by value: the last root stage moves it into its VOP
+    /// instead of copying it.
     ///
     /// # Errors
     ///
@@ -314,7 +316,7 @@ impl VopDag {
     /// hook returns `true`.
     pub fn run_with_cancel(
         &self,
-        input: &Tensor,
+        input: Tensor,
         cfg: &DagConfig,
         sink: &mut dyn TraceSink,
         cancel: &mut dyn FnMut() -> bool,
@@ -325,12 +327,13 @@ impl VopDag {
         // Pass 1: execute every stage once through the ordinary runtime,
         // in topological order. Placement and values are decided here.
         let mut execs: Vec<StageExec> = Vec::with_capacity(stages.len());
+        let mut external = Some(input);
         let mut outputs: Vec<Option<Tensor>> = vec![None; stages.len()];
         for (si, stage) in stages.iter().enumerate() {
             if cancel() {
                 return Err(ShmtError::Canceled);
             }
-            let vop = self.stage_vop(stage, &outputs, input)?;
+            let vop = self.stage_vop(&stages, si, &mut outputs, &mut external)?;
             let first = stage
                 .nodes
                 .first()
@@ -357,16 +360,6 @@ impl VopDag {
                 report,
             });
             outputs[si] = Some(out);
-            // Drop intermediates nobody will read again. The sink's exec
-            // stage is always last (validation guarantees every other
-            // node has a consumer), so the DAG result is never dropped
-            // here (`pi < si <= stages.len() - 1`).
-            for (pi, out) in outputs.iter_mut().enumerate().take(si) {
-                let still_needed = stages.iter().skip(si + 1).any(|s| s.deps.contains(&pi));
-                if !still_needed {
-                    *out = None;
-                }
-            }
         }
 
         // Residency coverage per eligible edge: intersect the producer's
@@ -458,8 +451,11 @@ impl VopDag {
             prev_finish = finish;
         }
 
-        let output = outputs[stages.len() - 1]
-            .take()
+        // The sink's exec stage is always last: validation guarantees
+        // every other node a consumer, which moved its output away.
+        let output = outputs
+            .pop()
+            .flatten()
             .ok_or_else(|| ShmtError::Internal("DAG sink produced no output".into()))?;
 
         let makespan_s = windows.iter().map(|w| w.1).fold(0.0f64, f64::max);
@@ -523,10 +519,11 @@ impl VopDag {
     /// Propagates VOP validation and runtime errors.
     pub fn run_conventional(&self, input: &Tensor, partitions: usize) -> Result<(f64, Tensor)> {
         let stages = self.plan_stages(false);
+        let mut external = Some(input.clone());
         let mut outputs: Vec<Option<Tensor>> = vec![None; stages.len()];
         let mut total_s = 0.0;
         for (si, stage) in stages.iter().enumerate() {
-            let vop = self.stage_vop(stage, &outputs, input)?;
+            let vop = self.stage_vop(&stages, si, &mut outputs, &mut external)?;
             let platform = stage_platform(&self.nodes[stage.nodes[0]].op);
             let report = gpu_baseline(&platform, &vop, partitions)?;
             total_s += report.makespan_s;
@@ -592,24 +589,31 @@ impl VopDag {
         stages
     }
 
-    /// Builds one stage's VOP from its dependencies' outputs (or the
-    /// external input for a root).
+    /// Builds stage `si`'s VOP from its dependencies' outputs (or the
+    /// external input for a root). Each input is moved into the VOP on
+    /// its last read — when neither a later stage nor a later slot of this
+    /// stage reads it — and cloned for every earlier one.
     fn stage_vop(
         &self,
-        stage: &ExecStage,
-        outputs: &[Option<Tensor>],
-        external: &Tensor,
+        stages: &[ExecStage],
+        si: usize,
+        outputs: &mut [Option<Tensor>],
+        external: &mut Option<Tensor>,
     ) -> Result<Vop> {
+        let stage = &stages[si];
+        let later = &stages[si + 1..];
         let mut inputs: Vec<Tensor> = if stage.deps.is_empty() {
-            vec![external.clone()]
+            let last = !later.iter().any(|s| s.deps.is_empty());
+            vec![take_or_clone(external, last)?]
         } else {
             stage
                 .deps
                 .iter()
-                .map(|&p| {
-                    outputs[p]
-                        .clone()
-                        .ok_or_else(|| ShmtError::Internal("dependency ran out of order".into()))
+                .enumerate()
+                .map(|(slot, &p)| {
+                    let last = !stage.deps[slot + 1..].contains(&p)
+                        && !later.iter().any(|s| s.deps.contains(&p));
+                    take_or_clone(&mut outputs[p], last)
                 })
                 .collect::<Result<_>>()?
         };
@@ -647,20 +651,20 @@ impl VopDag {
                 let input = inputs
                     .pop()
                     .ok_or_else(|| ShmtError::Internal("unary stage lost its input".into()))?;
-                if stage.nodes.len() == 1 {
-                    Vop::unary(op, input)
-                } else {
-                    let ops: Vec<UnaryOp> = stage
-                        .nodes
-                        .iter()
-                        .map(|&id| match self.nodes[id].op {
-                            NodeOp::Unary(u) => u,
-                            _ => op,
-                        })
-                        .collect();
-                    // `ops` mirrors `stage.nodes`, proven non-empty above.
-                    let opcode = unary_opcode(ops.last().copied().unwrap_or(op));
-                    Vop::new(opcode, Box::new(FusedElementwise { ops }), vec![input])
+                let rest: Vec<UnaryOp> = stage.nodes[1..]
+                    .iter()
+                    .map(|&id| match self.nodes[id].op {
+                        NodeOp::Unary(u) => u,
+                        _ => op,
+                    })
+                    .collect();
+                match rest.last() {
+                    None => Vop::unary(op, input),
+                    Some(&last) => Vop::new(
+                        unary_opcode(last),
+                        Box::new(FusedElementwise { first: op, rest }),
+                        vec![input],
+                    ),
                 }
             }
         }
@@ -923,6 +927,13 @@ fn pinned_plan(e: &StageExec) -> Plan {
     }
 }
 
+/// Moves a flowing tensor out of its slot on its last read, clones it
+/// otherwise.
+fn take_or_clone(slot: &mut Option<Tensor>, last: bool) -> Result<Tensor> {
+    let t = if last { slot.take() } else { slot.clone() };
+    t.ok_or_else(|| ShmtError::Internal("dependency ran out of order".into()))
+}
+
 /// Keeps flowing data inside kernel-friendly numeric ranges between
 /// stages (image kernels expect non-negative 8-bit-scale values;
 /// transforms can emit negatives).
@@ -938,12 +949,16 @@ fn sanitize(mut t: Tensor) -> Tensor {
 }
 
 /// A chain of unary element-wise primitives fused into one kernel, so a
-/// `relu → sqrt` pair runs as a single VOP with one intermediate-free
-/// pass. The int8 NPU path quantizes once around the whole chain, exactly
-/// as a fused device kernel would.
+/// `relu → sqrt` pair runs as a single VOP with no intermediate tensor.
+/// The chain runs op-outer on each row: `first` goes source → destination,
+/// then every op of `rest` runs in place while the row is still in L1 —
+/// per element the same ops in the same order, so bit for bit the
+/// element-at-a-time fold. The int8 NPU path quantizes once around the
+/// whole chain, exactly as a fused device kernel would.
 #[derive(Debug, Clone)]
 struct FusedElementwise {
-    ops: Vec<UnaryOp>,
+    first: UnaryOp,
+    rest: Vec<UnaryOp>,
 }
 
 impl Kernel for FusedElementwise {
@@ -960,14 +975,15 @@ impl Kernel for FusedElementwise {
         for r in tile.row0..tile.row0 + tile.rows {
             let src = &input.row(r)[tile.col0..tile.col0 + tile.cols];
             let dst = out.span_mut(r, tile.col0..tile.col0 + tile.cols);
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d = self.ops.iter().fold(s, |v, op| op.apply(v));
+            self.first.apply_into(src, dst);
+            for op in &self.rest {
+                op.apply_in_place(dst);
             }
         }
     }
 
     fn work_per_element(&self) -> f64 {
-        4.0 * self.ops.len() as f64
+        4.0 * (1 + self.rest.len()) as f64
     }
 }
 
@@ -1018,7 +1034,8 @@ mod tests {
     fn fused_elementwise_assigns_its_destination() {
         let input = gen::image8(40, 24, 3);
         let fused = FusedElementwise {
-            ops: vec![UnaryOp::Relu, UnaryOp::Sqrt, UnaryOp::Tanh],
+            first: UnaryOp::Relu,
+            rest: vec![UnaryOp::Sqrt, UnaryOp::Tanh],
         };
         let tile = Tile {
             index: 0,
@@ -1028,6 +1045,91 @@ mod tests {
             cols: 13,
         };
         crate::vop::tests::assert_assigns(&fused, &[&input], tile);
+    }
+
+    /// The fused chain (of one to three ops) and the lone unary kernel
+    /// compute an off-origin tile bit for bit as the per-element `apply`
+    /// fold — signed zeros, NaN payloads, infinities, subnormals and
+    /// values near `f32::MAX` included — and write nothing outside it.
+    #[test]
+    fn elementwise_kernels_match_the_apply_fold_on_off_origin_tiles() {
+        const OPS: [UnaryOp; 5] = [
+            UnaryOp::Log,
+            UnaryOp::Relu,
+            UnaryOp::Rsqrt,
+            UnaryOp::Sqrt,
+            UnaryOp::Tanh,
+        ];
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            -f32::MAX,
+        ];
+        values.extend([1.0, -1.0, 0.25, -3.5, 255.0, 1e-30, -1e30]);
+        values.extend(
+            [
+                0x7fc0_0001u32,
+                0xffc1_2345,
+                0x7f80_0001,
+                0x0000_0001,
+                0x807f_ffff,
+            ]
+            .map(f32::from_bits),
+        );
+        let input = Tensor::from_fn(40, 24, |r, c| values[(r * 24 + c * 7) % values.len()]);
+        let tile = Tile {
+            index: 0,
+            row0: 8,
+            col0: 5,
+            rows: 20,
+            cols: 13,
+        };
+        let sentinel = f32::from_bits(0x7fa5_a5a5);
+        let check = |kernel: &dyn Kernel, chain: &[UnaryOp]| {
+            let mut out = Tensor::filled(40, 24, sentinel);
+            kernel.run_exact(&[&input], tile, &mut out);
+            for r in 0..40 {
+                for c in 0..24 {
+                    let inside = (8..28).contains(&r) && (5..18).contains(&c);
+                    let want = if inside {
+                        chain.iter().fold(input[(r, c)], |v, op| op.apply(v))
+                    } else {
+                        sentinel
+                    };
+                    assert_eq!(
+                        out[(r, c)].to_bits(),
+                        want.to_bits(),
+                        "{chain:?} at ({r}, {c})"
+                    );
+                }
+            }
+        };
+        for a in OPS {
+            let lone = Vop::unary(a, input.clone()).unwrap().into_kernel();
+            check(lone.as_ref(), &[a]);
+            let single = FusedElementwise {
+                first: a,
+                rest: vec![],
+            };
+            check(&single, &[a]);
+            for b in OPS {
+                let pair = FusedElementwise {
+                    first: a,
+                    rest: vec![b],
+                };
+                check(&pair, &[a, b]);
+                for c in OPS {
+                    let triple = FusedElementwise {
+                        first: a,
+                        rest: vec![b, c],
+                    };
+                    check(&triple, &[a, b, c]);
+                }
+            }
+        }
     }
 
     const VISION: [(Benchmark, u64); 2] = [(Benchmark::MeanFilter, 1), (Benchmark::Sobel, 2)];
@@ -1174,7 +1276,7 @@ mod tests {
         let dag = VopDag::linear(&[(Benchmark::Sobel, 1)]).unwrap();
         let input = gen::image8(32, 32, 1);
         let err = dag
-            .run_with_cancel(&input, &cfg(), &mut NullSink, &mut || true)
+            .run_with_cancel(input, &cfg(), &mut NullSink, &mut || true)
             .unwrap_err();
         assert!(matches!(err, ShmtError::Canceled));
     }

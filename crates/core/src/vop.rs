@@ -336,10 +336,8 @@ impl Kernel for UnaryKernel {
         let input = inputs[0];
         for r in tile.row0..tile.row0 + tile.rows {
             let src = &input.row(r)[tile.col0..tile.col0 + tile.cols];
-            let dst = out.span_mut(r, tile.col0..tile.col0 + tile.cols);
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d = self.0.apply(s);
-            }
+            self.0
+                .apply_into(src, out.span_mut(r, tile.col0..tile.col0 + tile.cols));
         }
     }
 

@@ -35,10 +35,72 @@ impl UnaryOp {
         }
     }
 
+    /// Writes the operation of every `src` element to `dst`, bit for bit
+    /// [`UnaryOp::apply`]: the op is chosen once per slice, so each op
+    /// runs its own loop (packed `maxps` for ReLU, `sqrtps` for Sqrt).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn apply_into(self, src: &[f32], dst: &mut [f32]) {
+        assert_eq!(src.len(), dst.len(), "unary op needs equal-length slices");
+        match self {
+            UnaryOp::Log => log_into(src, dst),
+            UnaryOp::Relu => relu_into(src, dst),
+            UnaryOp::Rsqrt => rsqrt_into(src, dst),
+            UnaryOp::Sqrt => sqrt_into(src, dst),
+            UnaryOp::Tanh => tanh_into(src, dst),
+        }
+    }
+
+    /// [`UnaryOp::apply_into`] with `data` as both source and destination.
+    pub fn apply_in_place(self, data: &mut [f32]) {
+        match self {
+            UnaryOp::Log => log_in_place(data),
+            UnaryOp::Relu => relu_in_place(data),
+            UnaryOp::Rsqrt => rsqrt_in_place(data),
+            UnaryOp::Sqrt => sqrt_in_place(data),
+            UnaryOp::Tanh => tanh_in_place(data),
+        }
+    }
+
     /// Applies the operation element-wise to a tensor.
     pub fn map(&self, t: &Tensor) -> Tensor {
-        t.map(|v| self.apply(v))
+        let mut out = t.clone();
+        self.apply_in_place(out.as_mut_slice());
+        out
     }
+}
+
+/// One monomorphic `src → dst` and one in-place loop per [`UnaryOp`],
+/// each over [`UnaryOp::apply`] with the op fixed. They are
+/// `#[inline(never)]` so that every loop keeps a symbol of its own, which
+/// `scripts/check_simd.sh` cuts out of the assembly to require its packed
+/// form.
+macro_rules! unary_loops {
+    ($($op:ident: $into:ident, $in_place:ident;)*) => {$(
+        #[inline(never)]
+        fn $into(src: &[f32], dst: &mut [f32]) {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d = UnaryOp::$op.apply(s);
+            }
+        }
+
+        #[inline(never)]
+        fn $in_place(data: &mut [f32]) {
+            for v in data {
+                *v = UnaryOp::$op.apply(*v);
+            }
+        }
+    )*};
+}
+
+unary_loops! {
+    Log: log_into, log_in_place;
+    Relu: relu_into, relu_in_place;
+    Rsqrt: rsqrt_into, rsqrt_in_place;
+    Sqrt: sqrt_into, sqrt_in_place;
+    Tanh: tanh_into, tanh_in_place;
 }
 
 /// Binary element-wise VOPs from Table 1.
@@ -161,6 +223,112 @@ mod tests {
         assert!((UnaryOp::Rsqrt.apply(4.0) - 0.5).abs() < 1e-6);
         assert!((UnaryOp::Log.apply(std::f32::consts::E) - 1.0).abs() < 1e-6);
         assert!((UnaryOp::Tanh.apply(0.0)).abs() < 1e-9);
+    }
+
+    const UNARY: [UnaryOp; 5] = [
+        UnaryOp::Log,
+        UnaryOp::Relu,
+        UnaryOp::Rsqrt,
+        UnaryOp::Sqrt,
+        UnaryOp::Tanh,
+    ];
+
+    /// Values where a vector loop could part from the scalar op: signed
+    /// zeros, quiet and signalling NaNs with payloads of both signs,
+    /// infinities, subnormals, negatives and values near `f32::MAX`.
+    fn adversarial() -> Vec<f32> {
+        let bits = [
+            0x7fc0_0001u32, // quiet NaN, payload 1
+            0xffc1_2345,    // negative quiet NaN with a payload
+            0x7f80_0001,    // signalling NaN
+            0xffbf_ffff,    // negative signalling NaN, full payload
+            0x0000_0001,    // smallest subnormal
+            0x8000_0001,
+            0x007f_ffff, // largest subnormal
+            0x807f_ffff,
+        ];
+        let mut v = vec![
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            -f32::MAX,
+            f32::MAX * 0.75,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1.0,
+            -1.0,
+            0.5,
+            -2.5,
+            255.0,
+            1e-30,
+            -1e30,
+            std::f32::consts::E,
+        ];
+        v.extend(bits.map(f32::from_bits));
+        v
+    }
+
+    /// The slice loops are the per-element `apply` fold bit for bit, NaN
+    /// payloads included: every chain of one to three ops, run op-outer
+    /// (the first `src → dst`, the rest in place) and all in place, over
+    /// sub-slices of every length 0..=17 at every offset modulo four
+    /// (so every value meets every vector lane and the scalar tail), with
+    /// the destination at another offset and nothing outside it touched.
+    #[test]
+    fn unary_slice_loops_match_apply_bit_for_bit() {
+        const SENTINEL: u32 = 0x7fa5_a5a5;
+        let values = adversarial();
+        let mut chains: Vec<Vec<UnaryOp>> = Vec::new();
+        for a in UNARY {
+            chains.push(vec![a]);
+            for b in UNARY {
+                chains.push(vec![a, b]);
+                chains.extend(UNARY.map(|c| vec![a, b, c]));
+            }
+        }
+        let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for rot in 0..values.len() {
+            let mut src_buf = values.clone();
+            src_buf.rotate_left(rot);
+            src_buf.extend((0..4).map(|i| i as f32 * -1.5));
+            for chain in &chains {
+                for len in 0..=17 {
+                    for off in 0..4 {
+                        let src = &src_buf[off..off + len];
+                        let want: Vec<u32> = src
+                            .iter()
+                            .map(|&x| chain.iter().fold(x, |v, op| op.apply(v)).to_bits())
+                            .collect();
+                        let at = (off + 1) % 4;
+                        let mut dst_buf = vec![f32::from_bits(SENTINEL); len + 8];
+                        let dst = &mut dst_buf[at..at + len];
+                        chain[0].apply_into(src, dst);
+                        for op in &chain[1..] {
+                            op.apply_in_place(dst);
+                        }
+                        assert_eq!(bits(dst), want, "{chain:?} op-outer, len {len} off {off}");
+                        let mut outside = dst_buf[..at].iter().chain(&dst_buf[at + len..]);
+                        assert!(
+                            outside.all(|v| v.to_bits() == SENTINEL),
+                            "{chain:?} wrote outside"
+                        );
+                        let mut in_place = src.to_vec();
+                        for op in chain {
+                            op.apply_in_place(&mut in_place);
+                        }
+                        assert_eq!(bits(&in_place), want, "{chain:?} in place, len {len}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "equal-length")]
+    fn unary_apply_into_rejects_mismatched_slices() {
+        UnaryOp::Relu.apply_into(&[1.0, 2.0], &mut [0.0]);
     }
 
     #[test]

@@ -804,7 +804,7 @@ fn executor_loop(shared: &Shared) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let Some(queued) = queued else { return };
+        let Some(mut queued) = queued else { return };
 
         let queue_wait = queued.admitted_at.elapsed();
         shared
@@ -877,7 +877,7 @@ fn executor_loop(shared: &Shared) {
 
         let service_start = Instant::now();
         let mut dag_stats: Option<DagStats> = None;
-        let outcome = match &queued.request.payload {
+        let outcome = match &mut queued.request.payload {
             Payload::Vop(vop) => {
                 let runtime = ShmtRuntime::new(queued.request.platform.clone(), config);
                 runtime.execute_with_faults(vop, &queued.request.faults)
@@ -899,6 +899,9 @@ fn executor_loop(shared: &Shared) {
                     let admitted_at = queued.admitted_at;
                     let deadline = queued.deadline;
                     let token = queued.request.cancel.clone();
+                    // The request's input moves into the DAG's root stage;
+                    // nothing reads the payload after execution.
+                    let input = std::mem::replace(input, Tensor::zeros(1, 1));
                     dag.run_with_cancel(input, &dag_config, &mut NullSink, &mut || {
                         token.as_ref().is_some_and(|t| t.load(Ordering::Relaxed))
                             || deadline.is_some_and(|d| admitted_at.elapsed() > d)

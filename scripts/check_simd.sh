@@ -25,7 +25,10 @@
 # eight output columns as lanes) must hold packed mulps and addps, and the
 # FFT butterflies (`fft::lane_stages`, one row of a band per lane) packed
 # mulps, addps and subps. Both are `#[inline(never)]` so their
-# bodies keep a symbol to cut. The gate checks itself: asking for an op
+# bodies keep a symbol to cut. So are the element-wise loops the DAG's
+# unary and fused stages run (`primitives::relu_into`, `sqrt_into` and
+# their in-place twins, one loop per `UnaryOp`): ReLU must hold packed
+# maxps, Sqrt packed sqrtps. The gate checks itself: asking for an op
 # those bodies lack must fail.
 #
 # Uses its own target dir: the RUSTFLAGS change would otherwise
@@ -106,9 +109,18 @@ require "$tasm" QuantParams::dequantize_slice ${quant}11QuantParams16dequantize_
 echo "dense transform loops, per function ($asm):"
 require "$asm" dct8x8::transform_block ${kern}6dct8x815transform_block mulps addps
 require "$asm" fft::lane_stages ${kern}3fft11lane_stages mulps addps subps
-# The gate must be able to fail: neither body divides.
+
+echo "element-wise loops, per function ($asm):"
+prim=${kern}10primitives
+require "$asm" primitives::relu_into ${prim}9relu_into maxps
+require "$asm" primitives::relu_in_place ${prim}13relu_in_place maxps
+require "$asm" primitives::sqrt_into ${prim}9sqrt_into sqrtps
+require "$asm" primitives::sqrt_in_place ${prim}13sqrt_in_place sqrtps
+# The gate must be able to fail: none of these bodies divides.
 for probe in "dct8x8::transform_block ${kern}6dct8x815transform_block" \
-    "fft::lane_stages ${kern}3fft11lane_stages"; do
+    "fft::lane_stages ${kern}3fft11lane_stages" \
+    "primitives::relu_into ${prim}9relu_into" \
+    "primitives::sqrt_into ${prim}9sqrt_into"; do
     # shellcheck disable=SC2086 # the probe is a name and a path
     if (require "$asm" $probe divps) >/dev/null; then
         echo "gate self-check failed: divps reported in ${probe%% *}"

@@ -4,14 +4,19 @@
 //! staged input elements), the reference pipelines in [`pipelines`]
 //! must compose within the charges of their own stages, and re-timing a
 //! stage must charge exactly what the stage's own run charged, less its
-//! residency discounts.
+//! residency discounts. Stages move an input on its last read and clone
+//! it for earlier readers; the [`move_rule_dags`] hold them to
+//! hand-chained references bit for bit, and [`DAG_GOLDEN`] pins the
+//! output, makespan and energy bits of every reference pipeline and of
+//! the serving benchmark's DAG.
 //!
 //! Random cases are drawn from a seeded [`Pcg32`] stream, so every run
 //! explores the same graphs and failures reproduce exactly.
 
+use shmt::baseline::gpu_baseline;
 use shmt::dag::{DagConfig, DagNode, VopDag};
 use shmt::sampling::SamplingMethod;
-use shmt::{NodeOp, Policy, QawsAssignment, RuntimeConfig, Tensor};
+use shmt::{NodeOp, Platform, Policy, QawsAssignment, RuntimeConfig, ShmtRuntime, Tensor, Vop};
 use shmt_kernels::primitives::{BinaryOp, UnaryOp};
 use shmt_kernels::Benchmark;
 use shmt_tensor::gen;
@@ -46,11 +51,6 @@ struct Pipeline {
 fn pipelines() -> Vec<Pipeline> {
     let mut unfused = cfg();
     unfused.fuse_elementwise = false;
-    let relu_root = DagNode {
-        op: NodeOp::Unary(UnaryOp::Relu),
-        deps: vec![],
-        max_mape: None,
-    };
     vec![
         Pipeline {
             name: "vision",
@@ -76,7 +76,7 @@ fn pipelines() -> Vec<Pipeline> {
         Pipeline {
             name: "chain",
             dag: VopDag::new(vec![
-                relu_root,
+                root(UnaryOp::Relu),
                 DagNode::unary(UnaryOp::Sqrt, 0),
                 DagNode::unary(UnaryOp::Tanh, 1),
             ])
@@ -400,4 +400,298 @@ fn stages_retime_within_their_own_runs() {
         );
     }
     assert!(unresident > 0, "some stage must have nothing resident");
+}
+
+/// What flows between DAG stages, clamped as `shmt::dag` clamps it.
+fn sanitize(mut t: Tensor) -> Tensor {
+    t.map_inplace(|v| {
+        if v.is_finite() {
+            v.clamp(-1.0e6, 1.0e6)
+        } else {
+            0.0
+        }
+    });
+    t
+}
+
+/// The hand-chained reference of an unfused DAG whose node ids are a
+/// topological order: each node is one `ShmtRuntime::execute` under
+/// `config` — or, with `None`, one GPU baseline over 8 partitions, the
+/// conventional walk — over clones of its producers' sanitized outputs
+/// (the external input for a root). Returns the sink's output and the
+/// summed stage makespans.
+fn hand_chained(dag: &VopDag, input: &Tensor, config: Option<RuntimeConfig>) -> (Tensor, f64) {
+    let mut outs: Vec<Tensor> = Vec::new();
+    let mut total_s = 0.0;
+    for node in dag.nodes() {
+        let mut inputs: Vec<Tensor> = node.deps.iter().map(|&d| outs[d].clone()).collect();
+        if inputs.is_empty() {
+            inputs.push(input.clone());
+        }
+        let (vop, platform) = match node.op {
+            NodeOp::Benchmark { benchmark, .. } => (
+                Vop::from_benchmark(benchmark, inputs).expect("valid VOP"),
+                Platform::jetson(benchmark),
+            ),
+            NodeOp::Unary(op) => (
+                Vop::unary(op, inputs.remove(0)).expect("valid VOP"),
+                Platform::generic(),
+            ),
+            NodeOp::Binary(op) => {
+                let b = inputs.pop().expect("second input");
+                let a = inputs.pop().expect("first input");
+                (
+                    Vop::binary(op, a, b).expect("valid VOP"),
+                    Platform::generic(),
+                )
+            }
+        };
+        let (makespan_s, output) = match config {
+            Some(c) => {
+                let r = ShmtRuntime::new(platform, c)
+                    .execute(&vop)
+                    .expect("VOP runs");
+                (r.makespan_s, r.output)
+            }
+            None => {
+                let r = gpu_baseline(&platform, &vop, 8).expect("GPU baseline");
+                (r.makespan_s, r.output)
+            }
+        };
+        total_s += makespan_s;
+        outs.push(sanitize(output));
+    }
+    (outs.pop().expect("a sink"), total_s)
+}
+
+/// A unary root node: it reads the DAG's external input.
+fn root(op: UnaryOp) -> DagNode {
+    DagNode {
+        op: NodeOp::Unary(op),
+        deps: vec![],
+        max_mape: None,
+    }
+}
+
+/// The DAGs whose stages move an input on its last read only:
+///
+/// * `add twice` — one stage reads an output in both slots (the first
+///   clones it, the second moves it);
+/// * `diamond` — two later stages read one output (the first clones, the
+///   last moves);
+/// * `two roots` — two root stages share the external input.
+fn move_rule_dags() -> Vec<(&'static str, VopDag)> {
+    let mf = || DagNode::benchmark(Benchmark::MeanFilter, 3, vec![]);
+    let dag = |nodes| VopDag::new(nodes).expect("valid DAG");
+    vec![
+        (
+            "add twice",
+            dag(vec![mf(), DagNode::binary(BinaryOp::Add, 0, 0)]),
+        ),
+        (
+            "diamond",
+            dag(vec![
+                mf(),
+                DagNode::unary(UnaryOp::Relu, 0),
+                DagNode::unary(UnaryOp::Tanh, 0),
+                DagNode::binary(BinaryOp::Max, 1, 2),
+            ]),
+        ),
+        (
+            "two roots",
+            dag(vec![
+                root(UnaryOp::Relu),
+                root(UnaryOp::Sqrt),
+                DagNode::binary(BinaryOp::Sub, 0, 1),
+            ]),
+        ),
+    ]
+}
+
+fn assert_same_bits(got: &Tensor, want: &Tensor, what: &str) {
+    let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(got.shape(), want.shape(), "{what}: shape");
+    assert!(bits(got) == bits(want), "{what}: output bits differ");
+}
+
+/// A stage reading one output in both of its slots computes what the
+/// hand-chained `execute` + `sanitize` reference computes, bit for bit.
+#[test]
+fn stage_reading_one_output_twice_matches_hand_chain() {
+    let (name, dag) = move_rule_dags().remove(0);
+    let input = gen::image8(64, 64, 5);
+    let got = dag.run(&input, &cfg()).expect("DAG runs");
+    let (want, _) = hand_chained(&dag, &input, Some(cfg().runtime));
+    assert_same_bits(&got.output, &want, name);
+}
+
+/// A diamond's two readers of one output, and two roots sharing the
+/// external input, compute the hand-chained reference bit for bit.
+#[test]
+fn shared_outputs_and_inputs_match_hand_chain() {
+    for (name, dag) in move_rule_dags().into_iter().skip(1) {
+        let input = gen::image8(64, 64, 6);
+        let got = dag.run(&input, &cfg()).expect("DAG runs");
+        let (want, _) = hand_chained(&dag, &input, Some(cfg().runtime));
+        assert_same_bits(&got.output, &want, name);
+    }
+}
+
+/// The conventional walk builds its stages through the same move rule:
+/// on every move-rule DAG its output and summed makespan are the
+/// hand-chained GPU baselines'.
+#[test]
+fn conventional_walk_matches_hand_chained_baselines() {
+    for (name, dag) in move_rule_dags() {
+        let input = gen::image8(64, 64, 7);
+        let (got_s, got) = dag.run_conventional(&input, 8).expect("conventional walk");
+        let (want, want_s) = hand_chained(&dag, &input, None);
+        assert_same_bits(&got, &want, name);
+        assert_eq!(got_s, want_s, "{name}: summed makespan");
+    }
+}
+
+/// The guarded DAG the serving benchmark submits — Sobel → ReLU → Sqrt →
+/// MeanFilter, work stealing over 64 partitions on two compute threads —
+/// at 256², with the per-stage guard on or off.
+fn serve_guard_dag(guarded: bool) -> (VopDag, DagConfig, Tensor) {
+    let dag = VopDag::new(vec![
+        DagNode::benchmark(Benchmark::Sobel, 0, vec![]),
+        DagNode::unary(UnaryOp::Relu, 0),
+        DagNode::unary(UnaryOp::Sqrt, 1),
+        DagNode::benchmark(Benchmark::MeanFilter, 0, vec![2]),
+    ])
+    .expect("valid DAG");
+    let mut rt = RuntimeConfig::new(Policy::WorkStealing);
+    rt.partitions = 64;
+    rt.compute_threads = 2;
+    if guarded {
+        rt.guard = shmt::GuardConfig::enforcing(0.05);
+    }
+    let input = Benchmark::Sobel.generate_inputs(256, 256, 1).remove(0);
+    (dag, DagConfig::new(rt), input)
+}
+
+fn fnv1a(t: &Tensor) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in t.as_slice() {
+        for byte in v.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// `(case, output digest, makespan_s bits, total_energy_j bits)` of every
+/// reference pipeline (`run`, then `run_conventional` over 8 partitions,
+/// which reports no energy) and of the serving DAG guarded and unguarded.
+/// Recorded before element-wise chains ran op-outer and before stages
+/// moved their inputs; re-record (run with `--nocapture` and copy the
+/// printed table) only for a change *meant* to move these bits.
+const DAG_GOLDEN: [(&str, u64, u64, u64); 8] = [
+    (
+        "vision",
+        0x2774a00de26afd2a,
+        0x3f350e846c22b39c,
+        0x3f572d529290053f,
+    ),
+    (
+        "vision/conventional",
+        0x9d9f94f3fed2d480,
+        0x3f126690c55b69fc,
+        0x0000000000000000,
+    ),
+    (
+        "dwt",
+        0x4f02946b9dbd35b5,
+        0x3f2cdb813b410330,
+        0x3f4d9b9398fd2fff,
+    ),
+    (
+        "dwt/conventional",
+        0x8b764b9a6a927553,
+        0x3f1affd911454c0c,
+        0x0000000000000000,
+    ),
+    (
+        "chain",
+        0xd59f0a85cc2b045b,
+        0x3f3eedf55545f16b,
+        0x3f6170891d3e350b,
+    ),
+    (
+        "chain/conventional",
+        0x4b798ffffae44ca5,
+        0x3f1a4c7d763e45f0,
+        0x0000000000000000,
+    ),
+    (
+        "serve/unguarded",
+        0xa6f0cdd06f0d011b,
+        0x3f569afc7d1f24f0,
+        0x3f819dd81000ebbc,
+    ),
+    (
+        "serve/guarded",
+        0xa6f0cdd06f0d011b,
+        0x3f5abb9d877061a4,
+        0x3f8294c5884184c7,
+    ),
+];
+
+fn dag_digests() -> Vec<(String, u64, u64, u64)> {
+    let mut got = Vec::new();
+    for p in pipelines() {
+        let d = p.dag.run(&p.input, &p.config).expect("pipeline runs");
+        got.push((
+            p.name.to_owned(),
+            fnv1a(&d.output),
+            d.makespan_s.to_bits(),
+            d.total_energy_j.to_bits(),
+        ));
+        let (s, out) = p
+            .dag
+            .run_conventional(&p.input, 8)
+            .expect("conventional walk");
+        got.push((
+            format!("{}/conventional", p.name),
+            fnv1a(&out),
+            s.to_bits(),
+            0,
+        ));
+    }
+    for guarded in [false, true] {
+        let (dag, config, input) = serve_guard_dag(guarded);
+        let d = dag.run(&input, &config).expect("serving DAG runs");
+        let name = if guarded {
+            "serve/guarded"
+        } else {
+            "serve/unguarded"
+        };
+        got.push((
+            name.to_owned(),
+            fnv1a(&d.output),
+            d.makespan_s.to_bits(),
+            d.total_energy_j.to_bits(),
+        ));
+    }
+    got
+}
+
+#[test]
+fn dag_outputs_and_timings_match_recorded_digests() {
+    let got = dag_digests();
+    let want: Vec<(String, u64, u64, u64)> = DAG_GOLDEN
+        .iter()
+        .map(|&(n, o, m, e)| (n.to_owned(), o, m, e))
+        .collect();
+    if got != want {
+        for (n, o, m, e) in &got {
+            println!("    ({n:?}, {o:#018x}, {m:#018x}, {e:#018x}),");
+        }
+        assert_eq!(got.len(), want.len(), "case count changed");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g, w, "{}: DAG output or timing bits changed", g.0);
+        }
+    }
 }
