@@ -956,9 +956,9 @@ fn sanitize(mut t: Tensor) -> Tensor {
 /// element-at-a-time fold. The int8 NPU path quantizes once around the
 /// whole chain, exactly as a fused device kernel would.
 #[derive(Debug, Clone)]
-struct FusedElementwise {
-    first: UnaryOp,
-    rest: Vec<UnaryOp>,
+pub(crate) struct FusedElementwise {
+    pub(crate) first: UnaryOp,
+    pub(crate) rest: Vec<UnaryOp>,
 }
 
 impl Kernel for FusedElementwise {

@@ -13,6 +13,16 @@
 //!   place, straight into the task's destination. With more than one
 //!   claimant the loop runs on the pool's workers; with one it runs on the
 //!   caller's thread, and nothing else differs.
+//! * HLOPs are the unit the runtime schedules and charges in virtual time,
+//!   not the grain the host computes at. Partitioning, planning,
+//!   `charge`, records, the guard and the trace all see the HLOPs as cut;
+//!   the claimant loop alone runs a tile-aggregated kernel's exact tiles
+//!   as coalesced row bands: every maximal run of exact tiles with the
+//!   same `row0` and `rows` whose columns abut is one task. An exact
+//!   tile's values do not depend on its bounds (the [`Kernel`] contract),
+//!   so a band writes the bits its tiles would, streaming whole rows where
+//!   a 256-wide tile of a 2048² output streams a 1 KB slice of each. NPU
+//!   tiles never merge: their int8 grid is per tile.
 //! * Tile-aggregated kernels write disjoint output tiles, checked in bounds
 //!   and pairwise disjoint before any task runs. A claimant's destination
 //!   is a view of its tile of the output and nothing more, so aggregation
@@ -215,6 +225,8 @@ fn run_checked(
         return;
     }
     let shape = kernel.shape();
+    let mut bands = Vec::new();
+    let tasks = claimed(shape.aggregation, tasks, &mut bands);
     let claimants = threads.clamp(1, tasks.len());
     // An NPU task casts its input footprints into device buffers in its
     // claimant's stash. The stashes are taken here, before any claimant
@@ -291,6 +303,40 @@ fn run_checked(
         }
     }
     crate::arena::STASHES.put(stashes.into_inner().unwrap_or_else(PoisonError::into_inner));
+    crate::arena::COMPUTE.put(bands);
+}
+
+/// The task list the claimants run for `tasks`. A `Tile` kernel's NPU
+/// tasks come first, one per tile (their int8 grid is per tile), then its
+/// exact tiles as row bands: every maximal run of exact tiles with the
+/// same `row0` and `rows` whose columns abut becomes one task, built in
+/// `bands` (a `COMPUTE` spine). An exact tile's values do not depend on
+/// its bounds, so the bands write the bits the tiles would, in longer
+/// row streams. A `Reduce` kernel's tasks are returned as given: its
+/// partials fold in task order.
+fn claimed<'a>(
+    aggregation: Aggregation,
+    tasks: &'a [ComputeTask],
+    bands: &'a mut Vec<ComputeTask>,
+) -> &'a [ComputeTask] {
+    if let Aggregation::Reduce { .. } = aggregation {
+        return tasks;
+    }
+    *bands = crate::arena::COMPUTE.take();
+    bands.extend(tasks.iter().filter(|t| t.npu));
+    let first = bands.len();
+    bands.extend(tasks.iter().filter(|t| !t.npu));
+    bands[first..].sort_unstable_by_key(|t| (t.tile.row0, t.tile.col0));
+    // A band keeps its first tile's index.
+    bands.dedup_by(|next, last| {
+        let (n, l) = (next.tile, &mut last.tile);
+        let abuts = !last.npu && (l.row0, l.rows, l.col0 + l.cols) == (n.row0, n.rows, n.col0);
+        if abuts {
+            l.cols += n.cols;
+        }
+        abuts
+    });
+    bands
 }
 
 /// Runs `claimant` `claimants` times: on the calling thread when that is
@@ -329,8 +375,10 @@ fn claim(
     lock(stashes).push(stash);
 }
 
-/// Computes the exact whole-dataset output in parallel row bands — the
-/// fast path for reference outputs and the GPU baseline's real compute.
+/// Computes the exact whole-dataset output in parallel — the fast path
+/// for reference outputs. A tile-aggregated kernel runs as full-row bands,
+/// two per thread; a reduction keeps its grid, whose partials fold in
+/// partition order.
 pub fn compute_exact_parallel(
     kernel: &dyn Kernel,
     inputs: &[&Tensor],
@@ -338,7 +386,8 @@ pub fn compute_exact_parallel(
     cols: usize,
     threads: usize,
 ) -> Tensor {
-    let shape = kernel.shape();
+    let mut shape = kernel.shape();
+    shape.full_rows |= shape.aggregation == Aggregation::Tile;
     let bands = crate::partition::partition_tiles(rows, cols, threads.max(1) * 2, &shape);
     let mut tasks: Vec<ComputeTask> = crate::arena::COMPUTE.take();
     tasks.extend(bands.iter().map(|t| ComputeTask {
@@ -571,6 +620,248 @@ mod tests {
                     "cover {covers}, {threads} threads: want every element {want}"
                 );
             }
+        }
+    }
+
+    fn exact(tile: Tile) -> ComputeTask {
+        ComputeTask { tile, npu: false }
+    }
+
+    fn tile(index: usize, row0: usize, col0: usize, rows: usize, cols: usize) -> Tile {
+        Tile {
+            index,
+            row0,
+            col0,
+            rows,
+            cols,
+        }
+    }
+
+    /// The list the claimants run for `tasks` of a tile-aggregated kernel.
+    fn claimed_tiles(tasks: &[ComputeTask]) -> Vec<ComputeTask> {
+        let mut bands = Vec::new();
+        claimed(Aggregation::Tile, tasks, &mut bands).to_vec()
+    }
+
+    #[test]
+    fn npu_tiles_split_a_run_of_exact_tiles_and_never_merge() {
+        // One grid row of five tiles, the third and fourth on the NPU,
+        // listed out of order: the NPU tiles come first, as listed and
+        // apart, the two tiles left of them merge, the one right of them
+        // stays a task of its own.
+        let t: Vec<Tile> = (0..5).map(|i| tile(i, 16, 16 * i, 16, 16)).collect();
+        let npu = |tile| ComputeTask { tile, npu: true };
+        let tasks = [exact(t[4]), npu(t[2]), exact(t[1]), npu(t[3]), exact(t[0])];
+        assert_eq!(
+            claimed_tiles(&tasks),
+            [
+                npu(t[2]),
+                npu(t[3]),
+                exact(tile(0, 16, 0, 16, 32)),
+                exact(t[4])
+            ]
+        );
+    }
+
+    #[test]
+    fn tiles_of_different_heights_never_merge() {
+        let tasks = [
+            exact(tile(0, 0, 0, 16, 32)),
+            exact(tile(1, 0, 32, 8, 32)),
+            exact(tile(2, 8, 32, 8, 32)),
+        ];
+        assert_eq!(claimed_tiles(&tasks), tasks);
+    }
+
+    #[test]
+    fn merged_tasks_cover_exactly_the_exact_tiles() {
+        for (n, partitions) in [(96, 9), (256, 16), (256, 64), (67, 4)] {
+            let tiles =
+                crate::partition::partition_tiles(n, n, partitions, &KernelShape::stencil(1));
+            // Claim order as the runtime lists it: not the partition order.
+            let tasks: Vec<ComputeTask> = tiles
+                .iter()
+                .rev()
+                .map(|t| ComputeTask {
+                    tile: *t,
+                    npu: t.index % 4 == 1,
+                })
+                .collect();
+            let run = claimed_tiles(&tasks);
+            let npu: Vec<ComputeTask> = tasks.iter().copied().filter(|t| t.npu).collect();
+            assert_eq!(run[..npu.len()], npu, "{n}: NPU tasks first, as listed");
+            let bands = &run[npu.len()..];
+            assert!(bands.iter().all(|b| !b.npu));
+            assert!(
+                bands.len() < tasks.len() - npu.len(),
+                "{n}/{partitions}: some exact tiles merge"
+            );
+            // In bounds, pairwise disjoint and covering the whole output,
+            // with the NPU tiles: the bands cover the exact tiles exactly.
+            assert!(check_tiles(&run, n, n), "{n}/{partitions}");
+            for t in tasks.iter().filter(|t| !t.npu).map(|t| t.tile) {
+                let within = |b: &Tile| {
+                    (b.row0, b.rows) == (t.row0, t.rows)
+                        && b.col0 <= t.col0
+                        && t.col0 + t.cols <= b.col0 + b.cols
+                };
+                assert_eq!(bands.iter().filter(|b| within(&b.tile)).count(), 1, "{t:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn full_row_bands_and_a_lone_tile_pass_through() {
+        let shape = Benchmark::Fft.kernel().shape();
+        let bands: Vec<ComputeTask> = crate::partition::partition_tiles(128, 128, 8, &shape)
+            .into_iter()
+            .map(exact)
+            .collect();
+        assert!(bands.len() > 1);
+        assert_eq!(claimed_tiles(&bands), bands);
+        let lone = [exact(tile(0, 0, 0, 96, 96))];
+        assert_eq!(claimed_tiles(&lone), lone);
+    }
+
+    #[test]
+    fn a_reduce_kernels_list_keeps_its_order() {
+        let b = Benchmark::Histogram;
+        let (mut tasks, _) = tasks_for(b, 128, 3);
+        tasks.reverse();
+        let mut bands = Vec::new();
+        let run = claimed(b.kernel().shape().aggregation, &tasks, &mut bands);
+        assert_eq!(run, tasks);
+        assert_eq!(bands.capacity(), 0, "no band spine taken");
+    }
+
+    /// Asserts that `kernel`'s exact output, computed tile by tile through
+    /// [`Kernel::run_exact`], equals the claimant loop's (which runs the
+    /// exact tiles as row bands) at 1 and 2 threads, bit for bit — NaN
+    /// payloads included unless `nan_payloads` is false — for the tiles of
+    /// every grid in `grids`.
+    fn assert_tile_invariant(
+        name: &str,
+        kernel: &dyn Kernel,
+        inputs: &[&Tensor],
+        grids: &[usize],
+        nan_payloads: bool,
+    ) {
+        let (rows, cols) = inputs[0].shape();
+        let shape = kernel.shape();
+        let key = |v: &f32| {
+            if v.is_nan() && !nan_payloads {
+                f32::NAN.to_bits()
+            } else {
+                v.to_bits()
+            }
+        };
+        let bits = |t: &Tensor| t.as_slice().iter().map(key).collect::<Vec<_>>();
+        for &partitions in grids {
+            let tiles = crate::partition::partition_tiles(rows, cols, partitions, &shape);
+            let mut one_by_one = shape.allocate_output(rows, cols);
+            for &t in &tiles {
+                kernel.run_exact(inputs, t, &mut one_by_one);
+            }
+            let tasks: Vec<ComputeTask> = tiles.iter().copied().map(exact).collect();
+            for threads in [1, 2] {
+                let mut banded = shape.allocate_output(rows, cols);
+                compute_tasks(kernel, inputs, &tasks, &mut banded, threads);
+                assert!(
+                    bits(&one_by_one) == bits(&banded),
+                    "{name} at {rows}x{cols}, {} tiles, {threads} threads",
+                    tiles.len()
+                );
+            }
+        }
+    }
+
+    /// Values that reach every branch of the element-wise primitives:
+    /// negatives, signed zeros, infinities and a NaN with a payload.
+    fn awkward(rows: usize, cols: usize, salt: usize) -> Tensor {
+        const SPECIAL: [f32; 5] = [-0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        Tensor::from_fn(rows, cols, |r, c| match (r * 7 + c * 13 + salt) % 29 {
+            k @ 0..=3 => SPECIAL[k],
+            4 => f32::from_bits(0x7fc0_1234),
+            k => (k as f32 - 16.5) * 0.37,
+        })
+    }
+
+    #[test]
+    fn exact_tiles_write_the_same_bits_as_row_bands() {
+        use shmt_kernels::gemm::Gemm;
+        use shmt_kernels::primitives::{BinaryOp, UnaryOp};
+        const GRIDS: [usize; 4] = [4, 9, 16, 64];
+        const UNARY: [UnaryOp; 5] = [
+            UnaryOp::Log,
+            UnaryOp::Relu,
+            UnaryOp::Rsqrt,
+            UnaryOp::Sqrt,
+            UnaryOp::Tanh,
+        ];
+        const BINARY: [BinaryOp; 5] = [
+            BinaryOp::Add,
+            BinaryOp::Sub,
+            BinaryOp::Multiply,
+            BinaryOp::Max,
+            BinaryOp::Min,
+        ];
+        for (rows, cols) in [(67, 101), (96, 96), (256, 256)] {
+            for b in shmt_kernels::ALL_BENCHMARKS {
+                let kernel = b.kernel();
+                if kernel.shape().aggregation != Aggregation::Tile {
+                    continue;
+                }
+                let inputs = b.generate_inputs(rows, cols, 11);
+                let refs: Vec<&Tensor> = inputs.iter().collect();
+                assert_tile_invariant(b.name(), kernel.as_ref(), &refs, &GRIDS, true);
+            }
+            let image = Benchmark::Sobel.generate_inputs(rows, cols, 5).remove(0);
+            let conv = shmt_kernels::conv::Conv2d::gaussian3x3();
+            assert_tile_invariant("conv", &conv, &[&image], &GRIDS, true);
+            if rows == cols {
+                let a = awkward(rows, cols, 0);
+                let b = Tensor::from_fn(rows, cols, |r, c| ((r * 5 + c * 3) % 7) as f32 - 3.0);
+                // Which of two different NaNs GEMM's accumulation keeps
+                // follows the tile's width: in a release build the
+                // vectorised body of its saxpy loop and the scalar
+                // remainder order the add's operands differently, and x86
+                // returns the first operand's NaN. So its NaNs are
+                // compared as NaNs.
+                assert_tile_invariant("GEMM", &Gemm, &[&a, &b], &GRIDS, false);
+            }
+            let (x, y) = (awkward(rows, cols, 0), awkward(rows, cols, 11));
+            for op in UNARY {
+                let vop = crate::vop::Vop::unary(op, x.clone()).expect("valid VOP");
+                assert_tile_invariant(vop.kernel().name(), vop.kernel(), &[&x], &GRIDS, true);
+            }
+            for op in BINARY {
+                let vop = crate::vop::Vop::binary(op, x.clone(), y.clone()).expect("valid VOP");
+                assert_tile_invariant(vop.kernel().name(), vop.kernel(), &[&x, &y], &GRIDS, true);
+            }
+            let fused = crate::dag::FusedElementwise {
+                first: UnaryOp::Relu,
+                rest: vec![UnaryOp::Sqrt],
+            };
+            assert_tile_invariant("relu->sqrt", &fused, &[&x], &GRIDS, true);
+        }
+    }
+
+    /// [`exact_tiles_write_the_same_bits_as_row_bands`] for the stencils
+    /// of the end-to-end benchmark at its 2048² size. Minutes in a debug
+    /// build: run it with `--release -- --ignored`.
+    #[test]
+    #[ignore]
+    fn exact_stencil_tiles_write_the_same_bits_as_row_bands_at_2048() {
+        let n = 2048;
+        for b in [
+            Benchmark::Sobel,
+            Benchmark::MeanFilter,
+            Benchmark::Laplacian,
+            Benchmark::Hotspot,
+        ] {
+            let inputs = b.generate_inputs(n, n, 1);
+            let refs: Vec<&Tensor> = inputs.iter().collect();
+            assert_tile_invariant(b.name(), b.kernel().as_ref(), &refs, &[4, 9, 16, 64], true);
         }
     }
 

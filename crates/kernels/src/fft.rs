@@ -29,6 +29,7 @@
 //!   does nothing: each row is instead loaded into its lane through a
 //!   bit-reversed gather, and the magnitudes are written back per row.
 
+use std::mem::MaybeUninit;
 use std::sync::{Mutex, PoisonError};
 
 use shmt_tensor::arena;
@@ -51,7 +52,8 @@ type Lane = [f32; LANES];
 
 /// Longest row whose lane scratch (`2 n LANES` floats) lives on the stack,
 /// so a warm call allocates nothing whichever thread runs it; longer rows
-/// take an arena page.
+/// take an arena page. Either way the scratch starts unwritten: every
+/// group of rows writes all of it before the butterflies read it.
 const STACK_LEN: usize = 2048;
 
 /// The tables of the radix-2 path for one row length `n`.
@@ -105,6 +107,17 @@ impl Plan {
         plans.push(plan);
         plan
     }
+}
+
+/// `buf` as the floats written into it.
+///
+/// # Safety
+///
+/// Every element of `buf` must have been written.
+unsafe fn written(buf: &mut [MaybeUninit<f32>]) -> &mut [f32] {
+    // SAFETY: `MaybeUninit<f32>` has the layout of `f32`, and the caller
+    // vouches that every element holds a value.
+    unsafe { &mut *(buf as *mut [MaybeUninit<f32>] as *mut [f32]) }
 }
 
 /// A lane-interleaved scratch array as its [`Lane`]s.
@@ -197,26 +210,31 @@ impl Kernel for RowFft {
         }
         let plan = Plan::get(n);
         // One lane-interleaved complex scratch, reused across every group
-        // of `LANES` rows of the tile.
-        let mut stack = [0.0f32; 2 * LANES * STACK_LEN];
+        // of `LANES` rows of the tile, never filled: each group writes it
+        // whole before reading it.
+        let mut stack = [MaybeUninit::<f32>::uninit(); 2 * LANES * STACK_LEN];
         let mut page = Vec::new();
         let buf = if n <= STACK_LEN {
             &mut stack[..2 * LANES * n]
         } else {
-            page = arena::take_f32_stale(2 * LANES * n);
-            &mut page[..]
+            page = arena::take_f32(2 * LANES * n);
+            &mut page.spare_capacity_mut()[..2 * LANES * n]
         };
         let (re, im) = buf.split_at_mut(LANES * n);
         let last = rows.end - 1;
         for r0 in rows.step_by(LANES) {
             // Spare lanes past the band repeat its last row.
             let src: [&[f32]; LANES] = std::array::from_fn(|l| input.row((r0 + l).min(last)));
-            for (v, &j) in lanes(re).zip(&*plan.rev) {
+            for (v, &j) in re.chunks_exact_mut(LANES).zip(&*plan.rev) {
                 for (v, s) in v.iter_mut().zip(&src) {
-                    *v = s[j];
+                    v.write(s[j]);
                 }
             }
-            im.fill(0.0);
+            im.fill(MaybeUninit::new(0.0));
+            // SAFETY: the gather wrote every element of `re` (`rev` has
+            // `n` entries, one per lane group) and the fill every element
+            // of `im`.
+            let (re, im) = unsafe { (written(re), written(im)) };
             lane_stages(re, im, &plan.cr, &plan.ci);
             for (vr, vi) in lanes(re).zip(lanes(im)) {
                 for (r, &i) in vr.iter_mut().zip(&*vi) {

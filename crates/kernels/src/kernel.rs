@@ -133,6 +133,19 @@ impl KernelShape {
 /// inputs outside the tile (their HLOP input partitions include the
 /// halo).
 ///
+/// For a [`Aggregation::Tile`] kernel an exact tile's values also do not
+/// depend on the tile's bounds: every output element's bits are a function
+/// of the inputs and its position alone, so computing a region as one tile
+/// or as any partition of it into tiles the partitioner may cut (starts on
+/// [`KernelShape::block_align`], full rows for
+/// [`KernelShape::full_rows`]) writes the same bits. The executor relies
+/// on it to run abutting exact tiles as one row band. One exception: which
+/// of two different NaNs meeting in one operation survives may follow the
+/// tile's width, since a vectorised loop's body and its scalar remainder
+/// can order a commutative operation's operands differently (GEMM's
+/// accumulation does in a release build). The NPU path keeps no such
+/// promise: its int8 grid is derived per tile.
+///
 /// A kernel implements [`Kernel::run_exact_into`]; the default
 /// [`Kernel::run_npu_into`] routes through [`crate::npu::run_via_npu_into`]
 /// with the kernel's fidelity, input model and output grid, and a kernel

@@ -359,10 +359,13 @@ pub fn quantize_tensor_with(t: &Tensor, params: QuantParams) -> QuantTensor {
 
 /// Restores a quantized tensor to `f32` ("restoring the result to the data
 /// precision that the application desires", §3.3.2).
+///
+/// The output page comes from the arena unfilled ([`Tensor::stale`]): every
+/// element is assigned from its code.
 pub fn dequantize_tensor(q: &QuantTensor) -> Tensor {
-    let mut data = vec![0f32; q.codes.len()];
-    q.params.dequantize_slice(&q.codes, &mut data);
-    Tensor::from_vec(q.rows, q.cols, data).expect("quantized tensor has valid shape")
+    let mut out = Tensor::stale(q.rows, q.cols);
+    q.params.dequantize_slice(&q.codes, out.as_mut_slice());
+    out
 }
 
 /// Snaps every element of a slice to the int8 grid derived from the slice's

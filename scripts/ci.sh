@@ -32,6 +32,12 @@ echo "== exhaustive rounding sweep (release, ~30 s) =="
 # trip through i8, for all 2^32 bit patterns.
 cargo test --release -q -p shmt-tensor --lib -- --ignored
 
+echo "== exact tiles as row bands at 2048^2 (release) =="
+# The executor runs abutting exact tiles as one row band, which relies on
+# an exact tile's bits not depending on its bounds; the debug suite pins
+# that at small sizes, this step for the benchmark's 2048^2 stencils.
+cargo test --release -q -p shmt --lib exec -- --ignored
+
 if cargo clippy --version >/dev/null 2>&1; then
     echo "== clippy (warnings are errors) =="
     cargo clippy -q --workspace --all-targets -- -D warnings
