@@ -1,8 +1,8 @@
 //! Experiment harness for the SHMT reproduction.
 //!
-//! Each `fig*`/`table*` binary regenerates one table or figure of the
-//! paper's evaluation by calling the drivers in [`shmt::experiments`] and
-//! printing the rows in the paper's layout. All binaries accept:
+//! The `paper` binary regenerates every table and figure of the paper's
+//! evaluation through [`shmt::experiments::paper`]; it and `trace_run`
+//! accept:
 //!
 //! ```text
 //! --size N        dataset edge length (default 2048; paper uses 8192)
@@ -38,35 +38,6 @@ pub fn parse_config(args: impl Iterator<Item = String>) -> ExperimentConfig {
     config
 }
 
-/// Prints one formatted table: a header of benchmark names and one line per
-/// row label with its values.
-pub fn print_table(title: &str, header: &[&str], rows: &[(String, Vec<f64>)], precision: usize) {
-    println!("== {title} ==");
-    print!("{:<18}", "");
-    for h in header {
-        print!("{h:>12}");
-    }
-    println!();
-    for (label, values) in rows {
-        print!("{label:<18}");
-        for v in values {
-            print!("{v:>12.precision$}");
-        }
-        println!();
-    }
-    println!();
-}
-
-/// The benchmark-name header used by most tables (plus GMEAN).
-pub fn benchmark_header() -> Vec<&'static str> {
-    let mut h: Vec<&'static str> = shmt_kernels::ALL_BENCHMARKS
-        .iter()
-        .map(|b| b.name())
-        .collect();
-    h.push("GMEAN");
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,10 +54,5 @@ mod tests {
         assert_eq!(c.size, 512);
         assert_eq!(c.partitions, 16);
         assert_eq!(c.seed, 9);
-    }
-
-    #[test]
-    fn header_has_eleven_columns() {
-        assert_eq!(benchmark_header().len(), 11);
     }
 }

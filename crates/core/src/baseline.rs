@@ -2,6 +2,7 @@
 //! normalizes against, and the software-pipelining variant of Fig 6.
 
 use hetsim::{DeviceTimeline, EnergyMeter, MemoryTracker, SimTime};
+use shmt_kernels::Aggregation;
 use shmt_tensor::Tensor;
 
 use crate::error::Result;
@@ -16,6 +17,7 @@ use crate::vop::Vop;
 /// implementations do: one monolithic kernel over the whole dataset after
 /// serial host staging. (`partitions` is accepted for signature symmetry
 /// with [`software_pipelining`] but the optimized baselines launch once.)
+/// Only the cost is modeled; the output is [`exact_reference`]'s.
 ///
 /// # Errors
 ///
@@ -47,7 +49,6 @@ fn run_single_gpu(
 ) -> Result<BaselineReport> {
     let hlops = partition_vop(vop, partitions)?;
     let kernel = vop.kernel();
-    let inputs: Vec<&Tensor> = vop.inputs().iter().collect();
     let (rows, cols) = vop.partition_space();
 
     let profiles = platform.device_profiles();
@@ -73,24 +74,6 @@ fn run_single_gpu(
         staging_done = stage_start + stage;
         end = gpu.execute(staging_done, work);
     }
-    // Real compute (exact), fanned out over host threads.
-    let tasks: Vec<crate::exec::ComputeTask> = hlops
-        .iter()
-        .map(|h| crate::exec::ComputeTask {
-            tile: h.tile,
-            npu: false,
-        })
-        .collect();
-    let mut output = crate::exec::compute_output(
-        kernel,
-        &inputs,
-        &tasks,
-        rows,
-        cols,
-        crate::exec::default_threads(),
-    );
-    kernel.finalize(&mut output);
-
     let makespan = end.as_secs();
     let mut meter = EnergyMeter::new(platform.idle_power_w());
     meter.record_busy(
@@ -106,14 +89,17 @@ fn run_single_gpu(
     let n = (rows * cols) as u64;
     let mut mem = MemoryTracker::new();
     mem.alloc("inputs", 4 * n * vop.inputs().len() as u64);
-    mem.alloc("output", 4 * output.len() as u64);
+    let output_elems = match kernel.shape().aggregation {
+        Aggregation::Tile => rows * cols,
+        Aggregation::Reduce { rows, cols, .. } => rows * cols,
+    };
+    mem.alloc("output", 4 * output_elems as u64);
     mem.alloc(
         "gpu-intermediates",
         (bench.gpu_intermediate * (4 * n) as f64) as u64,
     );
 
     Ok(BaselineReport {
-        output,
         makespan_s: makespan,
         energy,
         peak_memory_bytes: mem.peak_bytes(),
@@ -138,19 +124,10 @@ pub fn total_work(vop: &Vop, partitions: usize) -> Result<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quality::mape;
     use shmt_kernels::Benchmark;
 
     fn vop(b: Benchmark, n: usize) -> Vop {
         Vop::from_benchmark(b, b.generate_inputs(n, n, 5)).unwrap()
-    }
-
-    #[test]
-    fn baseline_output_is_exact() {
-        let v = vop(Benchmark::Laplacian, 128);
-        let b = gpu_baseline(&Platform::jetson(Benchmark::Laplacian), &v, 8).unwrap();
-        let reference = exact_reference(&v);
-        assert_eq!(mape(&reference, &b.output), 0.0);
     }
 
     #[test]

@@ -59,7 +59,7 @@ use shmt_tensor::tile::Tile;
 use shmt_tensor::{Tensor, TensorViewMut};
 use shmt_trace::{NullSink, TraceSink};
 
-use crate::baseline::gpu_baseline;
+use crate::baseline::{exact_reference, gpu_baseline};
 use crate::error::{Result, ShmtError};
 use crate::guard::GuardConfig;
 use crate::hlop::Hlop;
@@ -512,7 +512,8 @@ impl VopDag {
 
     /// Runs every stage on its single best device (Fig 1a, the
     /// conventional model): the GPU baseline per stage, serially, no
-    /// fusion. Returns the summed stage makespans and the sink's output.
+    /// fusion, each stage's output its exact reference. Returns the summed
+    /// stage makespans and the sink's output.
     ///
     /// # Errors
     ///
@@ -525,9 +526,8 @@ impl VopDag {
         for (si, stage) in stages.iter().enumerate() {
             let vop = self.stage_vop(&stages, si, &mut outputs, &mut external)?;
             let platform = stage_platform(&self.nodes[stage.nodes[0]].op);
-            let report = gpu_baseline(&platform, &vop, partitions)?;
-            total_s += report.makespan_s;
-            outputs[si] = Some(sanitize(report.output));
+            total_s += gpu_baseline(&platform, &vop, partitions)?.makespan_s;
+            outputs[si] = Some(sanitize(exact_reference(&vop)));
         }
         // The sink's exec stage is always last (see `run_with_cancel`).
         let output = outputs
@@ -1216,9 +1216,10 @@ mod tests {
         let mut total_s = 0.0;
         for (benchmark, _) in VISION {
             let vop = Vop::from_benchmark(benchmark, vec![flowing]).unwrap();
-            let r = gpu_baseline(&Platform::jetson(benchmark), &vop, 8).unwrap();
-            total_s += r.makespan_s;
-            flowing = sanitize(r.output);
+            total_s += gpu_baseline(&Platform::jetson(benchmark), &vop, 8)
+                .unwrap()
+                .makespan_s;
+            flowing = sanitize(exact_reference(&vop));
         }
         assert_eq!(conv_s, total_s);
         assert_eq!(conv_out.as_slice(), flowing.as_slice());

@@ -1,9 +1,15 @@
-//! Experiment drivers regenerating every table and figure in the paper's
-//! evaluation (§5). Each function returns typed rows; the `shmt-bench`
-//! crate's `fig*`/`table*` binaries print them in the paper's layout.
+//! The paper's evaluation (§5) as one sweep. [`paper`] regenerates every
+//! table and figure — Fig 2, Figs 6–12, Table 3 and the
+//! partition-granularity ablation — benchmark by benchmark: it builds one
+//! benchmark's VOP, exact reference and GPU baseline, runs each distinct
+//! runtime configuration once, reads every figure's cells for that
+//! benchmark from those runs, and drops the context before it moves on.
+//! The `shmt-bench` `paper` binary prints the result.
 //!
-//! The drivers are size-parametric: integration tests exercise them at
-//! small sizes, the bench binaries run them at paper scale.
+//! The sweep is size-parametric: tests run it at
+//! [`ExperimentConfig::tiny`], the binary at paper scale.
+
+use std::fmt;
 
 use shmt_kernels::{Benchmark, ALL_BENCHMARKS};
 use shmt_tensor::Tensor;
@@ -13,10 +19,10 @@ use crate::calibration::bench_profile;
 use crate::error::Result;
 use crate::platform::Platform;
 use crate::quality::{mape, ssim};
-use crate::report::{BaselineReport, RunReport};
+use crate::report::BaselineReport;
 use crate::runtime::{RuntimeConfig, ShmtRuntime};
 use crate::sampling::SamplingMethod;
-use crate::sched::{Policy, QawsAssignment};
+use crate::sched::{Policy, QawsAssignment, QualityConfig};
 use crate::vop::Vop;
 
 /// Shared experiment parameters.
@@ -63,545 +69,435 @@ pub fn gmean(values: &[f64]) -> f64 {
     (values.iter().map(|v| v.max(1e-12).ln()).sum::<f64>() / values.len() as f64).exp()
 }
 
-/// The ten Fig 6 policies in the paper's legend order.
-pub fn fig6_policies() -> Vec<(String, Fig6Policy)> {
+/// QAWS-TS: the policy of Figs 9–12, Table 3 and the ablation.
+const QAWS_TS: Policy = Policy::Qaws {
+    assignment: QawsAssignment::TopK,
+    sampling: SamplingMethod::Striding,
+};
+
+/// Fig 9's sampling rates, as powers of two.
+const FIG9_LOG2_RATES: std::ops::RangeInclusive<i32> = -21..=-14;
+
+/// The ablation's benchmarks, in print order, and its partition counts.
+const ABLATION_BENCHMARKS: [Benchmark; 2] = [Benchmark::Sobel, Benchmark::Fft];
+const ABLATION_PARTITIONS: [usize; 4] = [4, 16, 64, 256];
+
+/// Fig 6's SHMT runtime policies in the paper's legend order. The legend's
+/// second entry, software pipelining, is a GPU-only executor rather than a
+/// runtime policy.
+pub fn fig6_policies() -> Vec<Policy> {
     let mut out = vec![
-        (
-            "IRA-sampling".to_string(),
-            Fig6Policy::Runtime(Policy::IraSampling),
-        ),
-        ("SW pipelining".to_string(), Fig6Policy::SoftwarePipelining),
-        (
-            "even distribution".to_string(),
-            Fig6Policy::Runtime(Policy::EvenDistribution),
-        ),
-        (
-            "work-stealing".to_string(),
-            Fig6Policy::Runtime(Policy::WorkStealing),
-        ),
+        Policy::IraSampling,
+        Policy::EvenDistribution,
+        Policy::WorkStealing,
     ];
-    for p in Policy::qaws_variants() {
-        out.push((p.name().to_string(), Fig6Policy::Runtime(p)));
-    }
+    out.extend(Policy::qaws_variants());
     out
 }
 
-/// A Fig 6 policy: either an SHMT runtime policy or the GPU-side
-/// software-pipelining reference.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Fig6Policy {
-    /// Executed through [`ShmtRuntime`].
-    Runtime(Policy),
-    /// Executed through [`software_pipelining`].
-    SoftwarePipelining,
+/// Fig 7/8's runtime policies in legend order, after the edgeTPU-only row.
+fn quality_policies() -> Vec<Policy> {
+    let mut out = vec![Policy::IraSampling, Policy::WorkStealing];
+    out.extend(Policy::qaws_variants());
+    out.push(Policy::Oracle);
+    out
 }
 
-/// Everything needed to evaluate one benchmark at one size: the VOP, the
-/// exact reference output, and the GPU baseline report.
-pub struct BenchContext {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// The VOP under test.
-    pub vop: Vop,
-    /// Ground-truth output.
-    pub reference: Tensor,
-    /// The GPU baseline run.
-    pub baseline: BaselineReport,
-    /// Experiment parameters.
-    pub config: ExperimentConfig,
+/// One printed table: a title, a header of column names and labelled rows
+/// whose last value, once the sweep ends, is the row's GMEAN.
+#[derive(Debug, Clone, PartialEq)]
+struct Table {
+    title: String,
+    header: Vec<&'static str>,
+    rows: Vec<(String, Vec<f64>)>,
+    precision: usize,
+    /// Factor applied when printing: 100 for a fraction printed in percent.
+    scale: f64,
+    /// Lower bound on each value inside the GMEAN.
+    floor: f64,
 }
 
-impl std::fmt::Debug for BenchContext {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BenchContext")
-            .field("benchmark", &self.benchmark)
-            .finish()
+impl Table {
+    /// One row per label; `image_only` keeps Fig 8's six image columns.
+    fn new(title: String, labels: Vec<String>, precision: usize, image_only: bool) -> Self {
+        let mut header: Vec<&'static str> = ALL_BENCHMARKS
+            .iter()
+            .filter(|b| b.is_image() || !image_only)
+            .map(|b| b.name())
+            .collect();
+        header.push("GMEAN");
+        let rows = labels.into_iter().map(|l| (l, Vec::new())).collect();
+        Table {
+            title,
+            header,
+            rows,
+            precision,
+            scale: 1.0,
+            floor: 1e-12,
+        }
+    }
+
+    /// Appends one benchmark's column, one value per row.
+    fn push(&mut self, column: &[f64]) {
+        assert_eq!(column.len(), self.rows.len(), "{}", self.title);
+        for ((_, values), &v) in self.rows.iter_mut().zip(column) {
+            values.push(v);
+        }
+    }
+
+    fn push_gmeans(&mut self) {
+        for (_, values) in &mut self.rows {
+            let floored: Vec<f64> = values.iter().map(|v| v.max(self.floor)).collect();
+            values.push(gmean(&floored));
+        }
     }
 }
 
-impl BenchContext {
-    /// Prepares inputs, reference, and baseline for one benchmark.
-    ///
-    /// # Errors
-    ///
-    /// Propagates VOP validation and partitioning errors.
-    pub fn new(benchmark: Benchmark, config: ExperimentConfig) -> Result<Self> {
-        let inputs = benchmark.generate_inputs(config.size, config.size, config.seed);
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "== {} ==", self.title)?;
+        write!(f, "{:<18}", "")?;
+        for h in &self.header {
+            write!(f, "{h:>12}")?;
+        }
+        writeln!(f)?;
+        for (label, values) in &self.rows {
+            write!(f, "{label:<18}")?;
+            for v in values {
+                write!(f, "{:>12.*}", self.precision, v * self.scale)?;
+            }
+            writeln!(f)?;
+        }
+        writeln!(f)
+    }
+}
+
+/// The partition-granularity ablation on one benchmark (DESIGN.md §7):
+/// QAWS-TS (partitions, speedup, MAPE fraction) per partition count.
+#[derive(Debug, Clone, PartialEq)]
+struct Ablation {
+    benchmark: Benchmark,
+    size: usize,
+    rows: Vec<(usize, f64, f64)>,
+}
+
+impl fmt::Display for Ablation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "Ablations on {} at {1}x{1} (speedup over GPU baseline / MAPE %)\n",
+            self.benchmark, self.size
+        )?;
+        writeln!(f, "-- partition granularity (QAWS-TS) --")?;
+        for &(parts, s, m) in &self.rows {
+            let m = m * 100.0;
+            writeln!(f, "  {parts:>4} partitions: {s:5.2}x  MAPE {m:5.2}%")?;
+        }
+        Ok(())
+    }
+}
+
+// Indices of `Paper::tables`, in print order.
+const FIG2: usize = 0;
+const FIG6: usize = 1;
+const FIG7: usize = 2;
+const FIG8: usize = 3;
+const FIG9A: usize = 4;
+const FIG9B: usize = 5;
+const FIG10: usize = 6;
+const FIG11: usize = 7;
+const TABLE3: usize = 8;
+const FIG12: usize = 9;
+
+/// Every table and figure of the evaluation: Fig 2, Figs 6–8, Fig 9(a, b),
+/// Fig 10, Fig 11, Table 3 and Fig 12, then the ablation on Sobel and on
+/// FFT. [`fmt::Display`] prints them in that order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Paper {
+    tables: [Table; 10],
+    ablations: Vec<Ablation>,
+}
+
+impl fmt::Display for Paper {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.tables.iter().try_for_each(|t| write!(f, "{t}"))?;
+        self.ablations.iter().try_for_each(|a| write!(f, "{a}"))
+    }
+}
+
+impl Paper {
+    fn new(config: ExperimentConfig) -> Self {
+        let n = config.size;
+        let sized = |title: &str| format!("{title} ({n}x{n})");
+        let strings = |l: &[&str]| l.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let names = |p: Vec<Policy>| p.into_iter().map(|p| p.name().to_string());
+        let mut fig6: Vec<String> = names(fig6_policies()).collect();
+        fig6.insert(1, "SW pipelining".into());
+        let mut quality = strings(&["edgeTPU"]);
+        quality.extend(names(quality_policies()));
+        let rates: Vec<String> = FIG9_LOG2_RATES.map(|r| format!("rate 2^{r}")).collect();
+        let sizes = fig12_edges(n)
+            .map(|e| match e * e {
+                el if el >= 1 << 20 => format!("{}M", el >> 20),
+                el => format!("{}K", el >> 10),
+            })
+            .collect();
+        let t = |title, labels, precision| Table::new(title, labels, precision, false);
+        let percent = |t: Table| Table { scale: 100.0, ..t };
+        let energy = [
+            "base active",
+            "base idle",
+            "SHMT active",
+            "SHMT idle",
+            "SHMT energy",
+            "SHMT EDP",
+        ];
+        let tables = [
+            t(
+                sized("Fig 2: potential speedup over GPU baseline"),
+                strings(&["edge TPU", "conventional", "SHMT (theor.)"]),
+                2,
+            ),
+            t(sized("Fig 6: speedup over GPU baseline"), fig6, 2),
+            percent(t(
+                sized("Fig 7: MAPE %, lower is better"),
+                quality.clone(),
+                2,
+            )),
+            Table::new(sized("Fig 8: SSIM, higher is better"), quality, 4, true),
+            percent(t(
+                sized("Fig 9(a): MAPE % vs QAWS-TS sampling rate"),
+                rates.clone(),
+                2,
+            )),
+            t(
+                sized("Fig 9(b): speedup vs QAWS-TS sampling rate"),
+                rates,
+                2,
+            ),
+            t(
+                sized("Fig 10: energy vs GPU baseline, lower is better"),
+                strings(&energy),
+                3,
+            ),
+            t(
+                sized("Fig 11: memory footprint ratio over GPU baseline"),
+                strings(&["memory ratio"]),
+                3,
+            ),
+            Table {
+                floor: 1e-9,
+                ..percent(t(
+                    sized("Table 3: communication overhead percent"),
+                    strings(&["comm overhead %"]),
+                    2,
+                ))
+            },
+            t("Fig 12: QAWS-TS speedup vs problem size".into(), sizes, 2),
+        ];
+        let ablations = ABLATION_BENCHMARKS
+            .iter()
+            .map(|&benchmark| Ablation {
+                benchmark,
+                size: n,
+                rows: Vec::new(),
+            })
+            .collect();
+        Paper { tables, ablations }
+    }
+}
+
+/// Fig 12's dataset edges: 64 (4K elements), doubling up to `size`.
+fn fig12_edges(size: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(64usize), |e| Some(e * 2)).take_while(move |&e| e <= size)
+}
+
+/// What the figures read from one run.
+#[derive(Debug, Clone, Copy)]
+struct Cells {
+    speedup: f64,
+    mape: f64,
+    /// NaN for a non-image benchmark, which Fig 8 leaves out.
+    ssim: f64,
+    /// Active and idle energy over the baseline's total energy.
+    active: f64,
+    idle: f64,
+    edp: f64,
+    memory: f64,
+    comm: f64,
+}
+
+/// One benchmark at one size: the VOP, its exact output, the GPU baseline
+/// every figure normalizes against, and the runs made so far.
+struct Context {
+    benchmark: Benchmark,
+    platform: Platform,
+    vop: Vop,
+    reference: Tensor,
+    baseline: BaselineReport,
+    runs: Vec<(RuntimeConfig, Cells)>,
+}
+
+impl Context {
+    fn new(benchmark: Benchmark, size: usize, config: ExperimentConfig) -> Result<Self> {
+        let inputs = benchmark.generate_inputs(size, size, config.seed);
         let vop = Vop::from_benchmark(benchmark, inputs)?;
+        let platform = Platform::jetson(benchmark);
         let reference = exact_reference(&vop);
-        let baseline = gpu_baseline(&Platform::jetson(benchmark), &vop, config.partitions)?;
-        Ok(BenchContext {
+        let baseline = gpu_baseline(&platform, &vop, config.partitions)?;
+        Ok(Context {
             benchmark,
+            platform,
             vop,
             reference,
             baseline,
-            config,
+            runs: Vec::new(),
         })
     }
 
-    /// Runs one SHMT policy on this context.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors.
-    pub fn run(&self, policy: Policy) -> Result<RunReport> {
-        self.run_with(RuntimeConfig {
-            policy,
-            partitions: self.config.partitions,
-            quality: crate::sched::QualityConfig {
-                sampling_rate: self.config.sampling_rate,
-                ..Default::default()
+    /// The cells of the run under `config`, executing it on first use.
+    fn run(&mut self, config: RuntimeConfig) -> Result<Cells> {
+        if let Some(&(_, cells)) = self.runs.iter().find(|(c, _)| *c == config) {
+            return Ok(cells);
+        }
+        let r = ShmtRuntime::new(self.platform.clone(), config).execute(&self.vop)?;
+        let base = &self.baseline;
+        let base_total = base.energy.total_j();
+        let cells = Cells {
+            speedup: base.makespan_s / r.makespan_s,
+            mape: mape(&self.reference, &r.output),
+            ssim: if self.benchmark.is_image() {
+                ssim(&self.reference, &r.output)
+            } else {
+                f64::NAN
             },
-            ..RuntimeConfig::new(policy)
-        })
-    }
-
-    /// Runs with an explicit runtime configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors.
-    pub fn run_with(&self, config: RuntimeConfig) -> Result<RunReport> {
-        ShmtRuntime::new(Platform::jetson(self.benchmark), config).execute(&self.vop)
-    }
-
-    /// Speedup of a run over the GPU baseline.
-    pub fn speedup(&self, report: &RunReport) -> f64 {
-        self.baseline.makespan_s / report.makespan_s
-    }
-
-    /// MAPE of a run against the exact reference.
-    pub fn mape(&self, report: &RunReport) -> f64 {
-        mape(&self.reference, &report.output)
-    }
-
-    /// SSIM of a run against the exact reference.
-    pub fn ssim(&self, report: &RunReport) -> f64 {
-        ssim(&self.reference, &report.output)
+            active: r.energy.active_j / base_total,
+            idle: r.energy.idle_j / base_total,
+            edp: r.edp() / base.edp(),
+            memory: r.peak_memory_bytes as f64 / base.peak_memory_bytes as f64,
+            comm: r.comm_overhead(),
+        };
+        self.runs.push((config, cells));
+        Ok(cells)
     }
 }
 
-// ---------------------------------------------------------------------
-// Fig 2: motivation — solo Edge TPU vs theoretical gains.
-// ---------------------------------------------------------------------
-
-/// One row of Fig 2.
-#[derive(Debug, Clone)]
-pub struct Fig2Row {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Measured solo Edge TPU speedup over the GPU baseline.
-    pub edge_tpu: f64,
-    /// Theoretical gain of the conventional best-device approach.
-    pub conventional: f64,
-    /// Theoretical gain of SHMT (all devices' throughputs combined).
-    pub shmt: f64,
-}
-
-/// Regenerates Fig 2 for every benchmark, plus a GMEAN row.
+/// Regenerates every table and figure of the evaluation, one benchmark at
+/// a time.
 ///
 /// # Errors
 ///
-/// Propagates runtime errors.
-pub fn fig2(config: ExperimentConfig) -> Result<Vec<Fig2Row>> {
-    let mut rows = Vec::new();
+/// Propagates VOP validation, partitioning and runtime errors.
+pub fn paper(config: ExperimentConfig) -> Result<Paper> {
+    let mut p = Paper::new(config);
+    let at = |policy, partitions, sampling_rate| RuntimeConfig {
+        partitions,
+        quality: QualityConfig {
+            sampling_rate,
+            ..Default::default()
+        },
+        ..RuntimeConfig::new(policy)
+    };
+    let run = |policy| at(policy, config.partitions, config.sampling_rate);
     for b in ALL_BENCHMARKS {
-        let ctx = BenchContext::new(b, config)?;
-        let tpu_run = ctx.run_with(RuntimeConfig {
-            partitions: config.partitions,
-            ..RuntimeConfig::new(Policy::WorkStealing).tpu_only()
-        })?;
-        let p = bench_profile(b);
-        rows.push(Fig2Row {
-            benchmark: b.name().to_string(),
-            edge_tpu: ctx.speedup(&tpu_run),
-            conventional: p.tpu_ratio.max(1.0),
-            shmt: 1.0 + p.cpu_ratio + p.tpu_ratio,
-        });
-    }
-    rows.push(Fig2Row {
-        benchmark: "GMEAN".into(),
-        edge_tpu: gmean(&rows.iter().map(|r| r.edge_tpu).collect::<Vec<_>>()),
-        conventional: gmean(&rows.iter().map(|r| r.conventional).collect::<Vec<_>>()),
-        shmt: gmean(&rows.iter().map(|r| r.shmt).collect::<Vec<_>>()),
-    });
-    Ok(rows)
-}
+        let mut ctx = Context::new(b, config.size, config)?;
+        let tpu = ctx.run(run(Policy::WorkStealing).tpu_only())?;
+        let profile = bench_profile(b);
+        p.tables[FIG2].push(&[
+            tpu.speedup,
+            profile.tpu_ratio.max(1.0),
+            1.0 + profile.cpu_ratio + profile.tpu_ratio,
+        ]);
 
-// ---------------------------------------------------------------------
-// Fig 6: end-to-end speedup per policy.
-// ---------------------------------------------------------------------
-
-/// One (policy, benchmark) speedup cell of Fig 6.
-#[derive(Debug, Clone)]
-pub struct SpeedupRow {
-    /// Policy legend name.
-    pub policy: String,
-    /// Per-benchmark speedups in `ALL_BENCHMARKS` order.
-    pub speedups: Vec<f64>,
-    /// Geometric mean across benchmarks.
-    pub gmean: f64,
-}
-
-/// Regenerates Fig 6: speedup of every policy over the GPU baseline.
-///
-/// # Errors
-///
-/// Propagates runtime errors.
-pub fn fig6(config: ExperimentConfig) -> Result<Vec<SpeedupRow>> {
-    let contexts: Vec<BenchContext> = ALL_BENCHMARKS
-        .iter()
-        .map(|&b| BenchContext::new(b, config))
-        .collect::<Result<_>>()?;
-    let mut rows = Vec::new();
-    for (name, policy) in fig6_policies() {
-        let mut speedups = Vec::new();
-        for ctx in &contexts {
-            let s = match policy {
-                Fig6Policy::Runtime(p) => ctx.speedup(&ctx.run(p)?),
-                Fig6Policy::SoftwarePipelining => {
-                    let pipe = software_pipelining(
-                        &Platform::jetson(ctx.benchmark),
-                        &ctx.vop,
-                        config.partitions,
-                    )?;
-                    ctx.baseline.makespan_s / pipe.makespan_s
-                }
-            };
-            speedups.push(s);
+        let mut fig6 = Vec::new();
+        for policy in fig6_policies() {
+            fig6.push(ctx.run(run(policy))?.speedup);
         }
-        let g = gmean(&speedups);
-        rows.push(SpeedupRow {
-            policy: name,
-            speedups,
-            gmean: g,
-        });
-    }
-    Ok(rows)
-}
+        let pipelined = software_pipelining(&ctx.platform, &ctx.vop, config.partitions)?;
+        fig6.insert(1, ctx.baseline.makespan_s / pipelined.makespan_s);
+        p.tables[FIG6].push(&fig6);
 
-// ---------------------------------------------------------------------
-// Fig 7 / Fig 8: quality per policy.
-// ---------------------------------------------------------------------
-
-/// The quality-policy list of Fig 7/8 in legend order.
-pub fn quality_policies() -> Vec<(String, QualityPolicy)> {
-    let mut out = vec![
-        ("edgeTPU".to_string(), QualityPolicy::TpuOnly),
-        (
-            "IRA-sampling".to_string(),
-            QualityPolicy::Runtime(Policy::IraSampling),
-        ),
-        (
-            "work-stealing".to_string(),
-            QualityPolicy::Runtime(Policy::WorkStealing),
-        ),
-    ];
-    for p in Policy::qaws_variants() {
-        out.push((p.name().to_string(), QualityPolicy::Runtime(p)));
-    }
-    out.push(("oracle".to_string(), QualityPolicy::Runtime(Policy::Oracle)));
-    out
-}
-
-/// A Fig 7/8 policy: a runtime policy or the TPU-only reference.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum QualityPolicy {
-    /// Everything on the Edge TPU.
-    TpuOnly,
-    /// An SHMT runtime policy.
-    Runtime(Policy),
-}
-
-/// One policy row of Fig 7 (MAPE) or Fig 8 (SSIM).
-#[derive(Debug, Clone)]
-pub struct QualityRow {
-    /// Policy legend name.
-    pub policy: String,
-    /// Per-benchmark values.
-    pub values: Vec<f64>,
-    /// Geometric mean.
-    pub gmean: f64,
-}
-
-fn run_quality_policy(ctx: &BenchContext, policy: QualityPolicy) -> Result<RunReport> {
-    match policy {
-        QualityPolicy::TpuOnly => ctx.run_with(RuntimeConfig {
-            partitions: ctx.config.partitions,
-            ..RuntimeConfig::new(Policy::WorkStealing).tpu_only()
-        }),
-        QualityPolicy::Runtime(p) => ctx.run(p),
-    }
-}
-
-/// Regenerates Fig 7: MAPE (as a fraction) for every policy over all ten
-/// benchmarks.
-///
-/// # Errors
-///
-/// Propagates runtime errors.
-pub fn fig7(config: ExperimentConfig) -> Result<Vec<QualityRow>> {
-    let contexts: Vec<BenchContext> = ALL_BENCHMARKS
-        .iter()
-        .map(|&b| BenchContext::new(b, config))
-        .collect::<Result<_>>()?;
-    quality_table(&contexts, |ctx, r| ctx.mape(r))
-}
-
-/// Regenerates Fig 8: SSIM for the six image benchmarks.
-///
-/// # Errors
-///
-/// Propagates runtime errors.
-pub fn fig8(config: ExperimentConfig) -> Result<Vec<QualityRow>> {
-    let contexts: Vec<BenchContext> = ALL_BENCHMARKS
-        .iter()
-        .filter(|b| b.is_image())
-        .map(|&b| BenchContext::new(b, config))
-        .collect::<Result<_>>()?;
-    quality_table(&contexts, |ctx, r| ctx.ssim(r))
-}
-
-fn quality_table(
-    contexts: &[BenchContext],
-    metric: impl Fn(&BenchContext, &RunReport) -> f64,
-) -> Result<Vec<QualityRow>> {
-    let mut rows = Vec::new();
-    for (name, policy) in quality_policies() {
-        let mut values = Vec::new();
-        for ctx in contexts {
-            let report = run_quality_policy(ctx, policy)?;
-            values.push(metric(ctx, &report));
+        let mut quality = vec![tpu];
+        for policy in quality_policies() {
+            quality.push(ctx.run(run(policy))?);
         }
-        let g = gmean(&values);
-        rows.push(QualityRow {
-            policy: name,
-            values,
-            gmean: g,
-        });
-    }
-    Ok(rows)
-}
-
-// ---------------------------------------------------------------------
-// Fig 9: sampling-rate sensitivity of QAWS-TS.
-// ---------------------------------------------------------------------
-
-/// One sampling-rate row of Fig 9.
-#[derive(Debug, Clone)]
-pub struct Fig9Row {
-    /// log2 of the sampling rate (e.g. -15).
-    pub log2_rate: i32,
-    /// Per-benchmark MAPE.
-    pub mape: Vec<f64>,
-    /// Per-benchmark speedup.
-    pub speedup: Vec<f64>,
-    /// MAPE geometric mean.
-    pub mape_gmean: f64,
-    /// Speedup geometric mean.
-    pub speedup_gmean: f64,
-}
-
-/// Regenerates Fig 9: QAWS-TS quality and speedup across sampling rates
-/// 2⁻²¹ … 2⁻¹⁴ (paper uses 2048x2048 inputs here).
-///
-/// # Errors
-///
-/// Propagates runtime errors.
-pub fn fig9(config: ExperimentConfig, log2_rates: &[i32]) -> Result<Vec<Fig9Row>> {
-    let contexts: Vec<BenchContext> = ALL_BENCHMARKS
-        .iter()
-        .map(|&b| BenchContext::new(b, config))
-        .collect::<Result<_>>()?;
-    let qaws_ts = Policy::Qaws {
-        assignment: QawsAssignment::TopK,
-        sampling: SamplingMethod::Striding,
-    };
-    let mut rows = Vec::new();
-    for &lr in log2_rates {
-        let rate = 2.0f64.powi(lr);
-        let mut mapes = Vec::new();
-        let mut speedups = Vec::new();
-        for ctx in &contexts {
-            let report = ctx.run_with(RuntimeConfig {
-                partitions: config.partitions,
-                quality: crate::sched::QualityConfig {
-                    sampling_rate: rate,
-                    ..Default::default()
-                },
-                ..RuntimeConfig::new(qaws_ts)
-            })?;
-            mapes.push(ctx.mape(&report));
-            speedups.push(ctx.speedup(&report));
+        p.tables[FIG7].push(&quality.iter().map(|c| c.mape).collect::<Vec<_>>());
+        if b.is_image() {
+            p.tables[FIG8].push(&quality.iter().map(|c| c.ssim).collect::<Vec<_>>());
         }
-        rows.push(Fig9Row {
-            log2_rate: lr,
-            mape_gmean: gmean(&mapes),
-            speedup_gmean: gmean(&speedups),
-            mape: mapes,
-            speedup: speedups,
-        });
-    }
-    Ok(rows)
-}
 
-// ---------------------------------------------------------------------
-// Fig 10: energy and EDP.
-// ---------------------------------------------------------------------
-
-/// One benchmark row of Fig 10 (all values normalized to the GPU
-/// baseline's total energy, except EDP which is normalized to the
-/// baseline's EDP).
-#[derive(Debug, Clone)]
-pub struct Fig10Row {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Baseline active energy fraction.
-    pub baseline_active: f64,
-    /// Baseline idle energy fraction.
-    pub baseline_idle: f64,
-    /// SHMT active energy fraction.
-    pub shmt_active: f64,
-    /// SHMT idle energy fraction.
-    pub shmt_idle: f64,
-    /// SHMT EDP relative to baseline EDP.
-    pub shmt_edp: f64,
-}
-
-/// Regenerates Fig 10 with SHMT under QAWS-TS.
-///
-/// # Errors
-///
-/// Propagates runtime errors.
-pub fn fig10(config: ExperimentConfig) -> Result<Vec<Fig10Row>> {
-    let qaws_ts = Policy::Qaws {
-        assignment: QawsAssignment::TopK,
-        sampling: SamplingMethod::Striding,
-    };
-    let mut rows = Vec::new();
-    for b in ALL_BENCHMARKS {
-        let ctx = BenchContext::new(b, config)?;
-        let shmt = ctx.run(qaws_ts)?;
-        let base_total = ctx.baseline.energy.total_j();
-        rows.push(Fig10Row {
-            benchmark: b.name().to_string(),
-            baseline_active: ctx.baseline.energy.active_j / base_total,
-            baseline_idle: ctx.baseline.energy.idle_j / base_total,
-            shmt_active: shmt.energy.active_j / base_total,
-            shmt_idle: shmt.energy.idle_j / base_total,
-            shmt_edp: shmt.edp() / ctx.baseline.edp(),
-        });
-    }
-    let g =
-        |f: fn(&Fig10Row) -> f64, rows: &[Fig10Row]| gmean(&rows.iter().map(f).collect::<Vec<_>>());
-    rows.push(Fig10Row {
-        benchmark: "GMEAN".into(),
-        baseline_active: g(|r| r.baseline_active, &rows),
-        baseline_idle: g(|r| r.baseline_idle, &rows),
-        shmt_active: g(|r| r.shmt_active, &rows),
-        shmt_idle: g(|r| r.shmt_idle, &rows),
-        shmt_edp: g(|r| r.shmt_edp, &rows),
-    });
-    Ok(rows)
-}
-
-// ---------------------------------------------------------------------
-// Fig 11: memory footprint. Table 3: communication overhead.
-// ---------------------------------------------------------------------
-
-/// One benchmark entry of Fig 11 / Table 3.
-#[derive(Debug, Clone)]
-pub struct OverheadRow {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// SHMT peak memory over baseline peak memory (Fig 11).
-    pub memory_ratio: f64,
-    /// Communication overhead fraction (Table 3).
-    pub comm_overhead: f64,
-}
-
-/// Regenerates Fig 11 and Table 3 in one pass (both come from the same
-/// QAWS-TS run).
-///
-/// # Errors
-///
-/// Propagates runtime errors.
-pub fn fig11_table3(config: ExperimentConfig) -> Result<Vec<OverheadRow>> {
-    let qaws_ts = Policy::Qaws {
-        assignment: QawsAssignment::TopK,
-        sampling: SamplingMethod::Striding,
-    };
-    let mut rows = Vec::new();
-    for b in ALL_BENCHMARKS {
-        let ctx = BenchContext::new(b, config)?;
-        let shmt = ctx.run(qaws_ts)?;
-        rows.push(OverheadRow {
-            benchmark: b.name().to_string(),
-            memory_ratio: shmt.peak_memory_bytes as f64 / ctx.baseline.peak_memory_bytes as f64,
-            comm_overhead: shmt.comm_overhead(),
-        });
-    }
-    rows.push(OverheadRow {
-        benchmark: "GMEAN".into(),
-        memory_ratio: gmean(&rows.iter().map(|r| r.memory_ratio).collect::<Vec<_>>()),
-        comm_overhead: gmean(
-            &rows
-                .iter()
-                .map(|r| r.comm_overhead.max(1e-9))
-                .collect::<Vec<_>>(),
-        ),
-    });
-    Ok(rows)
-}
-
-// ---------------------------------------------------------------------
-// Fig 12: problem-size scaling.
-// ---------------------------------------------------------------------
-
-/// One problem-size column of Fig 12.
-#[derive(Debug, Clone)]
-pub struct Fig12Row {
-    /// Dataset elements (the x axis: 4K … 64M).
-    pub elements: usize,
-    /// Per-benchmark QAWS-TS speedups.
-    pub speedups: Vec<f64>,
-    /// Geometric mean.
-    pub gmean: f64,
-}
-
-/// Regenerates Fig 12: QAWS-TS speedup across problem sizes. `edges` are
-/// the square dataset edge lengths to sweep (e.g. 64 → 4K elements).
-///
-/// # Errors
-///
-/// Propagates runtime errors.
-pub fn fig12(base: ExperimentConfig, edges: &[usize]) -> Result<Vec<Fig12Row>> {
-    let qaws_ts = Policy::Qaws {
-        assignment: QawsAssignment::TopK,
-        sampling: SamplingMethod::Striding,
-    };
-    let mut rows = Vec::new();
-    for &edge in edges {
-        let config = ExperimentConfig { size: edge, ..base };
-        let mut speedups = Vec::new();
-        for b in ALL_BENCHMARKS {
-            let ctx = BenchContext::new(b, config)?;
-            let report = ctx.run(qaws_ts)?;
-            speedups.push(ctx.speedup(&report));
+        let mut fig9 = Vec::new();
+        for r in FIG9_LOG2_RATES {
+            let rate = 2.0f64.powi(r);
+            fig9.push(ctx.run(at(QAWS_TS, config.partitions, rate))?);
         }
-        let g = gmean(&speedups);
-        rows.push(Fig12Row {
-            elements: edge * edge,
-            speedups,
-            gmean: g,
-        });
+        p.tables[FIG9A].push(&fig9.iter().map(|c| c.mape).collect::<Vec<_>>());
+        p.tables[FIG9B].push(&fig9.iter().map(|c| c.speedup).collect::<Vec<_>>());
+
+        let s = ctx.run(run(QAWS_TS))?;
+        let base = &ctx.baseline.energy;
+        p.tables[FIG10].push(&[
+            base.active_j / base.total_j(),
+            base.idle_j / base.total_j(),
+            s.active,
+            s.idle,
+            s.active + s.idle,
+            s.edp,
+        ]);
+        p.tables[FIG11].push(&[s.memory]);
+        p.tables[TABLE3].push(&[s.comm]);
+
+        if let Some(a) = p.ablations.iter_mut().find(|a| a.benchmark == b) {
+            for parts in ABLATION_PARTITIONS {
+                let c = ctx.run(at(QAWS_TS, parts, config.sampling_rate))?;
+                a.rows.push((parts, c.speedup, c.mape));
+            }
+        }
+        drop(ctx);
+
+        let mut fig12 = Vec::new();
+        for edge in fig12_edges(config.size) {
+            fig12.push(if edge == config.size {
+                s.speedup
+            } else {
+                Context::new(b, edge, config)?.run(run(QAWS_TS))?.speedup
+            });
+        }
+        p.tables[FIG12].push(&fig12);
     }
-    Ok(rows)
+    p.tables.iter_mut().for_each(Table::push_gmeans);
+    // Fig 10's energy GMEAN is the sum of the active and idle GMEANs.
+    let fig10 = &mut p.tables[FIG10];
+    let g = fig10.header.len() - 1;
+    fig10.rows[4].1[g] = fig10.rows[2].1[g] + fig10.rows[3].1[g];
+    Ok(p)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// One sweep at the tiny configuration, shared by every shape test.
+    fn tiny() -> &'static Paper {
+        static PAPER: OnceLock<Paper> = OnceLock::new();
+        PAPER.get_or_init(|| paper(ExperimentConfig::tiny()).expect("sweep runs"))
+    }
+
+    /// Table `i` of the tiny sweep, after checking that every row has one
+    /// value per column and the last column is the GMEAN.
+    fn table(i: usize) -> &'static Table {
+        let t = &tiny().tables[i];
+        for (label, values) in &t.rows {
+            assert_eq!(values.len(), t.header.len(), "{}: {label}", t.title);
+        }
+        assert_eq!(t.header.last(), Some(&"GMEAN"), "{}", t.title);
+        t
+    }
+
+    fn labels(t: &Table) -> Vec<&str> {
+        t.rows.iter().map(|(l, _)| l.as_str()).collect()
+    }
 
     #[test]
     fn gmean_matches_hand_computed() {
@@ -612,83 +508,98 @@ mod tests {
 
     #[test]
     fn fig6_has_ten_policies_in_order() {
-        let names: Vec<String> = fig6_policies().into_iter().map(|(n, _)| n).collect();
+        let t = table(FIG6);
+        let names = labels(t);
         assert_eq!(names.len(), 10);
-        assert_eq!(names[0], "IRA-sampling");
-        assert_eq!(names[3], "work-stealing");
-        assert_eq!(names[4], "QAWS-TS");
+        assert_eq!(names[..2], ["IRA-sampling", "SW pipelining"]);
+        assert_eq!(names[3..5], ["work-stealing", "QAWS-TS"]);
         assert_eq!(names[9], "QAWS-LR");
+        assert_eq!(t.header.len(), 11);
     }
 
     #[test]
     fn quality_policies_bracket_with_tpu_and_oracle() {
-        let names: Vec<String> = quality_policies().into_iter().map(|(n, _)| n).collect();
-        assert_eq!(names.first().unwrap(), "edgeTPU");
-        assert_eq!(names.last().unwrap(), "oracle");
-        assert_eq!(names.len(), 10);
+        for t in [table(FIG7), table(FIG8)] {
+            let names = labels(t);
+            assert_eq!(names.len(), 10);
+            assert_eq!((names[0], names[9]), ("edgeTPU", "oracle"));
+        }
+        assert_eq!(table(FIG8).header.len(), 7);
     }
 
     #[test]
     fn fig9_sweep_produces_rows_per_rate() {
-        let rows = fig9(ExperimentConfig::tiny(), &[-10, -6]).unwrap();
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert_eq!(r.mape.len(), 10);
-            assert_eq!(r.speedup.len(), 10);
-            assert!(r.mape_gmean >= 0.0);
-            assert!(r.speedup_gmean > 0.0);
+        for t in [table(FIG9A), table(FIG9B)] {
+            let names = labels(t);
+            assert_eq!(names.len(), 8);
+            assert_eq!((names[0], names[7]), ("rate 2^-21", "rate 2^-14"));
         }
+        assert!(table(FIG9A).rows.iter().all(|(_, v)| v[10] >= 0.0));
+        assert!(table(FIG9B).rows.iter().all(|(_, v)| v[10] > 0.0));
     }
 
     #[test]
     fn fig10_energy_rows_are_normalized() {
-        let rows = fig10(ExperimentConfig::tiny()).unwrap();
-        assert_eq!(rows.len(), 11);
-        for r in &rows[..10] {
-            let base_total = r.baseline_active + r.baseline_idle;
+        let t = table(FIG10);
+        let row = |r: usize| &t.rows[r].1;
+        assert_eq!(t.rows.len(), 6);
+        for b in 0..10 {
+            let base_total = row(0)[b] + row(1)[b];
             assert!(
                 (base_total - 1.0).abs() < 1e-9,
                 "{}: {base_total}",
-                r.benchmark
+                t.header[b]
             );
-            assert!(r.shmt_edp > 0.0);
+            assert!(row(5)[b] > 0.0);
+        }
+        // SHMT energy is active + idle, its GMEAN column included.
+        for b in 0..11 {
+            assert_eq!(row(4)[b], row(2)[b] + row(3)[b]);
         }
     }
 
     #[test]
     fn fig11_table3_rows_are_positive() {
-        let rows = fig11_table3(ExperimentConfig::tiny()).unwrap();
-        assert_eq!(rows.len(), 11);
-        for r in &rows[..10] {
-            assert!(r.memory_ratio > 0.0, "{}", r.benchmark);
-            assert!(
-                r.comm_overhead >= 0.0 && r.comm_overhead < 1.0,
-                "{}",
-                r.benchmark
-            );
+        let (memory, comm) = (&table(FIG11).rows[0].1, &table(TABLE3).rows[0].1);
+        for b in 0..10 {
+            assert!(memory[b] > 0.0, "{b}");
+            assert!((0.0..1.0).contains(&comm[b]), "{b}");
         }
     }
 
     #[test]
     fn fig12_sweeps_sizes() {
-        let rows = fig12(ExperimentConfig::tiny(), &[64, 128]).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].elements, 4096);
-        assert_eq!(rows[1].elements, 16384);
-        assert!(rows.iter().all(|r| r.gmean > 0.0));
+        let t = table(FIG12);
+        assert_eq!(labels(t), ["4K", "16K"]);
+        assert!(t.rows.iter().all(|(_, v)| v[10] > 0.0));
+        // The full-size row is Fig 6's QAWS-TS row.
+        assert_eq!(t.rows[1].1, table(FIG6).rows[4].1);
     }
 
     #[test]
     fn fig2_rows_cover_all_benchmarks() {
-        let rows = fig2(ExperimentConfig::tiny()).unwrap();
-        assert_eq!(rows.len(), 11);
-        assert_eq!(rows.last().unwrap().benchmark, "GMEAN");
-        for r in &rows[..10] {
-            assert!(
-                r.shmt > r.conventional,
-                "{}: SHMT bound above conventional",
-                r.benchmark
-            );
+        let t = table(FIG2);
+        assert_eq!(t.header.len(), 11);
+        for b in 0..10 {
+            let (conventional, shmt) = (t.rows[1].1[b], t.rows[2].1[b]);
+            assert!(shmt > conventional, "{}: SHMT bound", t.header[b]);
         }
+    }
+
+    #[test]
+    fn ablation_covers_sobel_then_fft_per_partition_count() {
+        let a = &tiny().ablations;
+        assert_eq!([a[0].benchmark, a[1].benchmark], ABLATION_BENCHMARKS);
+        for ab in a {
+            let parts: Vec<usize> = ab.rows.iter().map(|r| r.0).collect();
+            assert_eq!(parts, ABLATION_PARTITIONS);
+        }
+        // Printed last: title, blank line, heading and one line per count.
+        let text = tiny().to_string();
+        let fft = text
+            .find("Ablations on FFT at 128x128")
+            .expect("FFT ablation");
+        assert!(text.starts_with("== Fig 2: "));
+        assert_eq!(text[fft..].lines().count(), 3 + ABLATION_PARTITIONS.len());
     }
 }

@@ -263,12 +263,11 @@ mod tests {
     }
 }
 
-/// The result of a single-device reference run (GPU baseline, software
-/// pipelining, or TPU-only).
+/// The modeled cost of a single-device reference run (GPU baseline or
+/// software pipelining). It carries no output; the VOP's exact output is
+/// [`crate::baseline::exact_reference`].
 #[derive(Debug)]
 pub struct BaselineReport {
-    /// The computed output.
-    pub output: Tensor,
     /// End-to-end virtual latency.
     pub makespan_s: f64,
     /// Energy totals.

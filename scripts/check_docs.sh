@@ -8,7 +8,8 @@
 # "layer.name" somewhere under crates/ (an e2e metric in spec.rs, or a
 # counter or histogram the code records). The layers are the prefixes of
 # the e2e benchmark's `layer("...")` table; file names (`serve.rs`) are
-# not metric names.
+# not metric names. Every `--bin <name>` the docs cite must be a binary of
+# shmt-bench: crates/bench/src/bin/<name>.rs or <name>/main.rs.
 # Usage: scripts/check_docs.sh (exits 1 and lists each stale citation).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -34,6 +35,13 @@ for doc in README.md DESIGN.md EXPERIMENTS.md; do
         line=${line#:}
         if [ ! -e "$path" ] || { [ -n "$line" ] && [ "$(wc -l <"$path")" -lt "$line" ]; }; then
             echo "$doc: \`$cite\` does not exist"
+            fail=1
+        fi
+    done
+    for bin in $(tr '\n' ' ' <"$doc" | grep -oE -- '--bin +[A-Za-z0-9_-]+' |
+        sed -E 's/^--bin +//' | sort -u); do
+        if [ ! -e "crates/bench/src/bin/$bin.rs" ] && [ ! -e "crates/bench/src/bin/$bin/main.rs" ]; then
+            echo "$doc: \`--bin $bin\` is no binary of shmt-bench"
             fail=1
         fi
     done

@@ -76,11 +76,28 @@ fi
 echo "== trace smoke check =="
 # A traced run must produce Chrome JSON that the crate's own reader
 # accepts; trace_run validates every file it writes before reporting it.
-cargo run --release -q -p shmt-bench --bin trace_run -- --size 256 --partitions 8 >/dev/null
+# The traces print virtual timestamps at full precision, so each must
+# equal the committed results/trace_*.json byte for byte: a one-ulp
+# drift of a calibration constant shows here even where the figures'
+# two to four decimals hide it.
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+repo=$PWD
+(cd "$scratch" && cargo run --release -q --manifest-path "$repo/Cargo.toml" \
+    -p shmt-bench --bin trace_run -- --size 256 --partitions 8 >/dev/null)
 for f in results/trace_*.json; do
-    [ -s "$f" ] || { echo "empty trace file: $f"; exit 1; }
+    cmp "$f" "$scratch/$f"
 done
-echo "trace files written and validated: $(ls results/trace_*.json | wc -l)"
+echo "trace files written, validated and equal to results/: $(ls "$scratch"/results/trace_*.json | wc -l)"
+
+echo "== paper figures at 2048^2 =="
+# Every table is virtual time plus deterministic numerics, so a fresh
+# sweep must equal the committed one byte for byte; a change that moves
+# the planner, the timing model or a kernel's numerics regenerates
+# results/ with it. Not a wall-clock gate.
+cargo run --release -q -p shmt-bench --bin paper -- --size 2048 >"$scratch/paper_2048.txt"
+diff results/paper_2048.txt "$scratch/paper_2048.txt"
+echo "paper --size 2048 matches results/paper_2048.txt"
 
 echo "== end-to-end benchmark smoke check =="
 # The BENCHMARK.json benchmark through the package the driver builds: its

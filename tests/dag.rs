@@ -13,7 +13,7 @@
 //! Random cases are drawn from a seeded [`Pcg32`] stream, so every run
 //! explores the same graphs and failures reproduce exactly.
 
-use shmt::baseline::gpu_baseline;
+use shmt::baseline::{exact_reference, gpu_baseline};
 use shmt::dag::{DagConfig, DagNode, VopDag};
 use shmt::sampling::SamplingMethod;
 use shmt::{NodeOp, Platform, Policy, QawsAssignment, RuntimeConfig, ShmtRuntime, Tensor, Vop};
@@ -455,7 +455,7 @@ fn hand_chained(dag: &VopDag, input: &Tensor, config: Option<RuntimeConfig>) -> 
             }
             None => {
                 let r = gpu_baseline(&platform, &vop, 8).expect("GPU baseline");
-                (r.makespan_s, r.output)
+                (r.makespan_s, exact_reference(&vop))
             }
         };
         total_s += makespan_s;
