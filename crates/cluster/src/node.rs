@@ -79,7 +79,7 @@ impl NodeFaultPlan {
     }
 
     /// Whether the node is reachable at `t` seconds after the epoch.
-    pub fn available_at(&self, t: f64) -> bool {
+    fn available_at(&self, t: f64) -> bool {
         if self.crash_at_s.is_some_and(|c| t >= c) {
             return false;
         }
@@ -90,7 +90,7 @@ impl NodeFaultPlan {
     }
 
     /// Extra delivery latency for a request dispatched at `t`.
-    pub fn slow_extra_at(&self, t: f64) -> Option<Duration> {
+    fn slow_extra_at(&self, t: f64) -> Option<Duration> {
         self.slow_windows
             .iter()
             .find(|w| t >= w.from_s && t < w.until_s)

@@ -344,9 +344,6 @@ impl VopDag {
             if let Some(m) = stage.max_mape {
                 stage_cfg.guard = GuardConfig::enforcing(m);
             }
-            if cfg.residency_dispatch {
-                stage_cfg.tpu_residency_hint = self.input_tpu_fraction(stage, &execs);
-            }
             let runtime = ShmtRuntime::new(platform, stage_cfg);
             let (mut report, hlops) =
                 runtime.execute_partitioned(&vop, &FaultPlan::none(), sink)?;
@@ -364,10 +361,12 @@ impl VopDag {
 
         // Residency coverage per eligible edge: intersect the producer's
         // TPU tiles with the consumer's TPU tiles. Eligible edges are
-        // slot-0 (flowing) edges whose producer has exactly one consumer
-        // and tile-aggregated output — multi-consumer outputs must be
-        // restored for the other readers, and reduction partials fold on
-        // the host.
+        // slot-0 (flowing) edges between two unguarded stages whose
+        // producer has exactly one consumer and tile-aggregated output —
+        // multi-consumer outputs must be restored for the other readers,
+        // reduction partials fold on the host, and a guarded stage keeps
+        // its pass-1 timing (its input staged, its output restored for the
+        // guard to read and repair on an exact device).
         let mut resident_in: Vec<Vec<usize>> =
             execs.iter().map(|e| vec![0usize; e.hlops.len()]).collect();
         let mut resident_out: Vec<Vec<usize>> =
@@ -382,6 +381,8 @@ impl VopDag {
                 .map(|s| s.deps.iter().filter(|&&d| d == pi).count())
                 .sum::<usize>();
             let eligible = consumers_of_p == 1
+                && !execs[pi].guarded()
+                && !execs[ci].guarded()
                 && matches!(execs[pi].kernel.shape().aggregation, Aggregation::Tile)
                 && execs[pi].elements == execs[ci].elements;
             if !eligible {
@@ -414,13 +415,13 @@ impl VopDag {
         // starts no earlier than its predecessor's finish (the stages
         // share all three devices) and its dependencies'. Guarded stages
         // keep their pass-1 timing — the guard's exact-device charges are
-        // not re-played, so they are never discounted.
+        // not re-played, and no edge of theirs is resident.
         let mut windows: Vec<(f64, f64)> = Vec::with_capacity(execs.len());
         let mut staged = vec![(0usize, 0usize); execs.len()];
         let mut resident_bus_bytes = 0u64;
         let mut prev_finish = SimTime::ZERO;
         for (i, (stage, e)) in stages.iter().zip(&execs).enumerate() {
-            let makespan_s = if e.runtime.config().guard.enabled {
+            let makespan_s = if e.guarded() {
                 resident_bus_bytes += e.report.bus_bytes;
                 e.report.makespan_s
             } else {
@@ -669,24 +670,6 @@ impl VopDag {
             }
         }
     }
-
-    /// Fraction of a stage's flowing input produced on the Edge TPU by
-    /// its slot-0 dependency — the residency hint handed to the planner
-    /// under [`DagConfig::residency_dispatch`].
-    fn input_tpu_fraction(&self, stage: &ExecStage, execs: &[StageExec]) -> f64 {
-        let Some(&p) = stage.deps.first() else {
-            return 0.0;
-        };
-        let e = &execs[p];
-        let tpu: usize = e
-            .report
-            .records
-            .iter()
-            .filter(|r| r.device == DeviceKind::EdgeTpu)
-            .map(|r| r.elements)
-            .sum();
-        tpu as f64 / e.elements.max(1) as f64
-    }
 }
 
 /// Configuration for one DAG execution.
@@ -696,23 +679,14 @@ pub struct DagConfig {
     pub runtime: RuntimeConfig,
     /// Fuse adjacent unary element-wise nodes into one VOP (default on).
     pub fuse_elementwise: bool,
-    /// Feed each stage's planner the fraction of its input already
-    /// resident on the Edge TPU ([`crate::sched::PlanContext`]'s
-    /// `tpu_residency`), letting quality-aware policies widen the TPU's
-    /// admission where the data already lives. Off by default: the hint
-    /// changes placement, so runs with it enabled are only comparable to
-    /// references executed with the same hint.
-    pub residency_dispatch: bool,
 }
 
 impl DagConfig {
-    /// Defaults (fusion on, residency dispatch off) around a runtime
-    /// configuration.
+    /// Defaults (fusion on) around a runtime configuration.
     pub fn new(runtime: RuntimeConfig) -> Self {
         DagConfig {
             runtime,
             fuse_elementwise: true,
-            residency_dispatch: false,
         }
     }
 }
@@ -862,6 +836,13 @@ struct StageExec {
     /// The stage's HLOPs, indexed by id.
     hlops: Vec<Hlop>,
     report: RunReport,
+}
+
+impl StageExec {
+    /// Whether the stage ran under an enforcing quality guard.
+    fn guarded(&self) -> bool {
+        self.runtime.config().guard.enabled
+    }
 }
 
 fn stage_platform(op: &NodeOp) -> Platform {

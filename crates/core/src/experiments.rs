@@ -211,7 +211,8 @@ const FIG12: usize = 9;
 
 /// Every table and figure of the evaluation: Fig 2, Figs 6–8, Fig 9(a, b),
 /// Fig 10, Fig 11, Table 3 and Fig 12, then the ablation on Sobel and on
-/// FFT. [`fmt::Display`] prints them in that order.
+/// FFT. [`fmt::Display`] prints them in that order and ends with a
+/// `digest` line over every value at full precision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Paper {
     tables: [Table; 10],
@@ -221,11 +222,33 @@ pub struct Paper {
 impl fmt::Display for Paper {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.tables.iter().try_for_each(|t| write!(f, "{t}"))?;
-        self.ablations.iter().try_for_each(|a| write!(f, "{a}"))
+        self.ablations.iter().try_for_each(|a| write!(f, "{a}"))?;
+        writeln!(f, "digest {:016x}", self.digest())
     }
 }
 
 impl Paper {
+    /// FNV-1a over the `f64` bits of every table cell and ablation value,
+    /// in print order. The tables print two to four decimals; the digest
+    /// moves with any bit of any value, so a byte diff of the output
+    /// catches drift the printed digits hide.
+    fn digest(&self) -> u64 {
+        let cells = self
+            .tables
+            .iter()
+            .flat_map(|t| t.rows.iter().flat_map(|(_, values)| values.iter().copied()));
+        let ablations = self
+            .ablations
+            .iter()
+            .flat_map(|a| a.rows.iter().flat_map(|&(_, s, m)| [s, m]));
+        cells
+            .chain(ablations)
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, byte| {
+                (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
     fn new(config: ExperimentConfig) -> Self {
         let n = config.size;
         let sized = |title: &str| format!("{title} ({n}x{n})");
@@ -500,6 +523,21 @@ mod tests {
     }
 
     #[test]
+    fn digest_ends_the_output_and_moves_with_one_ulp() {
+        let p = tiny();
+        let text = p.to_string();
+        let last = text.lines().last().expect("output has lines");
+        assert_eq!(last, format!("digest {:016x}", p.digest()));
+        let mut nudged = p.clone();
+        let cell = &mut nudged.tables[FIG6].rows[0].1[0];
+        *cell = f64::from_bits(cell.to_bits() + 1);
+        assert_ne!(nudged.digest(), p.digest());
+        let mut nudged = p.clone();
+        nudged.ablations[0].rows[0].2 = f64::from_bits(p.ablations[0].rows[0].2.to_bits() + 1);
+        assert_ne!(nudged.digest(), p.digest());
+    }
+
+    #[test]
     fn gmean_matches_hand_computed() {
         assert!((gmean(&[1.0, 4.0]) - 2.0).abs() < 1e-9);
         assert!((gmean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-9);
@@ -594,12 +632,16 @@ mod tests {
             let parts: Vec<usize> = ab.rows.iter().map(|r| r.0).collect();
             assert_eq!(parts, ABLATION_PARTITIONS);
         }
-        // Printed last: title, blank line, heading and one line per count.
+        // Printed last before the digest: title, blank line, heading and
+        // one line per count.
         let text = tiny().to_string();
         let fft = text
             .find("Ablations on FFT at 128x128")
             .expect("FFT ablation");
         assert!(text.starts_with("== Fig 2: "));
-        assert_eq!(text[fft..].lines().count(), 3 + ABLATION_PARTITIONS.len());
+        assert_eq!(
+            text[fft..].lines().count(),
+            3 + ABLATION_PARTITIONS.len() + 1
+        );
     }
 }

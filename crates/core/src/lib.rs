@@ -104,5 +104,5 @@ pub use runtime::{RuntimeConfig, ShmtRuntime};
 pub use sched::{Policy, QawsAssignment, QualityConfig};
 pub use shmt_tensor::Tensor;
 pub use shmt_trace as trace;
-pub use shmt_trace::{NullSink, RingBufferSink, TraceData, TraceRecorder, TraceSink};
-pub use vop::{Opcode, ParallelModel, Vop};
+pub use shmt_trace::{NullSink, TraceData, TraceRecorder, TraceSink};
+pub use vop::{Opcode, Vop};

@@ -63,7 +63,7 @@ pub fn partition_tiles(rows: usize, cols: usize, want: usize, shape: &KernelShap
 
 /// [`partition_tiles`] into a caller-supplied (typically pooled) vector,
 /// which is cleared first.
-pub fn partition_tiles_into(
+fn partition_tiles_into(
     rows: usize,
     cols: usize,
     want: usize,

@@ -19,8 +19,8 @@
 //!   *where*; callers assemble results by task index, so output bits do
 //!   not depend on worker count or interleaving.
 //! * **Borrowed jobs** — kernel, inputs, and output tiles are borrowed
-//!   from the caller's stack. [`ComputePool::scope`] erases the job
-//!   lifetime to `'static` for the queue and then blocks until every job
+//!   from the caller's stack. [`ComputePool::scope_fn`] erases the job
+//!   lifetime to `'static` for the queue and then blocks until every claim
 //!   of the batch has finished, which is exactly the guarantee that makes
 //!   the erasure sound (the same contract as `std::thread::scope`).
 
@@ -30,29 +30,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
-/// A type-erased unit of pool work.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A queued unit of work: either an owned boxed job
-/// ([`ComputePool::scope`]) or one claim on a batch-shared closure
-/// ([`ComputePool::scope_fn`], which enqueues `n` copies of one borrowed
-/// closure and so never boxes — the warm queue re-uses its deque
-/// capacity and the whole submission is allocation-free).
-enum Task {
-    Boxed(Job),
-    Shared(SharedTask),
-}
-
-/// One claim on a `scope_fn` batch: raw pointers to the caller-owned
-/// closure and the caller's stack-allocated [`Batch`].
+/// One queued claim on a [`ComputePool::scope_fn`] batch: raw pointers to
+/// the caller-owned closure and the caller's stack-allocated [`Batch`].
+/// A batch enqueues `n` copies of one borrowed closure and so never boxes:
+/// the warm queue re-uses its deque capacity and the whole submission is
+/// allocation-free.
 ///
 /// Soundness: `scope_fn` does not return (normally or by unwind) until
 /// the batch's `remaining` count hits zero, i.e. until every queued
 /// claim has been consumed, so both pointees strictly outlive every
-/// copy of this struct in the queue or in flight — the same contract
-/// that makes `scope`'s lifetime erasure sound.
+/// copy of this struct in the queue or in flight.
 #[derive(Clone, Copy)]
-struct SharedTask {
+struct Task {
     job: *const (dyn Fn() + Sync),
     batch: *const Batch,
 }
@@ -60,7 +49,7 @@ struct SharedTask {
 // SAFETY: the pointees are `Sync` (`dyn Fn() + Sync`; `Batch` holds only
 // `Mutex`/`Condvar`) and outlive the task per the contract above, so
 // moving the pointers across threads is safe.
-unsafe impl Send for SharedTask {}
+unsafe impl Send for Task {}
 
 /// Shared state between the pool handle and its workers.
 struct Shared {
@@ -70,33 +59,27 @@ struct Shared {
     shutdown: AtomicBool,
 }
 
-/// Runs one queued task, catching panics for shared claims (boxed jobs
-/// carry their own catch wrapper).
-fn run_task(task: Task) {
-    match task {
-        Task::Boxed(job) => job(),
-        Task::Shared(t) => {
-            // SAFETY: see `SharedTask` — both pointers are live until
-            // the batch completes, which cannot happen before this claim
-            // decrements `remaining` below.
-            let (job, batch) = unsafe { (&*t.job, &*t.batch) };
-            if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(job)) {
-                let mut slot = batch.panic.lock().unwrap_or_else(PoisonError::into_inner);
-                slot.get_or_insert(payload);
-            }
-            let mut remaining = batch
-                .remaining
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            *remaining -= 1;
-            if *remaining == 0 {
-                batch.batch_done.notify_all();
-            }
-        }
+/// Runs one queued claim, catching its panic for the submitter.
+fn run_task(t: Task) {
+    // SAFETY: see `Task` — both pointers are live until the batch
+    // completes, which cannot happen before this claim decrements
+    // `remaining` below.
+    let (job, batch) = unsafe { (&*t.job, &*t.batch) };
+    if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(job)) {
+        let mut slot = batch.panic.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.get_or_insert(payload);
+    }
+    let mut remaining = batch
+        .remaining
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    *remaining -= 1;
+    if *remaining == 0 {
+        batch.batch_done.notify_all();
     }
 }
 
-/// Completion bookkeeping for one [`ComputePool::scope`] batch.
+/// Completion bookkeeping for one [`ComputePool::scope_fn`] batch.
 struct Batch {
     /// Jobs of this batch still running or queued.
     remaining: Mutex<usize>,
@@ -109,8 +92,9 @@ struct Batch {
 /// work queue.
 ///
 /// Independent callers (concurrent runtime executions, the serving
-/// layer's request executors) submit batches through [`ComputePool::scope`]
-/// and their jobs interleave on the same workers.
+/// layer's request executors) submit batches through
+/// [`ComputePool::scope_fn`] and their claims interleave on the same
+/// workers.
 pub struct ComputePool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -133,7 +117,7 @@ impl ComputePool {
             shutdown: AtomicBool::new(false),
         });
         // A failed spawn (resource exhaustion) degrades to fewer workers
-        // instead of panicking: `scope` is correct at any worker count
+        // instead of panicking: `scope_fn` is correct at any worker count
         // because the submitting thread helps drain the queue.
         let workers = (0..workers.max(1))
             .map_while(|i| {
@@ -163,89 +147,24 @@ impl ComputePool {
         self.workers.len()
     }
 
-    /// Runs a batch of borrowed jobs to completion on the pool.
-    ///
-    /// Blocks until every job has finished, so jobs may borrow from the
-    /// caller's stack even though the queue itself is `'static`. Jobs from
-    /// concurrent `scope` calls interleave in the shared queue in FIFO
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// If a job panics, the panic is captured (the worker thread
-    /// survives), the rest of the batch still runs, and the first payload
-    /// is re-raised here once the batch has drained.
-    pub fn scope<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        if jobs.is_empty() {
-            return;
-        }
-        let batch = Arc::new(Batch {
-            remaining: Mutex::new(jobs.len()),
-            batch_done: Condvar::new(),
-            panic: Mutex::new(None),
-        });
-        {
-            let mut queue = self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            for job in jobs {
-                // SAFETY: the job may borrow data with lifetime 'env. This
-                // function does not return until `remaining` reaches zero,
-                // i.e. until the job has run (or been dropped) — so every
-                // borrow it carries outlives its use, exactly as with
-                // `std::thread::scope`. The transmute only erases the
-                // lifetime parameter; the vtable and data pointer are
-                // unchanged.
-                let job: Job = unsafe {
-                    std::mem::transmute::<
-                        Box<dyn FnOnce() + Send + 'env>,
-                        Box<dyn FnOnce() + Send + 'static>,
-                    >(job)
-                };
-                let batch = Arc::clone(&batch);
-                queue.push_back(Task::Boxed(Box::new(move || {
-                    let result = std::panic::catch_unwind(AssertUnwindSafe(job));
-                    if let Err(payload) = result {
-                        let mut slot = batch.panic.lock().unwrap_or_else(PoisonError::into_inner);
-                        slot.get_or_insert(payload);
-                    }
-                    let mut remaining = batch
-                        .remaining
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    *remaining -= 1;
-                    if *remaining == 0 {
-                        batch.batch_done.notify_all();
-                    }
-                })));
-            }
-            self.shared.work_ready.notify_all();
-        }
-
-        self.help_until_batch_done(&batch);
-    }
-
     /// Runs `claims` invocations of one shared borrowed closure to
-    /// completion on the pool — the allocation-free form of
-    /// [`ComputePool::scope`].
+    /// completion on the pool.
     ///
-    /// Where `scope` boxes every job, `scope_fn` enqueues `claims`
-    /// lightweight references to the single closure, so a warm pool
-    /// performs no heap allocation at all (the deque re-uses its
-    /// capacity; the batch bookkeeping lives on this stack frame). The
-    /// closure must coordinate its own work division — the executor
-    /// does this with an atomic task cursor.
+    /// The queue holds `claims` lightweight references to the single
+    /// closure, so a warm pool performs no heap allocation at all (the
+    /// deque re-uses its capacity; the batch bookkeeping lives on this
+    /// stack frame). The closure must coordinate its own work division —
+    /// the executor does this with an atomic task cursor. Claims from
+    /// concurrent calls interleave in the shared queue in FIFO order.
     ///
     /// Blocks until all `claims` invocations have finished, which is
     /// what makes handing borrowed pointers to the queue sound.
     ///
     /// # Panics
     ///
-    /// As with [`ComputePool::scope`]: a panicking invocation is caught,
-    /// the rest of the batch still runs, and the first payload is
-    /// re-raised here once the batch has drained.
+    /// A panicking invocation is caught (the worker thread survives), the
+    /// rest of the batch still runs, and the first payload is re-raised
+    /// here once the batch has drained.
     pub fn scope_fn(&self, claims: usize, job: &(dyn Fn() + Sync)) {
         if claims == 0 {
             return;
@@ -261,7 +180,7 @@ impl ComputePool {
         // stack `batch`) outlive every queued copy. Workers touch
         // `batch` for the last time while holding `remaining`'s lock,
         // whose release happens-before the submitter's final wakeup.
-        let task = SharedTask {
+        let task = Task {
             job: unsafe {
                 std::mem::transmute::<*const (dyn Fn() + Sync), *const (dyn Fn() + Sync)>(job)
             },
@@ -274,7 +193,7 @@ impl ComputePool {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
             for _ in 0..claims {
-                queue.push_back(Task::Shared(task));
+                queue.push_back(task);
             }
             self.shared.work_ready.notify_all();
         }
@@ -347,7 +266,7 @@ fn worker_loop(shared: &Shared) {
             }
         };
         match job {
-            Some(task) => run_task(task), // panics are caught inside the task
+            Some(task) => run_task(task), // panics are caught inside the claim
             None => return,
         }
     }
@@ -369,76 +288,8 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     #[test]
-    fn scope_runs_every_job_with_borrows() {
-        let pool = ComputePool::new(3);
-        let hits = AtomicUsize::new(0);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..17)
-            .map(|_| {
-                let hits = &hits;
-                Box::new(move || {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.scope(jobs);
-        assert_eq!(hits.load(Ordering::Relaxed), 17);
-    }
-
-    #[test]
-    fn concurrent_scopes_interleave_on_one_pool() {
-        let pool = Arc::new(ComputePool::new(2));
-        let total = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let pool = Arc::clone(&pool);
-                let total = Arc::clone(&total);
-                std::thread::spawn(move || {
-                    let local = AtomicUsize::new(0);
-                    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..25)
-                        .map(|_| {
-                            let local = &local;
-                            Box::new(move || {
-                                local.fetch_add(1, Ordering::Relaxed);
-                            }) as Box<dyn FnOnce() + Send + '_>
-                        })
-                        .collect();
-                    pool.scope(jobs);
-                    total.fetch_add(local.load(Ordering::Relaxed), Ordering::Relaxed);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("client thread");
-        }
-        assert_eq!(total.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn job_panic_propagates_to_submitter_and_pool_survives() {
-        let pool = ComputePool::new(2);
-        let boom: Vec<Box<dyn FnOnce() + Send + '_>> =
-            vec![Box::new(|| panic!("kernel contract violated"))];
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| pool.scope(boom)));
-        assert!(caught.is_err(), "panic must reach the submitting thread");
-
-        // Workers caught the panic, so the pool still runs later batches.
-        let ok = AtomicUsize::new(0);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
-            .map(|_| {
-                let ok = &ok;
-                Box::new(move || {
-                    ok.fetch_add(1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.scope(jobs);
-        assert_eq!(ok.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
     fn empty_batch_is_a_noop() {
         let pool = ComputePool::new(1);
-        pool.scope(Vec::new());
         pool.scope_fn(0, &|| unreachable!("zero claims must not run"));
     }
 

@@ -73,7 +73,7 @@ impl RunReport {
     }
 
     /// Total device busy time.
-    pub fn total_busy_s(&self) -> f64 {
+    fn total_busy_s(&self) -> f64 {
         self.devices.iter().map(|d| d.busy_s).sum()
     }
 

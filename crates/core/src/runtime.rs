@@ -57,10 +57,10 @@ pub struct RuntimeConfig {
     /// applies to the QAWS window share and device limit. The neutral
     /// default of 1.0 is the plain planner; 0.0 evicts the TPU.
     pub adapt: AdaptiveCalibration,
-    /// Fraction of this VOP's input already resident on the Edge TPU
-    /// (set by the DAG layer under residency dispatch). The planner
-    /// widens the TPU admission by `1 + hint`; the neutral 0.0 default
-    /// multiplies by exactly 1.0 and stays bit-identical.
+    /// Fraction of this VOP's input already resident on the Edge TPU. The
+    /// planner widens the TPU admission by `1 + hint`; the neutral 0.0
+    /// default multiplies by exactly 1.0 and stays bit-identical. Nothing
+    /// in the workspace sets it; the e2e benchmark names it.
     pub tpu_residency_hint: f64,
     /// Host worker threads for the real HLOP computations (does not affect
     /// the modeled virtual time; results are bit-identical at any count).
@@ -164,8 +164,8 @@ impl ShmtRuntime {
 
     /// The single code path beneath every `execute*` variant: fault
     /// schedule and trace sink both explicit. Any sink works (a
-    /// [`shmt_trace::RingBufferSink`] for long sweeps, a [`TraceRecorder`]
-    /// shared across runs, …); the untraced variants pass a [`NullSink`],
+    /// [`TraceRecorder`] shared across runs, …); the untraced variants
+    /// pass a [`NullSink`],
     /// so traced and untraced runs produce bit-identical reports.
     ///
     /// # Errors
@@ -386,15 +386,9 @@ impl ShmtRuntime {
         // scheduling overhead and staging.
         let mut meter = EnergyMeter::new(self.platform.idle_power_w());
         for t in &timelines {
-            meter.record_busy_traced(
-                t.profile().kind,
-                t.busy_time(),
-                t.profile().active_power_w,
-                sink,
-            );
+            meter.record_busy_traced(t.busy_time(), t.profile().active_power_w, sink);
         }
         meter.record_busy_traced(
-            profiles[CPU].kind,
             the_plan.overhead_s + staging_s,
             profiles[CPU].active_power_w,
             sink,
@@ -936,9 +930,7 @@ impl ShmtRuntime {
         let (rows, cols) = vop.partition_space();
         let n = (rows * cols) as u64;
         let band_elems = n / hlop_count.max(1) as u64;
-        // Alloc-only model: the peak is just the sum of the classes, so
-        // plain arithmetic replaces the labeled `MemoryTracker` (whose
-        // class strings were a per-run heap allocation).
+        // Alloc-only model: the peak is just the sum of the classes.
         let mut mem: u64 = 0;
         mem += 4 * n * vop.inputs().len() as u64; // inputs
         mem += 4 * out_elems as u64; // output

@@ -43,7 +43,7 @@ impl SamplingMethod {
     /// CPU cost per collected sample, in seconds. Reduction visits a dense
     /// grid (see [`sample_partition`]), so its total cost dwarfs the other
     /// methods even at the same per-visit price.
-    pub fn cost_per_sample(&self) -> f64 {
+    fn cost_per_sample(&self) -> f64 {
         match self {
             SamplingMethod::Striding => 8.0e-9,
             SamplingMethod::UniformRandom => 16.0e-9,

@@ -266,7 +266,7 @@ pub struct PlanContext {
     /// static planner bit-for-bit; `0.0` evicts the TPU from planning.
     pub tpu_admission: f64,
     /// Fraction of this VOP's input already resident in Edge-TPU memory
-    /// (the DAG layer's residency-aware dispatch hint). Widens the
+    /// ([`crate::RuntimeConfig::tpu_residency_hint`]). Widens the
     /// effective admission by `1 + tpu_residency`: data that is already
     /// on the device has paid its staging cost, so the planner may hand
     /// the TPU a larger share. The neutral `0.0` multiplies by exactly
@@ -286,7 +286,7 @@ impl PlanContext {
     }
 
     /// The TPU admission aperture after the residency widening.
-    pub fn effective_admission(&self) -> f64 {
+    fn effective_admission(&self) -> f64 {
         self.tpu_admission * (1.0 + self.tpu_residency)
     }
 }
@@ -467,15 +467,8 @@ fn sample_scores_into(
 /// `limits` is `(limit, queue_index)` sorted ascending by limit — i.e. from
 /// the most limited (least accurate) device upward, which realizes the
 /// paper's "assigns only data inputs lower than the criticality limits to
-/// that computing resource".
-pub fn algorithm1_device_limits(scores: &[f32], limits: &[(f32, QueueIndex)]) -> Vec<QueueIndex> {
-    let mut out = Vec::new();
-    algorithm1_into(scores, limits, &mut out);
-    out
-}
-
-/// Out-param form of [`algorithm1_device_limits`]: clears and refills
-/// `out`, so the planner's warm path can reuse a pooled spine.
+/// that computing resource". Clears and refills `out`, so the planner's
+/// warm path can reuse a pooled spine.
 fn algorithm1_into(scores: &[f32], limits: &[(f32, QueueIndex)], out: &mut Vec<QueueIndex>) {
     out.clear();
     out.extend(scores.iter().map(|&s| {
@@ -492,14 +485,9 @@ fn algorithm1_into(scores: &[f32], limits: &[(f32, QueueIndex)], out: &mut Vec<Q
 
 /// Derives the Edge TPU's criticality limit from the score distribution:
 /// `limit_factor x median`. The exact devices have an infinite limit.
-pub fn device_limits_from(scores: &[f32], limit_factor: f32) -> Vec<(f32, QueueIndex)> {
-    device_limits_pair(scores, limit_factor).to_vec()
-}
-
-/// Fixed-size form of [`device_limits_from`]: there are only ever two
-/// limits (TPU's median-derived cap and the exact devices' infinity), so
-/// the warm path needs no `Vec` at all. The median is selected without
-/// sorting a scratch copy of the scores.
+/// There are only ever these two limits, so the warm path needs no `Vec`
+/// at all. The median is selected without sorting a scratch copy of the
+/// scores.
 fn device_limits_pair(scores: &[f32], limit_factor: f32) -> [(f32, QueueIndex); 2] {
     let median = if scores.is_empty() {
         0.0
@@ -528,21 +516,13 @@ fn device_limits_pair(scores: &[f32], limit_factor: f32) -> [(f32, QueueIndex); 
 
 /// Algorithm 2 (Top-K criticality): within each window of `w` partitions,
 /// the `k` highest-criticality partitions go to the accurate queue (0) and
-/// the rest to the approximate queue.
+/// the rest to the approximate queue. Clears and refills `out` and reuses
+/// one pooled rank-ordering scratch across windows. The per-window sort is
+/// stable, so ties keep their bit-exact assignment.
 ///
 /// # Panics
 ///
 /// Panics if `k > w` or `w == 0`.
-pub fn algorithm2_top_k(scores: &[f32], k: usize, w: usize) -> Vec<QueueIndex> {
-    let mut out = Vec::new();
-    algorithm2_into(scores, k, w, &mut out);
-    out
-}
-
-/// Out-param form of [`algorithm2_top_k`]: clears and refills `out` and
-/// reuses one pooled rank-ordering scratch across windows. The per-window
-/// sort is stable, matching the original, so ties keep their bit-exact
-/// assignment.
 fn algorithm2_into(scores: &[f32], k: usize, w: usize, out: &mut Vec<QueueIndex>) {
     assert!(w > 0, "window must be positive");
     assert!(k <= w, "K must not exceed the window size");
@@ -719,6 +699,18 @@ mod tests {
     use crate::partition::partition_vop;
     use shmt_kernels::Benchmark;
 
+    fn algorithm2_top_k(scores: &[f32], k: usize, w: usize) -> Vec<QueueIndex> {
+        let mut out = Vec::new();
+        algorithm2_into(scores, k, w, &mut out);
+        out
+    }
+
+    fn algorithm1_device_limits(scores: &[f32], limits: &[(f32, QueueIndex)]) -> Vec<QueueIndex> {
+        let mut out = Vec::new();
+        algorithm1_into(scores, limits, &mut out);
+        out
+    }
+
     fn sobel_vop(n: usize) -> Vop {
         Vop::from_benchmark(Benchmark::Sobel, Benchmark::Sobel.generate_inputs(n, n, 3)).unwrap()
     }
@@ -802,7 +794,7 @@ mod tests {
 
     #[test]
     fn device_limits_derive_from_median() {
-        let limits = device_limits_from(&[1.0, 2.0, 3.0, 4.0, 100.0], 1.5);
+        let limits = device_limits_pair(&[1.0, 2.0, 3.0, 4.0, 100.0], 1.5);
         assert_eq!(limits[0], (4.5, TPU));
         assert!(limits[0].0 > 0.0);
         assert_eq!(limits[1].1, GPU);

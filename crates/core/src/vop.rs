@@ -10,17 +10,6 @@ use shmt_tensor::{Tensor, TensorViewMut};
 
 use crate::error::{Result, ShmtError};
 
-/// The parallelization model a VOP admits (paper §3.2.1: "either an
-/// element-wise vector processing model or a tile-wise matrix processing
-/// model").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ParallelModel {
-    /// Element-wise vector processing.
-    Vector,
-    /// Tile-wise matrix processing.
-    Tiling,
-}
-
 /// The VOP opcodes of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
@@ -53,43 +42,11 @@ pub enum Opcode {
     Sobel,
     Srad,
     Stencil,
+    // Vector model.
     Blackscholes,
 }
 
 impl Opcode {
-    /// The parallelization model of the opcode (Table 1's two columns).
-    pub fn parallel_model(&self) -> ParallelModel {
-        match self {
-            Opcode::Add
-            | Opcode::Log
-            | Opcode::Max
-            | Opcode::Min
-            | Opcode::Multiply
-            | Opcode::ParabolicPde
-            | Opcode::ReduceAverage
-            | Opcode::ReduceHist256
-            | Opcode::ReduceMax
-            | Opcode::ReduceMin
-            | Opcode::ReduceSum
-            | Opcode::Relu
-            | Opcode::Rsqrt
-            | Opcode::Sqrt
-            | Opcode::Sub
-            | Opcode::Tanh
-            | Opcode::Conv
-            | Opcode::Blackscholes => ParallelModel::Vector,
-            Opcode::Dct8x8
-            | Opcode::Fdwt97
-            | Opcode::Fft
-            | Opcode::Gemm
-            | Opcode::Laplacian
-            | Opcode::MeanFilter
-            | Opcode::Sobel
-            | Opcode::Srad
-            | Opcode::Stencil => ParallelModel::Tiling,
-        }
-    }
-
     /// The opcode implementing each benchmark application.
     pub fn from_benchmark(b: Benchmark) -> Opcode {
         match b {
@@ -306,7 +263,7 @@ impl Vop {
     /// # Panics
     ///
     /// Panics if the fraction is outside `[0, 1]`.
-    pub fn with_criticality_hint(mut self, fraction: f64) -> Self {
+    fn with_criticality_hint(mut self, fraction: f64) -> Self {
         assert!((0.0..=1.0).contains(&fraction), "hint must be a fraction");
         self.criticality_hint = fraction;
         self
@@ -444,18 +401,6 @@ pub(crate) mod tests {
             let vop = Vop::binary(op, a.clone(), b.clone()).unwrap();
             assert_assigns(vop.kernel(), &[&a, &b], tile);
         }
-    }
-
-    #[test]
-    fn every_opcode_has_a_model() {
-        // Spot-check both columns of Table 1.
-        assert_eq!(Opcode::Add.parallel_model(), ParallelModel::Vector);
-        assert_eq!(
-            Opcode::ReduceHist256.parallel_model(),
-            ParallelModel::Vector
-        );
-        assert_eq!(Opcode::Gemm.parallel_model(), ParallelModel::Tiling);
-        assert_eq!(Opcode::Srad.parallel_model(), ParallelModel::Tiling);
     }
 
     #[test]

@@ -173,9 +173,9 @@ impl Kernel for Dct8x8 {
     }
 }
 
-/// Inverse 8x8 blockwise DCT, provided for round-trip testing and the image
-/// pipeline example.
-pub fn idct8x8(coeffs: &Tensor) -> Tensor {
+/// Inverse 8x8 blockwise DCT, the round-trip tests' reference.
+#[cfg(test)]
+fn idct8x8(coeffs: &Tensor) -> Tensor {
     let (rows, cols) = coeffs.shape();
     let tbl = basis_table();
     let mut out = Tensor::zeros(rows, cols);

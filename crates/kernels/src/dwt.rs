@@ -87,7 +87,8 @@ fn forward_lift97_with(x: &mut [f32], scratch: &mut [f32]) {
 }
 
 /// Inverse of [`forward_lift97`], for round-trip verification.
-pub fn inverse_lift97(x: &mut [f32]) {
+#[cfg(test)]
+fn inverse_lift97(x: &mut [f32]) {
     let n = x.len();
     if n < 2 {
         return;

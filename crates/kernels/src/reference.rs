@@ -359,7 +359,7 @@ pub fn dct8x8() -> Naive<Dct8x8> {
 
 /// Naive blocked DWT 9/7 reference: nested-`Vec` block copy, row lifts,
 /// strided column lifts through a scratch column.
-pub fn dwt97() -> Naive<Dwt97> {
+fn dwt97() -> Naive<Dwt97> {
     fn block(input: &Tensor, br: usize, bc: usize, tile: Tile, out: &mut TensorViewMut<'_>) {
         let (rows, cols) = input.shape();
         let brows = BLOCK.min(rows - br);
@@ -504,7 +504,7 @@ pub fn row_fft() -> Naive<RowFft> {
 }
 
 /// Naive histogram reference with the production per-HLOP NPU snap.
-pub fn histogram256() -> Naive<Histogram256> {
+fn histogram256() -> Naive<Histogram256> {
     fn run(_: &Histogram256, inputs: &[&Tensor], tile: Tile, out: &mut TensorViewMut<'_>) {
         let input = inputs[0];
         assert_eq!(

@@ -15,7 +15,6 @@
 //! * [`EnergyMeter`] — integrates platform idle power plus per-device
 //!   active power over busy intervals (the paper's wall-plug power meter,
 //!   §5.5).
-//! * [`MemoryTracker`] — peak-footprint accounting for Fig 11.
 //! * [`QueuePair`] — the per-device incoming/completion queue pair of the
 //!   SHMT kernel driver (§3.3).
 //! * [`FaultPlan`]/[`FaultInjector`] — a seeded, deterministic schedule of
@@ -27,12 +26,12 @@
 //! executes where, charges each HLOP's compute and transfer costs here, and
 //! reads back makespan, energy, and overhead statistics.
 //!
-//! Every cost-charging entry point has a `*_traced` variant taking a
-//! `shmt_trace::TraceSink` ([`DeviceTimeline::execute_traced`],
-//! [`Interconnect::transfer_traced`], [`QueuePair::enqueue_traced`],
-//! [`EnergyMeter::record_busy_traced`]); the untraced methods call them
-//! with a `NullSink`, so there is a single code path and tracing can never
-//! change simulated behaviour.
+//! Every cost-charging entry point takes a `shmt_trace::TraceSink`
+//! ([`DeviceTimeline::execute_traced`], [`Interconnect::transfer_traced`],
+//! [`QueuePair::enqueue_traced`], [`EnergyMeter::record_busy_traced`]);
+//! the untraced `execute` and `record_busy` call them with a `NullSink`, so
+//! there is a single code path and tracing can never change simulated
+//! behaviour.
 //!
 //! # Examples
 //!
@@ -51,7 +50,6 @@
 mod device;
 mod fault;
 mod interconnect;
-mod memory;
 mod power;
 mod queue;
 mod time;
@@ -61,7 +59,6 @@ pub use fault::{
     Dropout, FaultInjector, FaultPlan, FaultReport, SlowdownWindow, TpuMiscalibration,
 };
 pub use interconnect::{Interconnect, Transfer};
-pub use memory::MemoryTracker;
 pub use power::{edp, EnergyBreakdown, EnergyMeter};
 pub use queue::QueuePair;
 pub use time::{Duration, SimTime};

@@ -1,6 +1,5 @@
 use shmt_trace::{NullSink, TraceSink};
 
-use crate::device::DeviceKind;
 use crate::time::Duration;
 
 /// Energy totals for one run, split the way the paper's Fig 10 reports
@@ -27,10 +26,6 @@ impl EnergyBreakdown {
 pub struct EnergyMeter {
     idle_power_w: f64,
     active_j: f64,
-    // Inline per-device accumulators (one per DeviceKind, with slack):
-    // a meter is created per run, so heap-free bookkeeping matters for
-    // the serve path's alloc-free steady state.
-    per_device_j: [Option<(DeviceKind, f64)>; 4],
 }
 
 impl EnergyMeter {
@@ -44,7 +39,6 @@ impl EnergyMeter {
         EnergyMeter {
             idle_power_w,
             active_j: 0.0,
-            per_device_j: [None; 4],
         }
     }
 
@@ -58,14 +52,14 @@ impl EnergyMeter {
         self.idle_power_w
     }
 
-    /// Records `busy_s` seconds of activity on `device` drawing
+    /// Records `busy_s` seconds of activity on a device drawing
     /// `active_power_w` above idle.
     ///
     /// # Panics
     ///
     /// Panics if either argument is negative.
-    pub fn record_busy(&mut self, device: DeviceKind, busy_s: Duration, active_power_w: f64) {
-        self.record_busy_traced(device, busy_s, active_power_w, &mut NullSink);
+    pub fn record_busy(&mut self, busy_s: Duration, active_power_w: f64) {
+        self.record_busy_traced(busy_s, active_power_w, &mut NullSink);
     }
 
     /// [`EnergyMeter::record_busy`], accumulating the joules into `sink`'s
@@ -76,7 +70,6 @@ impl EnergyMeter {
     /// Panics if either argument is negative.
     pub fn record_busy_traced(
         &mut self,
-        device: DeviceKind,
         busy_s: Duration,
         active_power_w: f64,
         sink: &mut dyn TraceSink,
@@ -87,27 +80,9 @@ impl EnergyMeter {
         );
         let joules = busy_s * active_power_w;
         self.active_j += joules;
-        let slot = self
-            .per_device_j
-            .iter_mut()
-            .find(|s| matches!(s, Some((k, _)) if *k == device) || s.is_none());
-        match slot {
-            Some(Some((_, j))) => *j += joules,
-            Some(s @ None) => *s = Some((device, joules)),
-            None => unreachable!("more device kinds than energy slots"),
-        }
         if sink.enabled() {
             sink.counter("energy.active_j", joules);
         }
-    }
-
-    /// Active energy attributed to one device so far.
-    pub fn device_energy_j(&self, device: DeviceKind) -> f64 {
-        self.per_device_j
-            .iter()
-            .flatten()
-            .find(|(k, _)| *k == device)
-            .map_or(0.0, |(_, j)| *j)
     }
 
     /// Finalizes the run: idle energy is the idle floor integrated over the
@@ -142,12 +117,9 @@ mod tests {
     #[test]
     fn active_energy_accumulates_per_device() {
         let mut meter = EnergyMeter::jetson_prototype();
-        meter.record_busy(DeviceKind::Gpu, 2.0, 1.65);
-        meter.record_busy(DeviceKind::EdgeTpu, 1.0, 0.56);
-        meter.record_busy(DeviceKind::Gpu, 1.0, 1.65);
-        assert!((meter.device_energy_j(DeviceKind::Gpu) - 4.95).abs() < 1e-9);
-        assert!((meter.device_energy_j(DeviceKind::EdgeTpu) - 0.56).abs() < 1e-9);
-        assert_eq!(meter.device_energy_j(DeviceKind::Cpu), 0.0);
+        meter.record_busy(2.0, 1.65);
+        meter.record_busy(1.0, 0.56);
+        meter.record_busy(1.0, 1.65);
         let e = meter.finish(3.0);
         assert!((e.active_j - 5.51).abs() < 1e-9);
         assert!((e.idle_j - 9.06).abs() < 1e-9);

@@ -15,7 +15,6 @@ use crate::time::SimTime;
 pub struct QueuePair<T> {
     incoming: VecDeque<(SimTime, T)>,
     completed: VecDeque<(SimTime, T)>,
-    enqueued: usize,
     stolen_away: usize,
     max_depth: usize,
 }
@@ -26,7 +25,6 @@ impl<T> QueuePair<T> {
         QueuePair {
             incoming: VecDeque::new(),
             completed: VecDeque::new(),
-            enqueued: 0,
             stolen_away: 0,
             max_depth: 0,
         }
@@ -38,21 +36,13 @@ impl<T> QueuePair<T> {
     pub fn reset(&mut self) {
         self.incoming.clear();
         self.completed.clear();
-        self.enqueued = 0;
         self.stolen_away = 0;
         self.max_depth = 0;
     }
 
-    /// Enqueues work on the incoming side at virtual time `at`.
-    pub fn enqueue(&mut self, at: SimTime, item: T) {
-        self.incoming.push_back((at, item));
-        self.enqueued += 1;
-        self.max_depth = self.max_depth.max(self.incoming.len());
-    }
-
-    /// [`QueuePair::enqueue`], sampling the resulting incoming-queue depth
-    /// into `sink` as the gauge series `gauge_name` — the paper's §3.4
-    /// imbalance signal over virtual time.
+    /// Enqueues work on the incoming side at virtual time `at`, sampling
+    /// the resulting incoming-queue depth into `sink` as the gauge series
+    /// `gauge_name` — the paper's §3.4 imbalance signal over virtual time.
     pub fn enqueue_traced(
         &mut self,
         at: SimTime,
@@ -60,7 +50,8 @@ impl<T> QueuePair<T> {
         gauge_name: &str,
         sink: &mut dyn TraceSink,
     ) {
-        self.enqueue(at, item);
+        self.incoming.push_back((at, item));
+        self.max_depth = self.max_depth.max(self.incoming.len());
         if sink.enabled() {
             sink.gauge(gauge_name, at.as_secs(), self.incoming.len() as f64);
         }
@@ -116,11 +107,6 @@ impl<T> QueuePair<T> {
         self.incoming.front().map(|(_, item)| item)
     }
 
-    /// Total items ever enqueued.
-    pub fn total_enqueued(&self) -> usize {
-        self.enqueued
-    }
-
     /// Items withdrawn by other devices' steals.
     pub fn total_stolen_away(&self) -> usize {
         self.stolen_away
@@ -141,13 +127,18 @@ impl<T> Default for QueuePair<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shmt_trace::NullSink;
+
+    fn enqueue<T>(q: &mut QueuePair<T>, item: T) {
+        q.enqueue_traced(SimTime::ZERO, item, "queue", &mut NullSink);
+    }
 
     #[test]
     fn fifo_order_on_incoming() {
         let mut q = QueuePair::new();
-        q.enqueue(SimTime::ZERO, 1);
-        q.enqueue(SimTime::ZERO, 2);
-        q.enqueue(SimTime::ZERO, 3);
+        enqueue(&mut q, 1);
+        enqueue(&mut q, 2);
+        enqueue(&mut q, 3);
         assert_eq!(q.pop_front(), Some(1));
         assert_eq!(q.peek_front(), Some(&2));
         assert_eq!(q.peek_back(), Some(&3));
@@ -158,7 +149,7 @@ mod tests {
     fn steals_come_from_the_back() {
         let mut q = QueuePair::new();
         for i in 0..4 {
-            q.enqueue(SimTime::ZERO, i);
+            enqueue(&mut q, i);
         }
         assert_eq!(q.steal_back(), Some(3));
         assert_eq!(q.steal_back(), Some(2));
@@ -181,11 +172,10 @@ mod tests {
     fn stats_track_depth_and_volume() {
         let mut q = QueuePair::new();
         for i in 0..5 {
-            q.enqueue(SimTime::ZERO, i);
+            enqueue(&mut q, i);
         }
         q.pop_front();
-        q.enqueue(SimTime::ZERO, 9);
-        assert_eq!(q.total_enqueued(), 6);
+        enqueue(&mut q, 9);
         assert_eq!(q.max_depth(), 5);
         assert!(!q.is_idle());
         assert_eq!(q.iter_pending().count(), 5);

@@ -1,8 +1,7 @@
 //! Integration tests composing hetsim's pieces into small simulations.
 
-use hetsim::{
-    DeviceKind, DeviceProfile, DeviceTimeline, EnergyMeter, Interconnect, MemoryTracker, SimTime,
-};
+use hetsim::{DeviceProfile, DeviceTimeline, EnergyMeter, Interconnect, SimTime};
+use shmt_trace::NullSink;
 
 /// Two devices fed by one bus: transfers serialize, devices overlap.
 #[test]
@@ -12,8 +11,8 @@ fn bus_contention_shapes_the_schedule() {
     let mut slow = DeviceTimeline::new(DeviceProfile::edge_tpu(0.5e9));
 
     // Both devices need 0.5 GB in before computing 1e9 work units.
-    let t1 = bus.transfer(SimTime::ZERO, 500_000_000);
-    let t2 = bus.transfer(SimTime::ZERO, 500_000_000);
+    let t1 = bus.transfer_traced(SimTime::ZERO, 500_000_000, 0, 0, &mut NullSink);
+    let t2 = bus.transfer_traced(SimTime::ZERO, 500_000_000, 1, 0, &mut NullSink);
     assert_eq!(t1.end, t2.start, "second transfer queues behind the first");
 
     let f_done = fast.execute(t1.end, 1.0e9);
@@ -36,8 +35,8 @@ fn energy_meter_integrates_schedule() {
     m_tpu.execute(SimTime::ZERO, 2.0e9); // 1 s busy
 
     let mut meter = EnergyMeter::jetson_prototype();
-    meter.record_busy(DeviceKind::Gpu, m_gpu.busy_time(), gpu.active_power_w);
-    meter.record_busy(DeviceKind::EdgeTpu, m_tpu.busy_time(), tpu.active_power_w);
+    meter.record_busy(m_gpu.busy_time(), gpu.active_power_w);
+    meter.record_busy(m_tpu.busy_time(), tpu.active_power_w);
     let makespan = m_gpu.free_at().max(m_tpu.free_at()).as_secs();
     let breakdown = meter.finish(makespan);
 
@@ -47,23 +46,6 @@ fn energy_meter_integrates_schedule() {
         (breakdown.active_j - (1.65 * m_gpu.busy_time() + 0.56 * m_tpu.busy_time())).abs() < 1e-3
     );
     assert!(breakdown.total_j() > breakdown.idle_j);
-}
-
-/// Memory tracker composes with a simulated double-buffered pipeline.
-#[test]
-fn memory_peaks_under_double_buffering() {
-    let mut mem = MemoryTracker::new();
-    mem.alloc("dataset", 1000);
-    // Two staging buffers in flight at the peak.
-    for _ in 0..10 {
-        mem.alloc("staging", 50);
-        mem.alloc("staging", 50);
-        mem.free(50);
-        mem.free(50);
-    }
-    assert_eq!(mem.peak_bytes(), 1100);
-    assert_eq!(mem.current_bytes(), 1000);
-    assert_eq!(mem.class_bytes("staging"), 1000);
 }
 
 /// Device memory capacity is visible for the runtime's HLOP fission rule.

@@ -155,7 +155,7 @@ impl QuantParams {
     }
 
     /// Derives parameters from the observed range of a tensor.
-    pub fn from_tensor(t: &Tensor) -> Self {
+    fn from_tensor(t: &Tensor) -> Self {
         let (lo, hi) = t.min_max();
         Self::from_range(lo, hi)
     }
@@ -174,12 +174,6 @@ impl QuantParams {
     /// The real-value width of one int8 step.
     pub fn scale(&self) -> f32 {
         self.scale
-    }
-
-    /// The code that represents real zero. For ranges that do not include
-    /// zero this lies outside the `i8` code space.
-    pub fn zero_point(&self) -> i32 {
-        round_half_away(-self.lo / self.scale) as i32 - 128
     }
 
     /// How many steps above `lo` the value `x` rounds to, clamped to the
@@ -231,7 +225,8 @@ impl QuantParams {
     /// # Panics
     ///
     /// Panics if `src` and `dst` have different lengths.
-    pub fn quantize_slice(&self, src: &[f32], dst: &mut [i8]) {
+    #[inline(never)] // scripts/check_simd.sh reads this body's packed ops
+    fn quantize_slice(&self, src: &[f32], dst: &mut [i8]) {
         assert_eq!(src.len(), dst.len(), "quantize_slice length mismatch");
         for (d, &x) in dst.iter_mut().zip(src) {
             *d = self.quantize(x);
@@ -247,7 +242,8 @@ impl QuantParams {
     /// # Panics
     ///
     /// Panics if `codes` and `dst` have different lengths.
-    pub fn dequantize_slice(&self, codes: &[i8], dst: &mut [f32]) {
+    #[inline(never)] // scripts/check_simd.sh reads this body's packed ops
+    fn dequantize_slice(&self, codes: &[i8], dst: &mut [f32]) {
         assert_eq!(codes.len(), dst.len(), "dequantize_slice length mismatch");
         for (d, &code) in dst.iter_mut().zip(codes) {
             *d = self.dequantize(code);
@@ -316,11 +312,6 @@ impl QuantTensor {
         self.params
     }
 
-    /// Borrows the raw codes in row-major order.
-    pub fn codes(&self) -> &[i8] {
-        &self.codes
-    }
-
     /// Byte size of the device buffer (1 byte per element).
     pub fn byte_len(&self) -> usize {
         self.codes.len()
@@ -342,11 +333,7 @@ impl QuantTensor {
 /// }
 /// ```
 pub fn quantize_tensor(t: &Tensor) -> QuantTensor {
-    quantize_tensor_with(t, QuantParams::from_tensor(t))
-}
-
-/// Quantizes a whole tensor with caller-chosen parameters.
-pub fn quantize_tensor_with(t: &Tensor, params: QuantParams) -> QuantTensor {
+    let params = QuantParams::from_tensor(t);
     let mut codes = vec![0i8; t.len()];
     params.quantize_slice(t.as_slice(), &mut codes);
     QuantTensor {
@@ -401,7 +388,6 @@ mod tests {
         let qp = QuantParams::from_range(100.2, 100.7);
         let x = 100.45f32;
         assert!((qp.snap(x) - x).abs() <= qp.scale(), "snap={}", qp.snap(x));
-        assert!(qp.zero_point() < -30_000);
     }
 
     #[test]

@@ -25,7 +25,7 @@ const PCG_INC: u64 = 1442695040888963407;
 ///
 /// let mut a = Pcg32::seed_from_u64(7);
 /// let mut b = Pcg32::seed_from_u64(7);
-/// assert_eq!(a.next_u32(), b.next_u32());
+/// assert_eq!(a.next_f64(), b.next_f64());
 /// let x = a.gen_range(0.0f32..1.0);
 /// assert!((0.0..1.0).contains(&x));
 /// ```
@@ -54,7 +54,7 @@ impl Pcg32 {
 
     /// The next 32 uniformly distributed bits (XSH-RR output permutation).
     #[inline]
-    pub fn next_u32(&mut self) -> u32 {
+    fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.step();
         let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
@@ -64,7 +64,7 @@ impl Pcg32 {
 
     /// The next 64 uniformly distributed bits.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         (u64::from(self.next_u32()) << 32) | u64::from(self.next_u32())
     }
 

@@ -74,7 +74,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::InvalidShape`] if either dimension is zero or
     /// `rows * cols` overflows `usize`.
-    pub fn try_filled(rows: usize, cols: usize, value: f32) -> Result<Self> {
+    fn try_filled(rows: usize, cols: usize, value: f32) -> Result<Self> {
         let len = Self::checked_len(rows, cols)?;
         let mut data = crate::arena::take_f32(len);
         data.resize(len, value);
@@ -447,22 +447,16 @@ impl<'a> TensorView<'a> {
         }
     }
 
-    /// Copies the window into an owned [`Tensor`] while scanning its
-    /// NaN-filtered minimum and maximum in the same pass — the fused
-    /// form of [`TensorView::to_tensor`] + [`TensorView::min_max`] used
-    /// by the Edge TPU transfer step, so each transferred page is
-    /// touched once instead of twice.
+    /// Copies the window into an owned [`Tensor`] built in `page` (cleared
+    /// first) while scanning its NaN-filtered minimum and maximum in the
+    /// same pass — the fused form of [`TensorView::to_tensor`] +
+    /// [`TensorView::min_max`] used by the Edge TPU transfer step, so each
+    /// transferred page is touched once instead of twice.
     ///
     /// Returns `None` for the range when every element is NaN, matching
     /// the `(0.0, 0.0)` convention of [`TensorView::min_max`] at the
     /// call site's discretion. The range is the one a separate
     /// [`TensorView::min_max`] scan reports.
-    pub fn to_tensor_with_min_max(&self) -> (Tensor, Option<(f32, f32)>) {
-        self.to_tensor_with_min_max_in(crate::arena::take_f32(self.len()))
-    }
-
-    /// [`TensorView::to_tensor_with_min_max`] built in `page` (cleared
-    /// first) instead of a page from the arena.
     pub fn to_tensor_with_min_max_in(&self, mut page: Vec<f32>) -> (Tensor, Option<(f32, f32)>) {
         page.clear();
         let mut range = RangeScan::new();
@@ -852,7 +846,7 @@ mod tests {
     fn to_tensor_with_min_max_matches_separate_passes() {
         let t = Tensor::from_fn(5, 7, |r, c| (r as f32) - (c as f32) * 0.5);
         let v = t.view(1, 2, 3, 4);
-        let (copy, range) = v.to_tensor_with_min_max();
+        let (copy, range) = v.to_tensor_with_min_max_in(Vec::new());
         assert_eq!(copy, v.to_tensor());
         assert_eq!(range, Some(v.min_max()));
     }
@@ -860,7 +854,7 @@ mod tests {
     #[test]
     fn to_tensor_with_min_max_all_nan_is_none() {
         let nan = Tensor::from_vec(1, 2, vec![f32::NAN, f32::NAN]).unwrap();
-        let (copy, range) = nan.view(0, 0, 1, 2).to_tensor_with_min_max();
+        let (copy, range) = nan.view(0, 0, 1, 2).to_tensor_with_min_max_in(Vec::new());
         assert_eq!(range, None);
         assert!(copy.as_slice().iter().all(|v| v.is_nan()));
     }

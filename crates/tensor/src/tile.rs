@@ -2,20 +2,16 @@
 //!
 //! SHMT's runtime partitions each VOP's data "larger than and ... multiples
 //! of the main memory page size whenever possible" (paper §3.4): with 4 KB
-//! pages and `f32` elements, a vector partition holds at least 1,024
-//! consecutive elements and a matrix tile is at least 1,024×1,024 when the
-//! dataset allows it. This module provides that geometry for both the
-//! element-wise vector model and the tile-wise matrix model (§3.2.1).
+//! pages and `f32` elements, every partition holds at least 1,024
+//! elements when the dataset does. This module provides that geometry for
+//! both the element-wise vector model and the tile-wise matrix model
+//! (§3.2.1).
 
 /// Main-memory page size assumed by the partitioning rules (bytes).
 pub const PAGE_SIZE_BYTES: usize = 4096;
 
 /// Minimum elements per vector partition (one 4 KB page of `f32`).
 pub const MIN_VECTOR_ELEMS: usize = PAGE_SIZE_BYTES / std::mem::size_of::<f32>();
-
-/// Preferred minimum matrix tile edge, applied when the dataset is at least
-/// that large in the corresponding dimension.
-pub const MIN_TILE_EDGE: usize = 1024;
 
 /// One rectangular partition of a 2-D dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,16 +61,6 @@ impl TileSpec {
     pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "tile extent must be positive");
         TileSpec { rows, cols }
-    }
-
-    /// The page-rule spec for a `rows x cols` dataset: 1,024×1,024 tiles when
-    /// the dataset is that large, otherwise the full dataset as one tile
-    /// dimension ("whenever possible", §3.4).
-    pub fn page_rule(rows: usize, cols: usize) -> Self {
-        TileSpec {
-            rows: MIN_TILE_EDGE.min(rows.max(1)),
-            cols: MIN_TILE_EDGE.min(cols.max(1)),
-        }
     }
 
     /// Tile rows.
@@ -273,15 +259,6 @@ mod tests {
         for (i, tile) in grid.iter().enumerate() {
             assert_eq!(tile.index, i);
         }
-    }
-
-    #[test]
-    fn page_rule_clamps_to_dataset() {
-        let spec = TileSpec::page_rule(256, 4096);
-        assert_eq!(spec.rows(), 256);
-        assert_eq!(spec.cols(), MIN_TILE_EDGE);
-        let big = TileSpec::page_rule(4096, 4096);
-        assert_eq!((big.rows(), big.cols()), (MIN_TILE_EDGE, MIN_TILE_EDGE));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * [`TraceSink`] — the capture interface the runtime threads through
 //!   every hook. [`NullSink`] is the zero-cost default (tracing compiled
 //!   in, but every hook is a no-op and results are bit-identical to an
-//!   untraced build); [`RingBufferSink`] keeps the last N records;
-//!   [`TraceRecorder`] collects everything plus metrics.
+//!   untraced build); [`TraceRecorder`] collects everything plus
+//!   metrics.
 //! * [`MetricsRegistry`] — monotonic counters and timestamped gauge
 //!   series (queue depths, bus occupancy), plus a fixed-bound
 //!   [`Histogram`].
@@ -64,4 +64,4 @@ pub mod summary;
 pub use event::{DeviceId, EventKind, Span, TraceRecord, DEFAULT_DEVICE_NAMES};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use observatory::{DeviceProfile, Observatory, DEFAULT_EWMA_ALPHA};
-pub use sink::{NullSink, RingBufferSink, TraceData, TraceRecorder, TraceSink};
+pub use sink::{NullSink, TraceData, TraceRecorder, TraceSink};

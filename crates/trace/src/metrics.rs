@@ -86,11 +86,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// The configured per-series gauge cap, if any.
-    pub fn gauge_cap(&self) -> Option<usize> {
-        self.gauge_cap
-    }
-
     /// Adds `delta` to the named counter (created at zero on first use).
     pub fn add_counter(&mut self, name: &str, delta: f64) {
         *self.counters.entry(name.to_owned()).or_insert(0.0) += delta;
@@ -98,8 +93,8 @@ impl MetricsRegistry {
 
     /// Appends a `(time_s, value)` sample to the named gauge series.
     ///
-    /// With a gauge cap configured the sample may be decimated away;
-    /// [`MetricsRegistry::gauge_observed_count`] still counts it.
+    /// With a gauge cap configured the sample may be decimated away; the
+    /// series still counts it as seen.
     pub fn push_gauge(&mut self, name: &str, time_s: f64, value: f64) {
         let cap = self.gauge_cap;
         self.gauges
@@ -116,18 +111,6 @@ impl MetricsRegistry {
     /// The stored samples of a gauge series, in recording order.
     pub fn gauge_series(&self, name: &str) -> &[(f64, f64)] {
         self.gauges.get(name).map_or(&[], |g| g.samples.as_slice())
-    }
-
-    /// Number of samples currently *stored* for a gauge (after any
-    /// decimation). Never exceeds the configured cap.
-    pub fn gauge_sample_count(&self, name: &str) -> usize {
-        self.gauges.get(name).map_or(0, |g| g.samples.len())
-    }
-
-    /// Number of samples ever *observed* for a gauge, including any the
-    /// decimation dropped.
-    pub fn gauge_observed_count(&self, name: &str) -> u64 {
-        self.gauges.get(name).map_or(0, |g| g.seen)
     }
 
     /// The peak value a gauge series reached, if it has any samples.
@@ -365,10 +348,10 @@ mod tests {
         for i in 0..100_000u64 {
             m.push_gauge("queue.GPU", i as f64, i as f64);
         }
-        let stored = m.gauge_sample_count("queue.GPU");
+        let stored = m.gauge_series("queue.GPU").len();
         assert!(stored <= 64, "cap violated: {stored}");
         assert!(stored >= 16, "over-decimated: {stored}");
-        assert_eq!(m.gauge_observed_count("queue.GPU"), 100_000);
+        assert_eq!(m.gauges["queue.GPU"].seen, 100_000);
         // Stored samples are the observations at multiples of a single
         // power-of-two stride, so timestamps are evenly spaced.
         let s = m.gauge_series("queue.GPU");
@@ -386,8 +369,8 @@ mod tests {
         for i in 0..10_000u64 {
             m.push_gauge("g", i as f64, 1.0);
         }
-        assert_eq!(m.gauge_sample_count("g"), 10_000);
-        assert_eq!(m.gauge_observed_count("g"), 10_000);
+        assert_eq!(m.gauge_series("g").len(), 10_000);
+        assert_eq!(m.gauges["g"].seen, 10_000);
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl DeviceProfile {
     }
 
     /// Confidence weight behind one kind's EWMA throughput.
-    pub fn kind_span_count(&self, kind: &str) -> u64 {
+    fn kind_span_count(&self, kind: &str) -> u64 {
         self.kind_spans.get(kind).copied().unwrap_or(0)
     }
 }
@@ -114,7 +114,7 @@ impl Observatory {
     /// # Panics
     ///
     /// Panics unless `0 < alpha <= 1`.
-    pub fn with_alpha(alpha: f64) -> Self {
+    fn with_alpha(alpha: f64) -> Self {
         assert!(
             alpha > 0.0 && alpha <= 1.0,
             "EWMA alpha must be in (0, 1], got {alpha}"
@@ -128,11 +128,6 @@ impl Observatory {
             histograms: BTreeMap::new(),
             metrics: MetricsRegistry::new(),
         }
-    }
-
-    /// Number of devices profiled.
-    pub fn device_count(&self) -> usize {
-        self.profiles.len()
     }
 
     /// Grows the roster so `device` is a valid index, synthesizing
@@ -351,12 +346,12 @@ mod tests {
     #[test]
     fn unknown_device_ids_grow_the_roster_instead_of_panicking() {
         let mut obs = Observatory::new();
-        assert_eq!(obs.device_count(), 3);
+        assert_eq!(obs.profiles.len(), 3);
         obs.observe_span(5, "Sobel", 100, 0.001);
         obs.observe_mape(4, 0.1);
         obs.set_queue_depth(3, 2.0);
         obs.set_quarantined(5, true);
-        assert_eq!(obs.device_count(), 6);
+        assert_eq!(obs.profiles.len(), 6);
         assert_eq!(obs.profile(5).unwrap().name, "device5");
         assert_eq!(obs.profile(0).unwrap().name, "GPU");
         assert!(obs.profile(5).unwrap().quarantined);
@@ -489,7 +484,7 @@ mod tests {
         let mut b = Observatory::new();
         b.observe_span(4, "Sobel", 100, 0.001);
         a.merge(&b);
-        assert_eq!(a.device_count(), 5);
+        assert_eq!(a.profiles.len(), 5);
         assert_eq!(a.profile(4).unwrap().elements, 100);
         assert_eq!(a.profile(4).unwrap().name, "device4");
     }

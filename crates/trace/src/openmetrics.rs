@@ -67,7 +67,7 @@ pub struct Exposition {
 /// Maps a metric name to the OpenMetrics charset: `[a-zA-Z0-9_:]`,
 /// everything else becomes `_`, with a leading `_` if the name would
 /// start with a digit.
-pub fn sanitize_name(name: &str) -> String {
+fn sanitize_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 1);
     for (i, c) in name.chars().enumerate() {
         let ok = c.is_ascii_alphanumeric() || c == '_' || c == ':';
@@ -82,7 +82,7 @@ pub fn sanitize_name(name: &str) -> String {
 /// Stable value formatting: non-finite values render as `0` (matching
 /// the crate's JSON writer), everything else uses Rust's shortest
 /// round-trip float representation, so `parse ∘ render` is exact.
-pub fn fmt_value(v: f64) -> String {
+fn fmt_value(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -128,7 +128,7 @@ impl Exposition {
     /// Builds the exposition for an observatory: its registry counters
     /// and gauges, every latency histogram, and the per-device online
     /// profiles as labeled families.
-    pub fn from_observatory(obs: &Observatory) -> Self {
+    fn from_observatory(obs: &Observatory) -> Self {
         let mut families = Vec::new();
 
         for (name, value) in obs.metrics().counters() {

@@ -40,75 +40,6 @@ impl TraceSink for NullSink {
     fn record(&mut self, _time_s: f64, _kind: EventKind) {}
 }
 
-/// A bounded sink that keeps only the most recent `capacity` records —
-/// for long experiment sweeps where only the tail matters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RingBufferSink {
-    buf: Vec<TraceRecord>,
-    capacity: usize,
-    /// Next write position once the buffer is full.
-    head: usize,
-    dropped: usize,
-}
-
-impl RingBufferSink {
-    /// Creates a ring keeping at most `capacity` records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        RingBufferSink {
-            buf: Vec::with_capacity(capacity),
-            capacity,
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Records currently held, oldest first.
-    pub fn records(&self) -> Vec<TraceRecord> {
-        if self.buf.len() < self.capacity {
-            self.buf.clone()
-        } else {
-            // `head` points at the oldest record once wrapped.
-            let mut out = Vec::with_capacity(self.capacity);
-            out.extend_from_slice(&self.buf[self.head..]);
-            out.extend_from_slice(&self.buf[..self.head]);
-            out
-        }
-    }
-
-    /// Number of records held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Records overwritten because the ring was full.
-    pub fn dropped(&self) -> usize {
-        self.dropped
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    fn record(&mut self, time_s: f64, kind: EventKind) {
-        let rec = TraceRecord { time_s, kind };
-        if self.buf.len() < self.capacity {
-            self.buf.push(rec);
-        } else {
-            self.buf[self.head] = rec;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-}
-
 /// The full-fidelity sink: collects every record plus all metrics, and
 /// finalizes into a [`TraceData`].
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -406,30 +337,6 @@ mod tests {
         assert!((busy[0] - 0.75).abs() < 1e-12);
         assert_eq!(busy[1], 0.0);
         assert!((busy[2] - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ring_buffer_wraps_and_counts_drops() {
-        let mut ring = RingBufferSink::new(3);
-        for i in 0..5 {
-            ring.record(i as f64, EventKind::Dispatch { hlop: i, device: 0 });
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 2);
-        let recs = ring.records();
-        // Oldest first: events 2, 3, 4 survive.
-        let hlops: Vec<usize> = recs.iter().filter_map(|r| r.kind.hlop()).collect();
-        assert_eq!(hlops, vec![2, 3, 4]);
-        assert!(recs.windows(2).all(|w| w[0].time_s <= w[1].time_s));
-    }
-
-    #[test]
-    fn ring_buffer_below_capacity_keeps_all() {
-        let mut ring = RingBufferSink::new(8);
-        ring.record(0.0, EventKind::Dispatch { hlop: 0, device: 0 });
-        assert_eq!(ring.records().len(), 1);
-        assert_eq!(ring.dropped(), 0);
-        assert!(!ring.is_empty());
     }
 
     #[test]

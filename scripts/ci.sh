@@ -66,6 +66,11 @@ echo "== doc citations =="
 # Every Type::item and repo path the prose docs cite must exist.
 scripts/check_docs.sh
 
+echo "== pub surface =="
+# Every pub fn must be named in some other file: one entry point per
+# operation, no public twin that only its own file calls.
+scripts/check_pub.sh
+
 if cargo fmt --version >/dev/null 2>&1; then
     echo "== fmt check (hard gate) =="
     cargo fmt --all --check

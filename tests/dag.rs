@@ -244,6 +244,40 @@ fn identical_stage_chain_is_fully_resident() {
     assert!(d.resident_bus_bytes < staged_alone);
 }
 
+/// An edge that touches a guarded stage is never resident: the guarded
+/// stage keeps its pass-1 timing (input staged, output restored for the
+/// guard), so neither it nor its unguarded neighbours are discounted. In
+/// ReLU → Sqrt (guarded) → Tanh → ReLU only the last edge stays resident.
+#[test]
+fn edges_touching_a_guarded_stage_are_never_resident() {
+    let Pipeline { config, input, .. } = pipeline("chain");
+    let dag = VopDag::new(vec![
+        root(UnaryOp::Relu),
+        DagNode::unary(UnaryOp::Sqrt, 0).with_quality_budget(0.5),
+        DagNode::unary(UnaryOp::Tanh, 1),
+        DagNode::unary(UnaryOp::Relu, 2),
+    ])
+    .expect("valid chain");
+    let d = dag.run(&input, &config).expect("chain runs");
+    assert_eq!(d.stages.len(), 4);
+    assert_eq!(d.resident_edges, 1, "only Tanh -> ReLU is eligible");
+    let resident: Vec<(usize, usize)> = d
+        .stages
+        .iter()
+        .map(|s| (s.resident_in_elements, s.resident_out_elements))
+        .collect();
+    assert_eq!(resident[..2], [(0, 0), (0, 0)]);
+    assert_eq!(resident[2].0, 0, "Sqrt -> Tanh touches the guarded stage");
+    assert!(resident[2].1 > 0, "Tanh -> ReLU stays resident");
+    assert_eq!(resident[3], (tpu_elements(&d.stages[3]), 0));
+    assert!(
+        tpu_elements(&d.stages[0]) > 0,
+        "the root must reach the TPU"
+    );
+    assert_eq!(d.stages[0].staged_out_elements, tpu_elements(&d.stages[0]));
+    assert_eq!(d.stages[2].staged_in_elements, tpu_elements(&d.stages[2]));
+}
+
 /// Every reference pipeline composes within its own stages: each stage's
 /// Edge-TPU elements are either resident or staged, never both or
 /// neither; stage windows run back to back and end at the makespan; and
@@ -281,58 +315,6 @@ fn reference_pipelines_compose_within_their_stages() {
         assert!(d.resident_bus_bytes <= staged_alone, "{name}: bus bytes");
         let fused = usize::from(name == "dwt");
         assert_eq!(d.fused, fused, "{name}: only the DWT tail fuses");
-    }
-}
-
-/// `DagConfig::residency_dispatch` hands each stage's planner the share
-/// of its input the upstream stage left on the Edge TPU, widening the
-/// QAWS admission by `1 + share`. Off (the default) it is the neutral
-/// 0.0; on, this DCT chain stays deterministic and its downstream stages
-/// run a larger share on the TPU than under the hint-free plan. (The
-/// widening is a statement about the *plan*; stealing can still move the
-/// executed share of other chains either way.)
-#[test]
-fn residency_dispatch_widens_downstream_tpu_share() {
-    let mut rt = RuntimeConfig::new(Policy::Qaws {
-        assignment: shmt::QawsAssignment::TopK,
-        sampling: shmt::sampling::SamplingMethod::Striding,
-    });
-    rt.partitions = 32;
-    let off = DagConfig::new(rt);
-    assert!(!off.residency_dispatch, "off by default");
-    let mut on = off;
-    on.residency_dispatch = true;
-
-    let dag = VopDag::linear(&[
-        (Benchmark::Dct8x8, 1),
-        (Benchmark::Dct8x8, 2),
-        (Benchmark::Dct8x8, 3),
-    ])
-    .expect("valid chain");
-    let input = gen::image8(256, 256, 5);
-    let tpu_share = |r: &shmt::DagReport, stage: usize| r.stages[stage].report.tpu_fraction;
-
-    let base = dag.run(&input, &off).expect("hint-off run");
-    let hinted = dag.run(&input, &on).expect("hinted run");
-    let again = dag.run(&input, &on).expect("hinted rerun");
-    assert_eq!(hinted.output.as_slice(), again.output.as_slice());
-    assert_eq!(hinted.makespan_s, again.makespan_s);
-
-    // The root has no upstream, so its hint is the neutral 0.0 and its
-    // stage is the hint-off stage bit for bit.
-    assert!(tpu_share(&base, 0) > 0.0, "the chain must reach the TPU");
-    assert_eq!(tpu_share(&hinted, 0), tpu_share(&base, 0));
-    assert_eq!(
-        hinted.stages[0].report.makespan_s,
-        base.stages[0].report.makespan_s
-    );
-    for stage in 1..base.stages.len() {
-        assert!(
-            tpu_share(&hinted, stage) > tpu_share(&base, stage),
-            "stage {stage}: hinted {} vs hint-free {}",
-            tpu_share(&hinted, stage),
-            tpu_share(&base, stage)
-        );
     }
 }
 

@@ -149,6 +149,160 @@ fn baselines_are_exact_and_ordered() {
     }
 }
 
+/// `makespan_s`, `energy.total_j()` and `peak_memory_bytes` bits of
+/// `gpu_baseline` and then `software_pipelining` for every benchmark at
+/// 256², 16 partitions, on the Jetson platform. Every figure divides by
+/// these, so a change to the baseline timing, energy or footprint model
+/// must be deliberate: re-record the table (the failing test prints it).
+const BASELINE_GOLDEN: [(&str, [u64; 6]); 10] = [
+    (
+        "Blackscholes",
+        [
+            0x3f2c1762c821416e,
+            0x3f4fe403c7a11908,
+            0x0000000000086666,
+            0x3f44a2cf4d5aa6c1,
+            0x3f6855494e20cc08,
+            0x0000000000086666,
+        ],
+    ),
+    (
+        "DCT8x8",
+        [
+            0x3f4019f06d6e1e12,
+            0x3f628a64ae328a21,
+            0x0000000000093333,
+            0x3f4d8ef59377e6f5,
+            0x3f71644268ef432c,
+            0x0000000000093333,
+        ],
+    ),
+    (
+        "DWT",
+        [
+            0x3f18df54fbb92b26,
+            0x3f3cbfa49df82b3c,
+            0x00000000000a0000,
+            0x3f41ac6789f76f20,
+            0x3f64ac196181ea94,
+            0x00000000000a0000,
+        ],
+    ),
+    (
+        "FFT",
+        [
+            0x3f32b7696d94c974,
+            0x3f5553f8678aece6,
+            0x00000000000a0000,
+            0x3f46cb9272db552b,
+            0x3f6ae4382f1d3fe3,
+            0x00000000000a0000,
+        ],
+    ),
+    (
+        "Histogram",
+        [
+            0x3f035eeaee69102a,
+            0x3f2693a40c2865d8,
+            0x0000000000046a66,
+            0x3f3fe36d5a558374,
+            0x3f629e0ec7af1618,
+            0x0000000000046a66,
+        ],
+    ),
+    (
+        "Hotspot",
+        [
+            0x3f144041e889db69,
+            0x3f37934da31a4468,
+            0x00000000000d9999,
+            0x3f413c151c602778,
+            0x3f642167fed18c1c,
+            0x00000000000d9999,
+        ],
+    ),
+    (
+        "Laplacian",
+        [
+            0x3f1085e1a0e9e08f,
+            0x3f331ddb346d961c,
+            0x000000000008cccc,
+            0x3f40b3c70283c438,
+            0x3f6385e25f194ebe,
+            0x000000000008cccc,
+        ],
+    ),
+    (
+        "MF",
+        [
+            0x3f122c1805062e81,
+            0x3f34e4db2dfe2b3a,
+            0x000000000008cccc,
+            0x3f40d0d881283717,
+            0x3f63acdc0b2e77cc,
+            0x000000000008cccc,
+        ],
+    ),
+    (
+        "Sobel",
+        [
+            0x3f190b4ffb7c1def,
+            0x3f3c9847d01a5481,
+            0x0000000000140000,
+            0x3f4179355c3e807f,
+            0x3f647c600c280124,
+            0x0000000000140000,
+        ],
+    ),
+    (
+        "SRAD",
+        [
+            0x3f3086a9309f31ef,
+            0x3f52fae512526e22,
+            0x0000000000120000,
+            0x3f46393317a68528,
+            0x3f6a1cda9d0e28d2,
+            0x0000000000120000,
+        ],
+    ),
+];
+
+#[test]
+fn baseline_costs_match_recorded_bits() {
+    let got: Vec<(String, [u64; 6])> = ALL_BENCHMARKS
+        .iter()
+        .map(|&b| {
+            let vop = Vop::from_benchmark(b, b.generate_inputs(256, 256, 0xB5)).unwrap();
+            let platform = Platform::jetson(b);
+            let base = gpu_baseline(&platform, &vop, 16).unwrap();
+            let pipe = software_pipelining(&platform, &vop, 16).unwrap();
+            let bits = [
+                base.makespan_s.to_bits(),
+                base.energy.total_j().to_bits(),
+                base.peak_memory_bytes,
+                pipe.makespan_s.to_bits(),
+                pipe.energy.total_j().to_bits(),
+                pipe.peak_memory_bytes,
+            ];
+            (b.to_string(), bits)
+        })
+        .collect();
+    let want: Vec<(String, [u64; 6])> = BASELINE_GOLDEN
+        .iter()
+        .map(|&(n, bits)| (n.to_owned(), bits))
+        .collect();
+    if got != want {
+        for (n, bits) in &got {
+            let bits: Vec<String> = bits.iter().map(|b| format!("{b:#018x}")).collect();
+            println!("    ({n:?}, [{}]),", bits.join(", "));
+        }
+        assert_eq!(got.len(), want.len(), "case count changed");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g, w, "{}: baseline cost bits changed", g.0);
+        }
+    }
+}
+
 #[test]
 fn stealing_restrictions_hold_in_records() {
     // Under QAWS, partitions above the per-window criticality cut must

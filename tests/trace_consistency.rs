@@ -6,8 +6,8 @@ use shmt::calibration::{bench_profile, Calibration};
 use shmt::sampling::SamplingMethod;
 use shmt::trace::{chrome, summary, EventKind};
 use shmt::{
-    FaultPlan, Platform, Policy, QawsAssignment, RingBufferSink, RunReport, RuntimeConfig,
-    ShmtRuntime, TraceRecorder, Vop,
+    FaultPlan, Platform, Policy, QawsAssignment, RunReport, RuntimeConfig, ShmtRuntime,
+    TraceRecorder, Vop,
 };
 use shmt_kernels::Benchmark;
 
@@ -184,30 +184,6 @@ fn null_sink_runs_bit_identical_to_untraced() {
         "external sinks leave the report bare"
     );
     assert!(traced.trace.is_some());
-}
-
-#[test]
-fn ring_buffer_sink_keeps_the_tail() {
-    let b = Benchmark::Sobel;
-    let vop = Vop::from_benchmark(b, b.generate_inputs(256, 256, 7)).unwrap();
-    let mut cfg = RuntimeConfig::new(Policy::WorkStealing);
-    cfg.partitions = 16;
-    let runtime = ShmtRuntime::new(slow_platform(b), cfg);
-
-    let mut ring = shmt::RingBufferSink::new(8);
-    let full = {
-        let mut rec = TraceRecorder::new();
-        runtime
-            .execute_with_faults_sink(&vop, &FaultPlan::none(), &mut rec)
-            .unwrap();
-        rec.finish()
-    };
-    runtime
-        .execute_with_faults_sink(&vop, &FaultPlan::none(), &mut ring)
-        .unwrap();
-    assert_eq!(ring.len(), 8);
-    assert_eq!(ring.dropped(), full.len() - 8);
-    let _: RingBufferSink = ring;
 }
 
 #[test]
