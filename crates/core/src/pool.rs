@@ -288,6 +288,66 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     #[test]
+    fn scope_runs_every_job_with_borrows() {
+        // Claims divide the work with a cursor and write into slots
+        // borrowed from this stack frame, as the executor does.
+        let pool = ComputePool::new(3);
+        let slots: Vec<AtomicUsize> = (0..17).map(|_| AtomicUsize::new(0)).collect();
+        let cursor = AtomicUsize::new(0);
+        pool.scope_fn(slots.len(), &|| {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            slots[i].fetch_add(i + 1, Ordering::Relaxed);
+        });
+        for (i, slot) in slots.iter().enumerate() {
+            assert_eq!(slot.load(Ordering::Relaxed), i + 1, "slot {i}");
+        }
+    }
+
+    #[test]
+    fn concurrent_scopes_interleave_on_one_pool() {
+        // One worker, several submitters: each batch finishes exactly
+        // its own claims while the others share the queue.
+        let pool = Arc::new(ComputePool::new(1));
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || {
+                    let local = AtomicUsize::new(0);
+                    let claims = 10 + 5 * t;
+                    pool.scope_fn(claims, &|| {
+                        local.fetch_add(1, Ordering::Relaxed);
+                    });
+                    (claims, local.load(Ordering::Relaxed))
+                })
+            })
+            .collect();
+        for h in handles {
+            let (claims, ran) = h.join().expect("client thread");
+            assert_eq!(ran, claims);
+        }
+    }
+
+    #[test]
+    fn job_panic_propagates_to_submitter_and_pool_survives() {
+        let pool = ComputePool::new(2);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.scope_fn(1, &|| panic!("kernel contract violated"));
+        }));
+        let payload = caught.expect_err("panic must reach the submitting thread");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"kernel contract violated")
+        );
+
+        // Workers caught the panic, so the pool still runs later batches.
+        let ok = AtomicUsize::new(0);
+        pool.scope_fn(4, &|| {
+            ok.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(ok.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
     fn empty_batch_is_a_noop() {
         let pool = ComputePool::new(1);
         pool.scope_fn(0, &|| unreachable!("zero claims must not run"));
